@@ -54,16 +54,11 @@ from .chambers import (
 from .decomposition import (
     BuildingDecomposition,
     DecompositionWitness,
-    above_module,
-    choose_splitting,
     classical_chamber_cohomology,
     coefficient_cochain_complex,
     coefficient_cohomology,
-    d_quotient,
     filtration_ranks,
-    residue_module,
     sigma_formula_check,
-    verify_decomposition,
 )
 from .realization import (
     RealizedComplex,

@@ -40,30 +40,35 @@ class ChamberSystem:
     chamber_names: tuple = ()  # optional, for reports
 
     def __post_init__(self):
+        # chamber -> index of its s-panel in panels[s], one list per generator
+        panel_index = {}
         for s in self.matrix.labels:
             blocks = self.panels.get(s)
             if blocks is None:
                 raise ChamberError(f"missing panel partition for generator {s!r}")
-            seen = set()
-            for b in blocks:
-                if seen & b:
-                    raise ChamberError(f"{s}-panels overlap")
-                seen |= b
-            if seen != set(range(self.size)):
+            owner = {}
+            for k, b in enumerate(blocks):
+                for c in b:
+                    if c in owner:
+                        raise ChamberError(f"{s}-panels overlap")
+                    owner[c] = k
+            if owner.keys() != set(range(self.size)):
                 raise ChamberError(f"{s}-panels do not cover the chambers")
+            panel_index[s] = [owner[c] for c in range(self.size)]
+        object.__setattr__(self, "_panel_index", panel_index)
+        object.__setattr__(self, "_partitions", {})
 
     def panel_of(self, s, i):
-        for b in self.panels[s]:
-            if i in b:
-                return b
-        raise KeyError(i)
+        return self.panels[s][self._panel_index[s][i]]
 
-    def neighbors(self, i, T):
-        out = set()
-        for s in T:
-            out |= self.panel_of(s, i)
-        out.discard(i)
-        return out
+    def partition_map(self, T):
+        """``residue_partition_map`` of type T; cached per instance."""
+        T = frozenset(T)
+        cached = self._partitions.get(T)
+        if cached is None:
+            cached = residue_partition_map(self, T)
+            self._partitions[T] = cached
+        return cached
 
     def element_table(self):
         """The full group table of the (finite) type; cached per instance."""
@@ -98,31 +103,44 @@ def parse_chamber_system(text):
     ``chambers <n>`` and one ``panel <s>: {i,j,...} ...`` line per generator."""
     head_lines = []
     body = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("chambers") or stripped.startswith("panel"):
-            body.append(stripped)
+            body.append((lineno, stripped))
         else:
             head_lines.append(stripped)
     matrix = parse_coxeter_matrix("\n".join(head_lines))
     size = None
     panels = {}
-    for line in body:
+    for lineno, line in body:
         if line.startswith("chambers"):
-            size = int(line.split()[1])
+            count = line[len("chambers") :].strip()
+            try:
+                size = int(count)
+            except ValueError:
+                raise ChamberError(
+                    f"line {lineno}: expected 'chambers <n>', got {count!r}"
+                ) from None
             continue
         rest = line[len("panel") :].strip()
         name, _, blocks_text = rest.partition(":")
         s = name.strip()
         if s not in matrix.labels:
             raise ChamberError(f"panel for unknown generator {s!r}")
+        if s in panels:
+            raise ChamberError(f"line {lineno}: second panel line for generator {s!r}")
         blocks = []
         for tok in blocks_text.split():
             if not (tok.startswith("{") and tok.endswith("}")):
                 raise ChamberError(f"bad panel block {tok!r}")
-            blocks.append(frozenset(int(x) for x in tok[1:-1].split(",") if x))
+            try:
+                blocks.append(frozenset(int(x) for x in tok[1:-1].split(",") if x))
+            except ValueError:
+                raise ChamberError(
+                    f"line {lineno}: panel block {tok!r} holds a non-integer"
+                ) from None
         panels[s] = tuple(blocks)
     if size is None:
         raise ChamberError("missing 'chambers <n>' line")
@@ -285,11 +303,10 @@ def product_building(a, b):
 # ------------------------------------------------------------- W-distance
 
 
-def gallery_distances(system, start, table=None):
+def gallery_distances(system, start):
     """For every chamber, the set of group elements realized by minimal
     galleries from ``start``; in a building each set is a singleton."""
-    if table is None:
-        table = system.element_table()
+    table = system.element_table()
     labels = system.matrix.labels
     dist = {start: 0}
     elems = {start: {0}}
@@ -312,15 +329,14 @@ def gallery_distances(system, start, table=None):
     return dist, elems
 
 
-def w_distance(system, i, j, table=None):
+def w_distance(system, i, j):
     """The group element delta(i, j) read off minimal galleries.
 
     Raises ChamberError when different minimal galleries disagree or the
     gallery length is not the word length (the system is not a building).
     """
-    if table is None:
-        table = system.element_table()
-    dist, elems = gallery_distances(system, i, table)
+    table = system.element_table()
+    dist, elems = gallery_distances(system, i)
     if j not in dist:
         raise ChamberError("chambers lie in different connected components")
     found = elems[j]
@@ -433,22 +449,13 @@ def verify_building(system, check_distance=True):
         m = system.matrix.m(s, t)
         if m is INF:
             continue
+        s_ids = system._panel_index[s]
+        t_ids = system._panel_index[t]
         for r in residues(system, (s, t)):
-            chamber_set = set(r.chambers)
-            s_blocks = sorted(
-                {system.panel_of(s, c) for c in r.chambers}, key=min
-            )
-            t_blocks = sorted(
-                {system.panel_of(t, c) for c in r.chambers}, key=min
-            )
-            s_index = {b: i for i, b in enumerate(s_blocks)}
-            t_index = {b: i for i, b in enumerate(t_blocks)}
-            edges = [
-                (s_index[system.panel_of(s, c)], t_index[system.panel_of(t, c)])
-                for c in sorted(chamber_set)
-            ]
+            # vertices are panel ids: girth and diameter do not depend on them
+            edges = [(s_ids[c], t_ids[c]) for c in r.chambers]
             girth, diameter = _bipartite_girth_diameter(
-                edges, range(len(s_blocks)), range(len(t_blocks))
+                edges, {x for x, _ in edges}, {y for _, y in edges}
             )
             ok = girth == 2 * m and diameter == m
             residues_ok &= ok
@@ -473,7 +480,7 @@ def verify_building(system, check_distance=True):
             try:
                 table = system.element_table()
                 for i in range(system.size):
-                    dist, elems = gallery_distances(system, i, table)
+                    dist, elems = gallery_distances(system, i)
                     if len(dist) != system.size:
                         distance_ok = False
                         note = "disconnected"
@@ -492,10 +499,10 @@ def verify_building(system, check_distance=True):
                         break
                 if distance_ok:
                     # symmetry: delta(i,j) = delta(j,i)^-1 on a sample frame
-                    _, elems0 = gallery_distances(system, 0, table)
+                    _, elems0 = gallery_distances(system, 0)
                     for j, found in elems0.items():
                         w = next(iter(found))
-                        _, back = gallery_distances(system, j, table)
+                        _, back = gallery_distances(system, j)
                         v = next(iter(back[0]))
                         if table.inverse(w) != v:
                             distance_ok = False

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 
 from .chambers import (
     ChamberError,
@@ -275,14 +276,14 @@ def cmd_sigma_check(args):
         mirrors = [frozenset(args.U)] if args.U is not None else [
             frozenset(c)
             for r in range(len(S - base) + 1)
-            for c in _sorted_combinations(sorted(S - base), r)
+            for c in combinations(sorted(S - base), r)
         ]
         pairs = [(base, U) for U in mirrors]
     else:
         for T in dec.poset:
             free = sorted(S - T)
             for r in range(len(free) + 1):
-                for U in _sorted_combinations(free, r):
+                for U in combinations(free, r):
                     pairs.append((T, frozenset(U)))
     reports = [sigma_formula_check(system, T, U, dec=dec) for T, U in pairs]
     ok = all(r.ok for r in reports)
@@ -294,12 +295,6 @@ def cmd_sigma_check(args):
     lines.append(f"all: {'ok' if ok else 'MISMATCH'}")
     _emit(args, payload, "\n".join(lines))
     return 0 if ok else 2
-
-
-def _sorted_combinations(items, r):
-    from itertools import combinations
-
-    return combinations(items, r)
 
 
 def cmd_hc(args):

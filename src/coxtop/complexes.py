@@ -59,13 +59,6 @@ class SimplicialComplex:
             if not f:
                 raise ValueError("faces must be nonempty vertex sets")
 
-    def check_closed(self):
-        for f in self.faces:
-            for v in f:
-                if len(f) > 1 and (f - {v}) not in self.faces:
-                    raise ValueError(f"face {sorted(f, key=vertex_key)} missing a subface")
-        return self
-
     @property
     def vertices(self):
         return sorted({v for f in self.faces for v in f}, key=vertex_key)
@@ -87,9 +80,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
-
-    def has_face(self, f):
-        return frozenset(f) in self.faces
 
     def is_subcomplex_of(self, other):
         return self.faces <= other.faces
@@ -175,11 +165,6 @@ class MirroredComplex:
             out = out.intersection(self.mirror(s))
         return out
 
-    def restricted_to(self, sub):
-        """The mirror structure inherited by a subcomplex."""
-        mirrors = {s: self.mirror(s).intersection(sub) for s in self.labels}
-        return MirroredComplex(self.labels, sub, mirrors)
-
 
 def simplex_sign(face, subface):
     """Sign of subface inside face: (-1)^(position of the missing vertex)."""
@@ -207,13 +192,11 @@ def relative_cochain_complex(X, A=None):
         if k + 1 not in dims:
             continue
         mat = [[0] * dims[k] for _ in range(dims[k + 1])]
-        for j, f in enumerate(cells[k]):
-            for v in X.vertices:
-                if v in f:
-                    continue
-                g = f | {v}
-                i = index[k + 1].get(g)
-                if i is not None:
+        for i, g in enumerate(cells[k + 1]):
+            for v in g:
+                f = g - {v}
+                j = index[k].get(f)
+                if j is not None:
                     mat[i][j] = simplex_sign(g, f)
         maps[k] = mat
     return CochainComplex(dims, maps)

@@ -243,8 +243,11 @@ class SphericalPoset:
     matrix: CoxeterMatrix
     members: tuple  # frozensets, sorted by (size, label indices)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_member_set", frozenset(self.members))
+
     def __contains__(self, T):
-        return frozenset(T) in set(self.members)
+        return frozenset(T) in self._member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -261,7 +264,7 @@ class SphericalPoset:
         return [U for U in self.members if T < U or (not strict and T == U)]
 
     def full_set_spherical(self):
-        return frozenset(self.matrix.labels) in set(self.members)
+        return frozenset(self.matrix.labels) in self._member_set
 
     def to_json(self):
         return [sorted(T, key=self.matrix.index) for T in self.members]

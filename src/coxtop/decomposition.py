@@ -5,8 +5,8 @@ functions constant on every residue of type T (zero when T is not
 spherical).  A^{>T} is the span of the A^U over spherical U strictly
 containing T, and D^T = A^T / A^{>T}.  A deterministic complementary
 summand hat(A)^T of A^{>T} inside A^T is chosen via the Smith complement,
-reduced to canonical representatives.  ``verify_decomposition`` assembles
-the hat(A)^V for V containing T into a square matrix over the
+reduced to canonical representatives.  ``BuildingDecomposition.witness``
+assembles the hat(A)^V for V containing T into a square matrix over the
 residue-indicator basis of A^T and certifies the direct-sum decomposition
 by a unit determinant.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chambers import residue_partition_map
 from .complexes import simplex_sign, vertex_key
 from .coxmatrix import spherical_poset
 from .intlinalg import (
@@ -35,7 +34,6 @@ from .intlinalg import (
     CochainComplex,
     GradedGroup,
     TorsionObstruction,
-    column_hermite,
     determinant,
     direct_complement,
     from_columns,
@@ -61,33 +59,27 @@ class ResidueModule:
 
 
 class BuildingDecomposition:
-    """Caches residue data, quotients and splittings for one chamber system."""
+    """Caches the splittings for one chamber system; residue partition maps
+    are cached on the system itself."""
 
     def __init__(self, system):
         self.system = system
         self.matrix = system.matrix
         self.poset = spherical_poset(system.matrix)
         self.n = system.size
-        self._partition = {}
         self._splitting = {}
 
     # -------------------------------------------------------- residue data
 
-    def partition_map(self, T):
-        T = frozenset(T)
-        if T not in self._partition:
-            self._partition[T] = residue_partition_map(self.system, T)
-        return self._partition[T]
-
     def residue_count(self, T):
-        pm = self.partition_map(T)
+        pm = self.system.partition_map(T)
         return max(pm) + 1 if pm else 0
 
     def residue_module(self, T):
         T = frozenset(T)
         if T not in self.poset:
             return ResidueModule(T, False, [[] for _ in range(self.n)])
-        pm = self.partition_map(T)
+        pm = self.system.partition_map(T)
         r = self.residue_count(T)
         basis = [[0] * r for _ in range(self.n)]
         for chamber, block in enumerate(pm):
@@ -104,8 +96,8 @@ class BuildingDecomposition:
         coarse = frozenset(coarse)
         if not fine <= coarse:
             raise ValueError("inclusion needs fine <= coarse as types")
-        pm_f = self.partition_map(fine)
-        pm_c = self.partition_map(coarse)
+        pm_f = self.system.partition_map(fine)
+        pm_c = self.system.partition_map(coarse)
         rows = self.residue_count(fine)
         cols = self.residue_count(coarse)
         mat = [[0] * cols for _ in range(rows)]
@@ -119,7 +111,7 @@ class BuildingDecomposition:
 
     def coords_in(self, T, column):
         """Coordinates of a T-residue-constant vector over the T-residues."""
-        pm = self.partition_map(T)
+        pm = self.system.partition_map(T)
         r = self.residue_count(T)
         out = [None] * r
         for chamber, value in enumerate(column):
@@ -131,23 +123,6 @@ class BuildingDecomposition:
         return out
 
     # ----------------------------------------------------- module lattices
-
-    def above_generators(self, T):
-        """Indicator columns spanning A^{>T}, in Z^Phi."""
-        T = frozenset(T)
-        cols = []
-        for U in self.poset.supersets(T, strict=True):
-            module = self.residue_module(U)
-            cols.extend(list(col) for col in zip(*module.basis))
-        return from_columns(cols, self.n)
-
-    def above_module(self, T):
-        """A canonical basis (column Hermite form) of A^{>T}."""
-        gens = self.above_generators(T)
-        if not gens or not gens[0]:
-            return [[] for _ in range(self.n)]
-        H, _ = column_hermite(gens)
-        return H
 
     def above_in_coordinates(self, T):
         """Generators of A^{>T} written over the T-residue basis of A^T."""
@@ -247,30 +222,6 @@ class DecompositionWitness:
             "note": self.note,
             "matrix": self.matrix,
         }
-
-
-# ------------------------------------------------------ module-level wrappers
-
-
-def residue_module(system, T):
-    return BuildingDecomposition(system).residue_module(T)
-
-
-def above_module(system, T):
-    return BuildingDecomposition(system).above_module(T)
-
-
-def d_quotient(system, T):
-    return BuildingDecomposition(system).d_quotient(T)
-
-
-def choose_splitting(system, T):
-    return BuildingDecomposition(system).splitting(T)
-
-
-def verify_decomposition(system, T=(), dec=None):
-    dec = dec or BuildingDecomposition(system)
-    return dec.witness(T)
 
 
 # ------------------------------------------------- coefficient cochain data
@@ -572,7 +523,7 @@ def _sigma_entry(name, direct, top, quotient_group, summand_group):
 
 @dataclass
 class Filtration:
-    convention: str  # which cardinality reading produced a graded match
+    convention: str  # the cardinality reading, or "no reading matches"
     ranks: list  # rank of each filtration step, decreasing
     graded: list  # AbGroup per step p: F_p / F_{p+1}
     expected: list  # direct sum of the D^T with |T| = p
@@ -592,13 +543,12 @@ class Filtration:
 
 
 def filtration_ranks(system, dec=None):
-    """Both cardinality readings of the filtration by the A^T.
+    """The decreasing filtration F_p = span of the A^T with |T| >= p.
 
-    The decreasing reading F_p = span of the A^T with |T| >= p satisfies
-    F_p / F_{p+1} = direct sum of the D^T with |T| = p on every tested
-    chamber system; the increasing reading collapses to the full module
-    at every step because A^{emptyset} = A.  The returned report states
-    which reading matched.
+    Its gradeds F_p / F_{p+1} are compared with the direct sums of the D^T
+    with |T| = p.  The increasing reading (|T| <= p) is not tried: it is
+    the full module at every step because A^{emptyset} = A, while the D^T
+    of a maximal spherical T is nonzero.
     """
     dec = dec or BuildingDecomposition(system)
     max_p = dec.poset.max_cardinality
@@ -610,32 +560,20 @@ def filtration_ranks(system, dec=None):
                 total = total.direct_sum(dec.d_quotient(T))
         expected.append(total)
 
-    def build(reading):
-        steps = []
-        for p in range(max_p + 2):
-            if reading == "ge":
-                types = [T for T in dec.poset if len(T) >= p]
-            else:
-                types = [T for T in dec.poset if len(T) <= p]
-            steps.append(_sum_generators(dec, types))
-        ranks = [lattice_rank(g) if g and g[0] else 0 for g in steps]
-        graded = []
-        for p in range(max_p + 1):
-            big, small = steps[p], steps[p + 1]
-            if not (big and big[0]):
-                graded.append(AbGroup())
-            elif small and small[0]:
-                graded.append(submodule_quotient(dec.n, big, small))
-            else:
-                graded.append(_free_group(lattice_rank(big)))
-        return ranks, graded
-
-    ge_ranks, ge_graded = build("ge")
-    le_ranks, le_graded = build("le")
-    if ge_graded == expected:
-        return Filtration("sum over |T| >= p (decreasing)", ge_ranks, ge_graded, expected, True)
-    if le_graded == expected:
-        return Filtration("sum over |T| <= p (increasing)", le_ranks, le_graded, expected, True)
-    return Filtration(
-        "no reading matches", ge_ranks, ge_graded, expected, False
-    )
+    steps = [
+        _sum_generators(dec, [T for T in dec.poset if len(T) >= p])
+        for p in range(max_p + 2)
+    ]
+    ranks = [lattice_rank(g) if g and g[0] else 0 for g in steps]
+    graded = []
+    for p in range(max_p + 1):
+        big, small = steps[p], steps[p + 1]
+        if not (big and big[0]):
+            graded.append(AbGroup())
+        elif small and small[0]:
+            graded.append(submodule_quotient(dec.n, big, small))
+        else:
+            graded.append(_free_group(lattice_rank(big)))
+    if graded == expected:
+        return Filtration("sum over |T| >= p (decreasing)", ranks, graded, expected, True)
+    return Filtration("no reading matches", ranks, graded, expected, False)

@@ -39,6 +39,8 @@ def thin_multiplicity_series(matrix, T, radius):
     T = frozenset(T)
     if not is_spherical(matrix, T):
         raise ValueError(f"{sorted(T)} is not a spherical subset")
+    if radius < 0:
+        raise ValueError(f"growth radius must be >= 0, got {radius}")
     ball = enumerate_ball(matrix, radius)
     counts = [0] * (radius + 1)
     for e in ball.elements:

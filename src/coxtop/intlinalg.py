@@ -47,14 +47,6 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(a):
-    return [list(row) for row in zip(*a)] if a else []
-
-
 def columns(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -67,14 +59,6 @@ def from_columns(cols, nrows=None):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
-
-
-def hstack(a, b):
-    if not a:
-        return copy_matrix(b)
-    if not b:
-        return copy_matrix(a)
-    return [ra + rb for ra, rb in zip(a, b)]
 
 
 # ------------------------------------------------------------- determinant
@@ -131,9 +115,6 @@ class SNFResult:
 
     def rank(self):
         return sum(1 for d in self.diagonal() if d != 0)
-
-    def invariant_factors(self):
-        return [d for d in self.diagonal() if d > 1]
 
 
 def _min_abs_pivot(a, start):
@@ -513,25 +494,25 @@ class CochainComplex:
         return sum((-1) ** k * n for k, n in self.dims.items())
 
     def cohomology(self):
-        """Kernel modulo image in every degree, as a GradedGroup."""
+        """Kernel modulo image in every degree, as a GradedGroup.
+
+        Each map is factored once; its nonzero Smith diagonal gives the
+        rank leaving degree k and the rank and torsion entering k + 1.
+        """
+        nonzero = {
+            k: [d for d in smith_normal_form(m).diagonal() if d]
+            for k, m in self.maps.items()
+            if self.dims.get(k, 0) > 0 and self.dims.get(k + 1, 0) > 0
+        }
         out = {}
-        degrees = sorted(self.dims)
-        for k in degrees:
+        for k in sorted(self.dims):
             n = self.dims[k]
             if n == 0:
                 continue
-            dk = self.maps.get(k)
-            rank_out = 0
-            if dk is not None and self.dims.get(k + 1, 0) > 0:
-                rank_out = smith_normal_form(dk).rank()
-            dprev = self.maps.get(k - 1)
-            rank_in = 0
-            torsion = ()
-            if dprev is not None and self.dims.get(k - 1, 0) > 0:
-                snf = smith_normal_form(dprev)
-                rank_in = snf.rank()
-                torsion = tuple(d for d in snf.diagonal() if d > 1)
-            free = n - rank_out - rank_in
+            rank_out = len(nonzero.get(k, ()))
+            incoming = nonzero.get(k - 1, ())
+            torsion = tuple(d for d in incoming if d > 1)
+            free = n - rank_out - len(incoming)
             if free or torsion:
                 out[k] = AbGroup(free, torsion)
         return GradedGroup(out)
@@ -599,6 +580,3 @@ class GradedGroup:
 
     def to_json(self):
         return {str(k): self.groups[k].to_json() for k in self.degrees()}
-
-
-ZERO_GRADED = GradedGroup({})

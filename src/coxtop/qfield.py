@@ -221,10 +221,19 @@ def two_cos(m):
         raise ValueError(f"label m={m} is outside the exact-arithmetic set") from None
 
 
-def four_cos_int(m):
-    """4*cos(pi/m) with all-integer coordinates (for fast minor signs)."""
-    q = two_cos(m)
-    coords = tuple(x * 2 for x in q.c)
+def _four_cos(m):
+    coords = tuple(x * 2 for x in two_cos(m).c)
     if any(isinstance(x, Fraction) and x.denominator != 1 for x in coords):
         raise AssertionError("4cos should be integral for supported labels")
     return QF(tuple(int(x) for x in coords))
+
+
+_FOUR_COS = {m: _four_cos(m) for m in SUPPORTED_LABELS}
+
+
+def four_cos_int(m):
+    """4*cos(pi/m) with all-integer coordinates (for fast minor signs)."""
+    try:
+        return _FOUR_COS[m]
+    except KeyError:
+        raise ValueError(f"label m={m} is outside the exact-arithmetic set") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chambers import residue_partition_map, thin_building
+from .chambers import thin_building
 from .complexes import (
     MirroredComplex,
     SimplicialComplex,
@@ -47,31 +47,21 @@ def realize(system, X):
     indexed by the coarser S(c')-residue through the same chamber.
     """
     matrix = system.matrix
-    partition = {}
-
-    def pm(T):
-        T = frozenset(T)
-        if T not in partition:
-            partition[T] = residue_partition_map(system, T)
-        return partition[T]
-
-    label_of = {}
-    for f in X.complex.faces:
-        label_of[f] = X.face_label(f)
+    label_of = {f: X.face_label(f) for f in X.complex.faces}
+    pm = {f: system.partition_map(lab) for f, lab in label_of.items()}
 
     faces = set()
     cell_labels = {}
     for f in X.complex.faces:
         lab = label_of[f]
+        vertex_pms = [(v, pm[frozenset([v])]) for v in f]
         seen = set()
         for chamber in range(system.size):
-            r = pm(lab)[chamber]
+            r = pm[f][chamber]
             if r in seen:
                 continue
             seen.add(r)
-            glued = frozenset(
-                (v, pm(label_of[frozenset([v])])[chamber]) for v in f
-            )
+            glued = frozenset((v, vpm[chamber]) for v, vpm in vertex_pms)
             if len(glued) != len(f):
                 raise ValueError("degenerate gluing: vertices collapsed")
             if glued not in faces:
@@ -80,9 +70,7 @@ def realize(system, X):
     out = SimplicialComplex(frozenset(faces))
     # cell-count identity: one glued cell per (model cell, residue)
     for k in range(X.complex.dim + 1):
-        expected = sum(
-            max(pm(label_of[f])) + 1 for f in X.complex.faces_of_dim(k)
-        )
+        expected = sum(max(pm[f]) + 1 for f in X.complex.faces_of_dim(k))
         actual = len(out.faces_of_dim(k))
         if expected != actual:
             raise AssertionError(

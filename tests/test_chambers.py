@@ -138,7 +138,7 @@ class TestWDistance:
         table = sys.element_table()
         for i in range(sys.size):
             for j in range(sys.size):
-                w = w_distance(sys, i, j, table)
+                w = w_distance(sys, i, j)
                 expect = table.multiply_word(table.inverse(i), table.elements[j].word)
                 assert w.index == expect
 
@@ -147,8 +147,8 @@ class TestWDistance:
         table = sys.element_table()
         for i in range(0, sys.size, 5):
             for j in range(0, sys.size, 5):
-                w = w_distance(sys, i, j, table)
-                v = w_distance(sys, j, i, table)
+                w = w_distance(sys, i, j)
+                v = w_distance(sys, j, i)
                 assert table.inverse(w.index) == v.index
 
     def test_fano_point_adjacency(self):

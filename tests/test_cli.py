@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxtop
 from coxtop.cli import main
 
 TRIANGLE = "gens a b c\na b 3\nb c 3\na c 3\n"
@@ -191,6 +196,40 @@ class TestErrors:
     def test_growth_needs_args(self, capsys, free3_file):
         assert main(["growth", free3_file]) == 1
 
+    def test_negative_growth_radius(self, capsys, free3_file):
+        code = main(["growth", free3_file, "--T", "s", "--N", "-3", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "radius" in captured.err
+
+    def test_second_panel_line_for_a_generator(self, capsys, tmp_path):
+        # the second s line alone would make a valid 2 x 2 digon
+        bad = tmp_path / "twice.bld"
+        bad.write_text(
+            "gens s t\nchambers 4\n"
+            "panel s: {0,1,2,3}\npanel t: {0,1} {2,3}\npanel s: {0,2} {1,3}\n"
+        )
+        code = main(["verify-building", "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "line 5" in captured.err and "'s'" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("gens s\nchambers x\npanel s: {0,1}\n", "line 2"),
+            ("gens s\nchambers\npanel s: {0,1}\n", "line 2"),
+            ("gens s\nchambers 2\n\npanel s: {0,a}\n", "line 4"),
+        ],
+    )
+    def test_non_integer_in_chamber_file(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.bld"
+        bad.write_text(text)
+        code = main(["verify-building", "--chamber-file", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert line in err and "invalid literal" not in err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, triangle_file, a2_file, free3_file):
@@ -217,3 +256,34 @@ class TestDeterminism:
             code2, out2 = run(capsys, argv)
             assert code1 == code2 == 0, argv
             assert out1 == out2, argv
+
+    def test_byte_identical_across_hash_seeds(self, tmp_path):
+        # set iteration order changes with PYTHONHASHSEED; stdout must not
+        inputs = {"a2.cox": A2, "freeprod3.cox": FREE3}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        suite = [
+            ["verify-building", "--building", "fanoxa1", "--json"],
+            ["verify-decomposition", "a2.cox", "--building", "fano", "--json"],
+            ["decompose", "a2.cox", "--building", "digon(3,3)", "--json"],
+            ["realize", "a2.cox", "--building", "fano", "--model", "K", "--json"],
+            ["sigma-check", "a2.cox", "--json"],
+            ["hc", "freeprod3.cox", "--json", "--N", "4"],
+        ]
+        script = (
+            "import sys\nfrom coxtop.cli import main\n"
+            f"for argv in {suite!r}:\n"
+            "    print(main(argv), flush=True)\n"
+        )
+        src = str(Path(coxtop.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert next(iter(outputs)).count(b"\n") == 2 * len(suite)
