@@ -120,9 +120,11 @@ def parse_chamber_system(text):
             try:
                 size = int(count)
             except ValueError:
+                size = 0
+            if size < 1:
                 raise ChamberError(
-                    f"line {lineno}: expected 'chambers <n>', got {count!r}"
-                ) from None
+                    f"line {lineno}: expected 'chambers <n>' with n >= 1, got {count!r}"
+                )
             continue
         rest = line[len("panel") :].strip()
         name, _, blocks_text = rest.partition(":")
@@ -367,7 +369,9 @@ def _bipartite_girth_diameter(edges, left, right):
     if any(c > 1 for c in counts.values()):
         girth = 2
     simple = {u: sorted(set(vs)) for u, vs in adjacency.items()}
-    # girth by BFS from every vertex on the simple graph
+    # girth and eccentricity by one BFS from every vertex on the simple graph
+    diameter = 0
+    connected = True
     for src in sorted(simple):
         dist = {src: 0}
         parent = {src: None}
@@ -384,20 +388,6 @@ def _bipartite_girth_diameter(edges, left, right):
                         cycle = dist[u] + dist[v] + 1
                         if girth is None or cycle < girth:
                             girth = cycle
-            frontier = nxt
-    # diameter on the simple graph
-    diameter = 0
-    connected = True
-    for src in sorted(simple):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in simple[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
             frontier = nxt
         if len(dist) != len(simple):
             connected = False
@@ -479,8 +469,11 @@ def verify_building(system, check_distance=True):
             note = "checked"
             try:
                 table = system.element_table()
+                back = []  # delta(i, 0) for every chamber i
                 for i in range(system.size):
                     dist, elems = gallery_distances(system, i)
+                    if i == 0:
+                        elems0 = elems
                     if len(dist) != system.size:
                         distance_ok = False
                         note = "disconnected"
@@ -497,14 +490,11 @@ def verify_building(system, check_distance=True):
                             break
                     if not distance_ok:
                         break
+                    back.append(next(iter(elems[0])))
                 if distance_ok:
-                    # symmetry: delta(i,j) = delta(j,i)^-1 on a sample frame
-                    _, elems0 = gallery_distances(system, 0)
+                    # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
                     for j, found in elems0.items():
-                        w = next(iter(found))
-                        _, back = gallery_distances(system, j)
-                        v = next(iter(back[0]))
-                        if table.inverse(w) != v:
+                        if table.inverse(next(iter(found))) != back[j]:
                             distance_ok = False
                             note = f"distance not inverse-symmetric at {j}"
                             break

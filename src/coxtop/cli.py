@@ -52,6 +52,10 @@ class InputError(ValueError):
     pass
 
 
+class NotABuilding(Exception):
+    """A chamber file that fails a building axiom (exit code 2)."""
+
+
 def _read_matrix(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -114,6 +118,34 @@ def resolve_building(args, matrix):
             factor = _relabel(factor, str(i))
         out = product_building(out, factor)
     return out
+
+
+def resolve_verified_building(args, matrix):
+    """``resolve_building``, with the axioms checked on a chamber file;
+    the built-in specs are buildings by construction."""
+    system = resolve_building(args, matrix)
+    if args.chamber_file:
+        report = verify_building(system)
+        if not report.passed:
+            raise NotABuilding(_failed_checks(report))
+    return system
+
+
+def _failed_checks(report):
+    lines = [
+        f"{f['generator']}-panel {f['panel']} has fewer than two chambers"
+        for f in report.panel_failures
+    ]
+    lines.extend(
+        f"rank-2 residue {c['pair']} at chamber {c['residue_min_chamber']}: "
+        f"girth {c['girth']}, diameter {c['diameter']}, a generalized "
+        f"{c['m']}-gon has girth {c['expected_girth']}, diameter {c['expected_diameter']}"
+        for c in report.residue_checks
+        if not c["ok"]
+    )
+    if not report.distance_ok:
+        lines.append(f"W-distance: {report.distance_note}")
+    return "chamber file is not a building:\n  " + "\n  ".join(lines)
 
 
 def _emit(args, payload, human):
@@ -225,7 +257,7 @@ def cmd_coxeter_complex(args):
 
 def cmd_decompose(args):
     mat = _read_matrix(args.matrix)
-    system = resolve_building(args, mat)
+    system = resolve_verified_building(args, mat)
     dec = BuildingDecomposition(system)
     rows = []
     lines = [f"chambers: {system.size}"]
@@ -250,7 +282,7 @@ def cmd_decompose(args):
 
 def cmd_verify_decomposition(args):
     mat = _read_matrix(args.matrix)
-    system = resolve_building(args, mat)
+    system = resolve_verified_building(args, mat)
     dec = BuildingDecomposition(system)
     T = frozenset(args.T or [])
     witness = dec.witness(T)
@@ -267,7 +299,7 @@ def cmd_verify_decomposition(args):
 
 def cmd_sigma_check(args):
     mat = _read_matrix(args.matrix)
-    system = resolve_building(args, mat)
+    system = resolve_verified_building(args, mat)
     dec = BuildingDecomposition(system)
     S = set(system.matrix.labels)
     pairs = []
@@ -346,7 +378,7 @@ def cmd_growth(args):
 
 def cmd_filtration(args):
     mat = _read_matrix(args.matrix)
-    system = resolve_building(args, mat)
+    system = resolve_verified_building(args, mat)
     report = filtration_ranks(system)
     graded = graded_module_report(system.matrix, system)
     payload = {
@@ -451,6 +483,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.verb](args)
+    except NotABuilding as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except (InputError, CoxeterError, ChamberError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -2,13 +2,16 @@
 
 For a finite chamber system Phi, A = Z^Phi and A^T is the submodule of
 functions constant on every residue of type T (zero when T is not
-spherical).  A^{>T} is the span of the A^U over spherical U strictly
-containing T, and D^T = A^T / A^{>T}.  A deterministic complementary
-summand hat(A)^T of A^{>T} inside A^T is chosen via the Smith complement,
-reduced to canonical representatives.  ``BuildingDecomposition.witness``
-assembles the hat(A)^V for V containing T into a square matrix over the
-residue-indicator basis of A^T and certifies the direct-sum decomposition
-by a unit determinant.
+spherical); its basis is the T-residue indicators.  A^{>T} is
+the span of the A^U over spherical U strictly containing T, generated by
+the covers A^{T+s} alone since A^U lies in A^{T+s} for each s in U - T,
+and D^T = A^T / A^{>T}.  A deterministic complementary summand hat(A)^T
+of A^{>T} inside A^T is chosen via the Smith complement, reduced to
+canonical representatives, as columns over the T-residues.
+``BuildingDecomposition.witness`` lifts the hat(A)^V for V containing T
+to the T-residues (each T-residue reads the entry of the V-residue that
+contains it), assembles them into a square matrix and certifies the
+direct-sum decomposition by a unit determinant.
 
 Coefficient cochain complexes assign the module A^{S(c)} to each cell c
 of a mirrored complex, with coboundaries combining simplicial signs and
@@ -38,7 +41,6 @@ from .intlinalg import (
     direct_complement,
     from_columns,
     lattice_rank,
-    matmul,
     quotient_structure,
     shape,
     submodule_quotient,
@@ -86,53 +88,43 @@ class BuildingDecomposition:
             basis[chamber][block] = 1
         return ResidueModule(T, True, basis)
 
-    def inclusion_matrix(self, fine, coarse):
-        """Matrix of A^coarse -> A^fine in residue-indicator coordinates.
+    def _containing(self, fine, coarse):
+        """For each fine residue, the index of the coarse residue holding it.
 
-        ``coarse`` must contain ``fine``: a coarse indicator is the sum of
-        the fine indicators it covers.
+        ``coarse`` must contain ``fine`` as a type.
         """
         fine = frozenset(fine)
         coarse = frozenset(coarse)
         if not fine <= coarse:
             raise ValueError("inclusion needs fine <= coarse as types")
-        pm_f = self.system.partition_map(fine)
-        pm_c = self.system.partition_map(coarse)
-        rows = self.residue_count(fine)
-        cols = self.residue_count(coarse)
-        mat = [[0] * cols for _ in range(rows)]
-        seen = set()
-        for chamber in range(self.n):
-            key = (pm_f[chamber], pm_c[chamber])
-            if key not in seen:
-                seen.add(key)
-                mat[key[0]][key[1]] = 1
-        return mat
+        up = [None] * self.residue_count(fine)
+        for f, c in zip(self.system.partition_map(fine), self.system.partition_map(coarse)):
+            up[f] = c
+        return up
 
-    def coords_in(self, T, column):
-        """Coordinates of a T-residue-constant vector over the T-residues."""
-        pm = self.system.partition_map(T)
-        r = self.residue_count(T)
-        out = [None] * r
-        for chamber, value in enumerate(column):
-            block = pm[chamber]
-            if out[block] is None:
-                out[block] = value
-            elif out[block] != value:
-                raise ValueError("vector is not constant on the residues")
-        return out
+    def inclusion_matrix(self, fine, coarse):
+        """Matrix of A^coarse -> A^fine in residue-indicator coordinates:
+        a coarse indicator is the sum of the fine indicators it covers."""
+        up = self._containing(fine, coarse)
+        mat = [[0] * self.residue_count(coarse) for _ in up]
+        for i, j in enumerate(up):
+            mat[i][j] = 1
+        return mat
 
     # ----------------------------------------------------- module lattices
 
     def above_in_coordinates(self, T):
-        """Generators of A^{>T} written over the T-residue basis of A^T."""
+        """Generators of A^{>T} written over the T-residue basis of A^T.
+
+        Only the covers T+s contribute: A^U lies in A^{T+s} for every s
+        in U - T, so the larger types add nothing to the span.
+        """
         T = frozenset(T)
-        rT = self.residue_count(T)
         cols = []
         for U in self.poset.supersets(T, strict=True):
-            inc = self.inclusion_matrix(T, U)
-            cols.extend(list(col) for col in zip(*inc))
-        return from_columns(cols, rT)
+            if len(U) == len(T) + 1:
+                cols.extend(list(col) for col in zip(*self.inclusion_matrix(T, U)))
+        return from_columns(cols, self.residue_count(T))
 
     def d_quotient(self, T):
         """Structure of D^T = A^T / A^{>T}; torsion signals a violation."""
@@ -144,20 +136,14 @@ class BuildingDecomposition:
         return quotient_structure(rT, gens)
 
     def splitting(self, T):
-        """Columns of hat(A)^T in Z^Phi: a deterministic complement of
-        A^{>T} inside A^T, canonical modulo the A^{>T} lattice."""
+        """Columns of hat(A)^T over the T-residue basis of A^T: a
+        deterministic complement of A^{>T}, canonical modulo A^{>T}."""
         T = frozenset(T)
         if T in self._splitting:
             return self._splitting[T]
         if T not in self.poset:
             raise TorsionObstruction(f"{sorted(T)} is not spherical")
-        rT = self.residue_count(T)
-        gens = self.above_in_coordinates(T)
-        comp = direct_complement(rT, gens)
-        module = self.residue_module(T)
-        result = matmul(module.basis, comp) if comp and comp[0] else [
-            [] for _ in range(self.n)
-        ]
+        result = direct_complement(self.residue_count(T), self.above_in_coordinates(T))
         self._splitting[T] = result
         return result
 
@@ -172,10 +158,10 @@ class BuildingDecomposition:
         cols = []
         for V in self.poset.supersets(T):
             hat = self.splitting(V)
-            hat_cols = list(zip(*hat)) if hat and hat[0] else []
-            parts.append((V, len(hat_cols)))
-            for col in hat_cols:
-                cols.append(self.coords_in(T, list(col)))
+            parts.append((V, shape(hat)[1]))
+            # a T-residue takes the value of the V-residue holding it
+            up = self._containing(T, V)
+            cols.extend([col[v] for v in up] for col in zip(*hat))
         assembled = from_columns(cols, rT)
         rows, ncols = shape(assembled)
         if rows != ncols:

@@ -99,15 +99,14 @@ def determinant(a):
 class SNFResult:
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    ``uinv`` and ``vinv`` are maintained alongside so callers can move
-    between the two bases without solving anything.
+    ``uinv`` is maintained alongside so callers can move between the two
+    row bases without solving anything.
     """
 
     U: list
     D: list
     V: list
     uinv: list
-    vinv: list
 
     def diagonal(self):
         r, c = shape(self.D)
@@ -142,7 +141,6 @@ def smith_normal_form(a):
     U = identity(rows)
     uinv = identity(rows)
     V = identity(cols)
-    vinv = identity(cols)
 
     def row_add(i, j, k):  # row_i += k * row_j  (on D and U); uinv col j -= k*col i
         D[i] = [x + k * y for x, y in zip(D[i], D[j])]
@@ -155,7 +153,6 @@ def smith_normal_form(a):
             D[r][j] += k * D[r][i]
         for r in range(cols):
             V[r][j] += k * V[r][i]
-        vinv[i] = [x - k * y for x, y in zip(vinv[i], vinv[j])]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -168,7 +165,6 @@ def smith_normal_form(a):
             D[r][i], D[r][j] = D[r][j], D[r][i]
         for r in range(cols):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_negate(i):
         D[i] = [-x for x in D[i]]
@@ -221,7 +217,7 @@ def smith_normal_form(a):
         if pivot < 0:
             row_negate(t)
         t += 1
-    return SNFResult(U, D, V, uinv, vinv)
+    return SNFResult(U, D, V, uinv)
 
 
 # ------------------------------------------------------------ Hermite form

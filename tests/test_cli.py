@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -220,6 +221,8 @@ class TestErrors:
             ("gens s\nchambers x\npanel s: {0,1}\n", "line 2"),
             ("gens s\nchambers\npanel s: {0,1}\n", "line 2"),
             ("gens s\nchambers 2\n\npanel s: {0,a}\n", "line 4"),
+            ("gens s\nchambers 0\npanel s:\n", "line 2"),
+            ("gens s\nchambers -1\npanel s:\n", "line 2"),
         ],
     )
     def test_non_integer_in_chamber_file(self, capsys, tmp_path, text, line):
@@ -229,6 +232,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert line in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize(
+        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration"]
+    )
+    def test_chamber_file_that_is_not_a_building(self, capsys, a2_file, tmp_path, verb):
+        # a 6-cycle declared with m = 2: its rank-2 residue is a hexagon,
+        # not a generalized digon, and verify-building rejects it
+        bad = tmp_path / "hexagon.bld"
+        bad.write_text(
+            "gens s t\nchambers 6\n"
+            "panel s: {0,1} {2,3} {4,5}\npanel t: {1,2} {3,4} {5,0}\n"
+        )
+        code = main([verb, a2_file, "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not a building" in captured.err
+        assert "girth 6, diameter 3" in captured.err
 
 
 class TestDeterminism:
@@ -287,3 +307,20 @@ class TestDeterminism:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
         assert next(iter(outputs)).count(b"\n") == 2 * len(suite)
+
+    @pytest.mark.parametrize(
+        "spec, T, digest",
+        [
+            ("fano", [], "ad4ac895ff83b5ea410981d8088da5e211198221f57eca354706b5a6a15af145"),
+            ("fano", ["s"], "c1d786979a4d5e83f089e465b993072ff438c1476f624876497ed500c6964e3a"),
+            ("fanoxa1", [], "53ca74a0fae334ebe6503b2e420f76721f8fdf43c27c43a8ab50505a4e6dabae"),
+        ],
+    )
+    def test_summand_choice_is_pinned(self, capsys, a2_file, spec, T, digest):
+        # the witness matrix shows the chosen hat(A)^V; the digests were
+        # recorded from the code that lifted each summand to Z^Phi and
+        # built A^{>T} from every strict superset
+        argv = ["verify-decomposition", a2_file, "--building", spec, "--json", "--T"]
+        code, out = run(capsys, argv + T)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,11 @@
 import pytest
 
-from coxtop.chambers import digon_building, fano_building, thin_building
+from coxtop.chambers import (
+    digon_building,
+    fano_building,
+    product_building,
+    thin_building,
+)
 from coxtop.complexes import classical_chamber, davis_chamber
 from coxtop.coxmatrix import CoxeterMatrix
 from coxtop.decomposition import (
@@ -11,7 +16,14 @@ from coxtop.decomposition import (
     sigma_formula_check,
 )
 from coxtop.groups import enumerate_group
-from coxtop.intlinalg import AbGroup, GradedGroup, lattice_rank, shape
+from coxtop.intlinalg import (
+    AbGroup,
+    GradedGroup,
+    column_hermite,
+    from_columns,
+    lattice_rank,
+    shape,
+)
 
 
 def mk(labels, pairs):
@@ -104,6 +116,29 @@ class TestAboveAndQuotient:
         # T-indicators, so the inclusion matrix has one 1 per fine residue
         inc = fano.inclusion_matrix(frozenset("s"), frozenset("st"))
         assert all(sum(row) == 1 for row in inc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        fano_building,
+        lambda: thin_building(mk("abc", [("a", "b", 3), ("b", "c", 3)])),
+        lambda: digon_building(3, 3),
+        lambda: product_building(fano_building(), thin_building(mk("u", []))),
+    ],
+    ids=["fano", "thin_a3", "digon33", "fano_x_a1"],
+)
+def test_covers_span_the_same_lattice(build):
+    # A^{>T} from the covers T+s equals the span over every strict superset
+    dec = BuildingDecomposition(build())
+    for T in dec.poset:
+        cols = [
+            list(col)
+            for U in dec.poset.supersets(T, strict=True)
+            for col in zip(*dec.inclusion_matrix(T, U))
+        ]
+        every = from_columns(cols, dec.residue_count(T))
+        assert column_hermite(dec.above_in_coordinates(T)) == column_hermite(every), T
 
 
 class TestSplittings:

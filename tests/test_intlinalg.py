@@ -51,11 +51,10 @@ class TestSNF:
         snf = smith_normal_form(a)
         # UAV = D exactly
         assert matmul(matmul(snf.U, a), snf.V) == snf.D
-        # U, V unimodular and the tracked inverses are genuine inverses
+        # U, V unimodular and the tracked inverse of U is a genuine inverse
         assert abs(determinant(snf.U)) == 1
         assert abs(determinant(snf.V)) == 1
         assert matmul(snf.U, snf.uinv) == identity(shape(a)[0])
-        assert matmul(snf.V, snf.vinv) == identity(shape(a)[1])
         # diagonal shape and divisibility chain
         r, c = shape(snf.D)
         for i in range(r):
