@@ -57,6 +57,8 @@ class ChamberSystem:
             panel_index[s] = [owner[c] for c in range(self.size)]
         object.__setattr__(self, "_panel_index", panel_index)
         object.__setattr__(self, "_partitions", {})
+        # type -> hat(A)^T, filled by every BuildingDecomposition of this system
+        object.__setattr__(self, "_splittings", {})
 
     def panel_of(self, s, i):
         return self.panels[s][self._panel_index[s][i]]
@@ -418,7 +420,7 @@ class BuildingReport:
         }
 
 
-def verify_building(system, check_distance=True):
+def verify_building(system):
     """Necessary building axioms at desk scale.
 
     (a) every panel has at least two chambers; (b) every rank-2 residue
@@ -463,46 +465,44 @@ def verify_building(system, check_distance=True):
             )
 
     distance_ok = True
-    note = "skipped"
-    if check_distance:
-        if is_spherical(system.matrix, system.matrix.labels):
-            note = "checked"
-            try:
-                table = system.element_table()
-                back = []  # delta(i, 0) for every chamber i
-                for i in range(system.size):
-                    dist, elems = gallery_distances(system, i)
-                    if i == 0:
-                        elems0 = elems
-                    if len(dist) != system.size:
+    if is_spherical(system.matrix, system.matrix.labels):
+        note = "checked"
+        try:
+            table = system.element_table()
+            back = []  # delta(i, 0) for every chamber i
+            for i in range(system.size):
+                dist, elems = gallery_distances(system, i)
+                if i == 0:
+                    elems0 = elems
+                if len(dist) != system.size:
+                    distance_ok = False
+                    note = "disconnected"
+                    break
+                for j, found in elems.items():
+                    if len(found) != 1:
                         distance_ok = False
-                        note = "disconnected"
+                        note = f"ambiguous distance between {i} and {j}"
                         break
-                    for j, found in elems.items():
-                        if len(found) != 1:
-                            distance_ok = False
-                            note = f"ambiguous distance between {i} and {j}"
-                            break
-                        w = next(iter(found))
-                        if table.elements[w].length != dist[j]:
-                            distance_ok = False
-                            note = f"non-reduced gallery between {i} and {j}"
-                            break
-                    if not distance_ok:
+                    w = next(iter(found))
+                    if table.elements[w].length != dist[j]:
+                        distance_ok = False
+                        note = f"non-reduced gallery between {i} and {j}"
                         break
-                    back.append(next(iter(elems[0])))
-                if distance_ok:
-                    # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
-                    for j, found in elems0.items():
-                        if table.inverse(next(iter(found))) != back[j]:
-                            distance_ok = False
-                            note = f"distance not inverse-symmetric at {j}"
-                            break
-            except CoxeterError as exc:
-                distance_ok = False
-                note = str(exc)
-        else:
-            note = "type is infinite; distance check skipped"
+                if not distance_ok:
+                    break
+                back.append(next(iter(elems[0])))
+            if distance_ok:
+                # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
+                for j, found in elems0.items():
+                    if table.inverse(next(iter(found))) != back[j]:
+                        distance_ok = False
+                        note = f"distance not inverse-symmetric at {j}"
+                        break
+        except CoxeterError as exc:
+            distance_ok = False
+            note = str(exc)
+    else:
+        note = "type is infinite; distance check skipped"
     passed = panel_ok and residues_ok and distance_ok
     return BuildingReport(
         panel_ok, failures, residue_checks, residues_ok, distance_ok, note, passed

@@ -317,7 +317,7 @@ def cmd_sigma_check(args):
             for r in range(len(free) + 1):
                 for U in combinations(free, r):
                     pairs.append((T, frozenset(U)))
-    reports = [sigma_formula_check(system, T, U, dec=dec) for T, U in pairs]
+    reports = [sigma_formula_check(system, T, U) for T, U in pairs]
     ok = all(r.ok for r in reports)
     payload = {"ok": ok, "checks": [r.to_json() for r in reports]}
     lines = []
@@ -332,7 +332,7 @@ def cmd_sigma_check(args):
 def cmd_hc(args):
     mat = _read_matrix(args.matrix)
     if args.chamber_file or args.building:
-        thickness = resolve_building(args, mat)
+        thickness = resolve_verified_building(args, mat)
     else:
         thickness = "thin"
     report = hc_standard_realization(mat, thickness, growth_radius=args.N)

@@ -106,14 +106,12 @@ def _label_json(v):
     return v
 
 
-def flag_complex(elements, less_than=None):
-    """Faces are the chains of a finite poset (default order: strict subset)."""
+def flag_complex(elements):
+    """Faces are the chains of a finite family of sets under strict inclusion."""
     elements = list(elements)
-    if less_than is None:
-        less_than = lambda a, b: a < b  # noqa: E731  (frozenset strict inclusion)
     comparable = {}
     for a, b in combinations(elements, 2):
-        if less_than(a, b) or less_than(b, a):
+        if a < b or b < a:
             comparable.setdefault(a, set()).add(b)
             comparable.setdefault(b, set()).add(a)
     faces = set()

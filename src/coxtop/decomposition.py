@@ -5,9 +5,20 @@ functions constant on every residue of type T (zero when T is not
 spherical); its basis is the T-residue indicators.  A^{>T} is
 the span of the A^U over spherical U strictly containing T, generated by
 the covers A^{T+s} alone since A^U lies in A^{T+s} for each s in U - T,
-and D^T = A^T / A^{>T}.  A deterministic complementary summand hat(A)^T
-of A^{>T} inside A^T is chosen via the Smith complement, reduced to
-canonical representatives, as columns over the T-residues.
+and D^T = A^T / A^{>T}.  Every module lattice is written over the
+residue basis of its own type: for V containing T, A^V inside A^T is
+spanned by the V-residue indicators as sums of T-residue indicators
+(``span_in_coordinates``); only over the empty type, whose residues are
+the chambers, are these coordinates those of Z^Phi.
+
+A deterministic complementary summand hat(A)^T of A^{>T} inside A^T is
+chosen via the Smith complement, reduced to canonical representatives,
+as columns over the T-residues.  D^T is read off that same factorization:
+free of the rank of hat(A)^T, or the torsion quotient that the
+``TorsionObstruction`` carries when A^{>T} is not a direct summand.  The
+splittings are cached on the ``ChamberSystem`` beside its residue
+partition maps, so every ``BuildingDecomposition`` of one system shares
+them and each is computed once per system.
 ``BuildingDecomposition.witness`` lifts the hat(A)^V for V containing T
 to the T-residues (each T-residue reads the entry of the V-residue that
 contains it), assembles them into a square matrix and certifies the
@@ -47,46 +58,23 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class ResidueModule:
-    """A^T with its residue-indicator basis as columns in Z^Phi."""
-
-    type: frozenset
-    spherical: bool
-    basis: list  # |Phi| x (number of residues); empty columns if not spherical
-
-    @property
-    def rank(self):
-        return shape(self.basis)[1]
-
-
 class BuildingDecomposition:
-    """Caches the splittings for one chamber system; residue partition maps
-    are cached on the system itself."""
+    """The residue modules of one chamber system, in residue coordinates.
+
+    A view: the splittings are cached on the system next to its residue
+    partition maps, so every view of one system shares them.
+    """
 
     def __init__(self, system):
         self.system = system
         self.matrix = system.matrix
         self.poset = spherical_poset(system.matrix)
-        self.n = system.size
-        self._splitting = {}
 
     # -------------------------------------------------------- residue data
 
     def residue_count(self, T):
         pm = self.system.partition_map(T)
         return max(pm) + 1 if pm else 0
-
-    def residue_module(self, T):
-        T = frozenset(T)
-        if T not in self.poset:
-            return ResidueModule(T, False, [[] for _ in range(self.n)])
-        pm = self.system.partition_map(T)
-        r = self.residue_count(T)
-        basis = [[0] * r for _ in range(self.n)]
-        for chamber, block in enumerate(pm):
-            basis[chamber][block] = 1
-        return ResidueModule(T, True, basis)
 
     def _containing(self, fine, coarse):
         """For each fine residue, the index of the coarse residue holding it.
@@ -113,6 +101,20 @@ class BuildingDecomposition:
 
     # ----------------------------------------------------- module lattices
 
+    def span_in_coordinates(self, T, types):
+        """Generators of the span of the A^V, V in ``types``, written over
+        the T-residue basis of A^T.
+
+        Every V must contain T; a non-spherical V adds nothing (A^V = 0).
+        """
+        T = frozenset(T)
+        cols = []
+        for V in types:
+            V = frozenset(V)
+            if V in self.poset:
+                cols.extend(list(col) for col in zip(*self.inclusion_matrix(T, V)))
+        return from_columns(cols, self.residue_count(T))
+
     def above_in_coordinates(self, T):
         """Generators of A^{>T} written over the T-residue basis of A^T.
 
@@ -120,31 +122,35 @@ class BuildingDecomposition:
         in U - T, so the larger types add nothing to the span.
         """
         T = frozenset(T)
-        cols = []
-        for U in self.poset.supersets(T, strict=True):
-            if len(U) == len(T) + 1:
-                cols.extend(list(col) for col in zip(*self.inclusion_matrix(T, U)))
-        return from_columns(cols, self.residue_count(T))
+        return self.span_in_coordinates(
+            T, [U for U in self.poset.supersets(T, strict=True) if len(U) == len(T) + 1]
+        )
 
     def d_quotient(self, T):
-        """Structure of D^T = A^T / A^{>T}; torsion signals a violation."""
+        """Structure of D^T = A^T / A^{>T}, read off the factorization that
+        chooses hat(A)^T: free of the rank of hat(A)^T, or, when A^{>T} is
+        not a direct summand, the quotient with the torsion that says so
+        (a violation of the building axioms)."""
         T = frozenset(T)
         if T not in self.poset:
             return AbGroup()
-        rT = self.residue_count(T)
-        gens = self.above_in_coordinates(T)
-        return quotient_structure(rT, gens)
+        try:
+            return AbGroup(self.splitting_rank(T))
+        except TorsionObstruction as exc:
+            return exc.quotient
 
     def splitting(self, T):
         """Columns of hat(A)^T over the T-residue basis of A^T: a
-        deterministic complement of A^{>T}, canonical modulo A^{>T}."""
+        deterministic complement of A^{>T}, canonical modulo A^{>T}.
+        Raises ``TorsionObstruction`` when there is none."""
         T = frozenset(T)
-        if T in self._splitting:
-            return self._splitting[T]
+        cache = self.system._splittings
+        if T in cache:
+            return cache[T]
         if T not in self.poset:
-            raise TorsionObstruction(f"{sorted(T)} is not spherical")
+            raise ValueError(f"{sorted(T)} is not spherical")
         result = direct_complement(self.residue_count(T), self.above_in_coordinates(T))
-        self._splitting[T] = result
+        cache[T] = result
         return result
 
     def splitting_rank(self, T):
@@ -252,22 +258,19 @@ def _block_cochain_complex(dec, cells_by_degree, labels_of):
                 if r_f == 0:
                     continue
                 sign = simplex_sign(g, f)
-                inc = dec.inclusion_matrix(frozenset(lab_g), frozenset(lab_f))
-                for i in range(r_g):
-                    row = mat[off_g + i]
-                    for j in range(r_f):
-                        if inc[i][j]:
-                            row[off_f + j] += sign * inc[i][j]
+                # each lab_g-residue lies in exactly one lab_f-residue
+                for i, j in enumerate(dec._containing(lab_g, lab_f)):
+                    mat[off_g + i][off_f + j] += sign
         maps[k] = mat
     return CochainComplex(dims, maps)
 
 
-def coefficient_cochain_complex(X, B, system, dec=None):
+def coefficient_cochain_complex(X, B, system):
     """Def-style coefficient complex on a mirrored complex, unaugmented.
 
     Degree-k module: one copy of A^{S(c)} per k-cell c of X outside B.
     """
-    dec = dec or BuildingDecomposition(system)
+    dec = BuildingDecomposition(system)
     if B is not None and not B.is_subcomplex_of(X.complex):
         raise ValueError("relative subcomplex is not a subcomplex of X")
     bfaces = B.faces if B is not None else frozenset()
@@ -279,8 +282,8 @@ def coefficient_cochain_complex(X, B, system, dec=None):
     return _block_cochain_complex(dec, cells_by_degree, X.face_label)
 
 
-def coefficient_cohomology(X, B, system, dec=None):
-    return coefficient_cochain_complex(X, B, system, dec).validate().cohomology()
+def coefficient_cohomology(X, B, system):
+    return coefficient_cochain_complex(X, B, system).validate().cohomology()
 
 
 # --------------------------------------------- classical chamber face sets
@@ -322,14 +325,14 @@ def _augmented_pair_cohomology(dec, S, T, total_cells, sub_cells):
     return _block_cochain_complex(dec, by_degree, label).validate().cohomology()
 
 
-def classical_chamber_cohomology(system, dec=None):
+def classical_chamber_cohomology(system):
     """Augmented coefficient cohomology of the full chamber simplex.
 
     Concentrated in degree |S| - 1 with top group D^{empty set}; the
     augmentation removes the copy of the constant functions that a
     spherical (finite) type would otherwise leave in degree 0.
     """
-    dec = dec or BuildingDecomposition(system)
+    dec = BuildingDecomposition(system)
     S = dec.matrix.labels
     cells = _chamber_face_cells(S, ())
     return _augmented_pair_cohomology(dec, S, (), cells, set())
@@ -386,25 +389,11 @@ class SigmaReport:
         }
 
 
-def _sum_generators(dec, types):
-    cols = []
-    for V in types:
-        V = frozenset(V)
-        if V in dec.poset:
-            module = dec.residue_module(V)
-            cols.extend(list(col) for col in zip(*module.basis))
-    return from_columns(cols, dec.n)
-
-
-def _free_group(rank):
-    return AbGroup(rank, ())
-
-
 def _expected_graded(top, group):
     return GradedGroup({top: group}) if not group.is_zero() else GradedGroup({})
 
 
-def sigma_formula_check(system, T, U, dec=None):
+def sigma_formula_check(system, T, U):
     """Check the three face-cohomology identities for the face fixed by T.
 
     With sigma the face of the chamber simplex fixed by T, m = |S|-1-|T|
@@ -421,7 +410,7 @@ def sigma_formula_check(system, T, U, dec=None):
     All three direct computations run augmented, so the identities hold
     on finite buildings exactly as over infinite types.
     """
-    dec = dec or BuildingDecomposition(system)
+    dec = BuildingDecomposition(system)
     S = dec.matrix.labels
     T = frozenset(T)
     U = frozenset(U)
@@ -437,12 +426,9 @@ def sigma_formula_check(system, T, U, dec=None):
 
     # relative pair (sigma, sigma^U)
     direct_rel = _augmented_pair_cohomology(dec, S, T, sigma, sigma_U)
-    quo_rel = submodule_quotient(
-        dec.n,
-        dec.residue_module(T).basis,
-        _sum_generators(dec, [T | {s} for s in W]),
-    )
-    sum_rel = _free_group(
+    rT = dec.residue_count(T)
+    quo_rel = quotient_structure(rT, dec.span_in_coordinates(T, [T | {s} for s in W]))
+    sum_rel = AbGroup(
         sum(
             dec.splitting_rank(V)
             for V in dec.poset.supersets(T)
@@ -455,9 +441,9 @@ def sigma_formula_check(system, T, U, dec=None):
 
     # pair (sigma^U, boundary of sigma^U)
     direct_bnd = _augmented_pair_cohomology(dec, S, T, sigma_U, sigma_U & sigma_W)
-    span_U = _sum_generators(dec, [T | {s} for s in U])
-    quo_bnd = _free_group(lattice_rank(span_U) if span_U and span_U[0] else 0)
-    sum_bnd = _free_group(
+    span_U = dec.span_in_coordinates(T, [T | {s} for s in U])
+    quo_bnd = AbGroup(lattice_rank(span_U) if span_U and span_U[0] else 0)
+    sum_bnd = AbGroup(
         sum(
             dec.splitting_rank(V)
             for V in dec.poset.supersets(T, strict=True)
@@ -468,14 +454,12 @@ def sigma_formula_check(system, T, U, dec=None):
 
     # absolute sigma^U
     direct_abs = _augmented_pair_cohomology(dec, S, T, sigma_U, set())
-    pair_gens = _sum_generators(
-        dec, [T | {s, t} for s in U for t in W]
-    )
+    pair_gens = dec.span_in_coordinates(T, [T | {s, t} for s in U for t in W])
     if span_U and span_U[0]:
-        quo_abs = submodule_quotient(dec.n, span_U, pair_gens)
+        quo_abs = submodule_quotient(rT, span_U, pair_gens)
     else:
         quo_abs = AbGroup()
-    sum_abs = _free_group(
+    sum_abs = AbGroup(
         sum(
             dec.splitting_rank(V)
             for V in dec.poset.supersets(T, strict=True)
@@ -528,7 +512,7 @@ class Filtration:
         }
 
 
-def filtration_ranks(system, dec=None):
+def filtration_ranks(system):
     """The decreasing filtration F_p = span of the A^T with |T| >= p.
 
     Its gradeds F_p / F_{p+1} are compared with the direct sums of the D^T
@@ -536,7 +520,7 @@ def filtration_ranks(system, dec=None):
     the full module at every step because A^{emptyset} = A, while the D^T
     of a maximal spherical T is nonzero.
     """
-    dec = dec or BuildingDecomposition(system)
+    dec = BuildingDecomposition(system)
     max_p = dec.poset.max_cardinality
     expected = []
     for p in range(max_p + 1):
@@ -546,8 +530,9 @@ def filtration_ranks(system, dec=None):
                 total = total.direct_sum(dec.d_quotient(T))
         expected.append(total)
 
+    # over the empty type the residue basis is the chamber basis of A
     steps = [
-        _sum_generators(dec, [T for T in dec.poset if len(T) >= p])
+        dec.span_in_coordinates(frozenset(), [T for T in dec.poset if len(T) >= p])
         for p in range(max_p + 2)
     ]
     ranks = [lattice_rank(g) if g and g[0] else 0 for g in steps]
@@ -557,9 +542,9 @@ def filtration_ranks(system, dec=None):
         if not (big and big[0]):
             graded.append(AbGroup())
         elif small and small[0]:
-            graded.append(submodule_quotient(dec.n, big, small))
+            graded.append(submodule_quotient(system.size, big, small))
         else:
-            graded.append(_free_group(lattice_rank(big)))
+            graded.append(AbGroup(lattice_rank(big)))
     if graded == expected:
         return Filtration("sum over |T| >= p (decreasing)", ranks, graded, expected, True)
     return Filtration("no reading matches", ranks, graded, expected, False)

@@ -295,8 +295,10 @@ def graded_module_report(matrix, system):
     """Associated-graded ranks: per p, the sum over |T| = p of
     H(K, K^{S-T}) tensored with D^T; the rows must total the realization
     cohomology of the standard realization."""
+    # raises TorsionObstruction when some D^T has torsion
+    hc = hc_standard_realization(matrix, system)
+    locals_ = {frozenset(c.type): c.local for c in hc.contributions}
     dec = BuildingDecomposition(system)
-    locals_ = dict((frozenset(T), g) for T, g in _local_groups(matrix))
     max_p = dec.poset.max_cardinality
     rows = []
     totals = GradedGroup({})
@@ -306,10 +308,7 @@ def graded_module_report(matrix, system):
             if len(T) != p:
                 continue
             d = dec.d_quotient(T)
-            if d.torsion:
-                raise ValueError(f"D^{sorted(T)} has torsion {d.torsion}")
             graded = graded.direct_sum(locals_[T].tensor_free(d.free))
         rows.append((p, graded))
         totals = totals.direct_sum(graded)
-    hc = hc_standard_realization(matrix, system)
     return GradedModuleReport(rows, totals, totals == hc.totals)

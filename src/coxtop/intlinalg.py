@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 
 class TorsionObstruction(ValueError):
-    """A submodule that was required to be a direct summand is not one."""
+    """A submodule that was required to be a direct summand is not one.
+
+    ``quotient`` is the structure of the ambient module modulo the
+    submodule, with the torsion that obstructs the splitting.
+    """
+
+    def __init__(self, message, quotient):
+        super().__init__(message)
+        self.quotient = quotient
 
 
 # ----------------------------------------------------------------- matrices
@@ -426,11 +434,12 @@ def direct_complement(n, basis_matrix):
         return identity(n)
     snf = smith_normal_form(basis_matrix)
     diag = snf.diagonal()
-    if any(d > 1 for d in diag):
-        raise TorsionObstruction(
-            f"quotient has invariant factors {[d for d in diag if d > 1]}"
-        )
     rank = sum(1 for d in diag if d != 0)
+    torsion = tuple(d for d in diag if d > 1)
+    if torsion:
+        raise TorsionObstruction(
+            f"quotient has invariant factors {list(torsion)}", AbGroup(n - rank, torsion)
+        )
     H, pivots = column_hermite(basis_matrix)
     comp_cols = []
     uinv_cols = columns(snf.uinv)

@@ -125,7 +125,7 @@ class CrossCheckReport:
         }
 
 
-def formula_cross_check(system, X, dec=None):
+def formula_cross_check(system, X):
     """Graded comparison of the realization cohomology with the sum of
     H(X, X^{S-T}) tensor hat(A)^T over spherical T.
 
@@ -133,7 +133,7 @@ def formula_cross_check(system, X, dec=None):
     because every hat(A)^T is free.  Requires a finite system whose type
     is spherical (so that the model complex has no cells at infinity).
     """
-    dec = dec or BuildingDecomposition(system)
+    dec = BuildingDecomposition(system)
     matrix = system.matrix
     S = set(matrix.labels)
     realized = realization_cohomology(realize(system, X))

@@ -131,7 +131,7 @@ def test_criterion_03_chamber_concentration():
     ]
     for system, rank in expected:
         dec = BuildingDecomposition(system)
-        h = classical_chamber_cohomology(system, dec)
+        h = classical_chamber_cohomology(system)
         n = len(system.matrix.labels) - 1
         assert h == GradedGroup({n: AbGroup(rank)}), (system.size, h)
         assert dec.d_quotient(frozenset()) == AbGroup(rank)
@@ -161,7 +161,7 @@ def test_criterion_05_face_identities_exhaustive():
             free = sorted(S - T)
             for r in range(len(free) + 1):
                 for U in combinations(free, r):
-                    result = sigma_formula_check(system, T, U, dec=dec)
+                    result = sigma_formula_check(system, T, U)
                     assert result.ok, (sorted(T), U, result.to_json())
                     checked += 1
     report(5, f"all {checked} face-cohomology identity checks pass on the "

@@ -250,6 +250,40 @@ class TestErrors:
         assert "not a building" in captured.err
         assert "girth 6, diameter 3" in captured.err
 
+    @pytest.mark.parametrize(
+        "matrix, chambers, failure",
+        [
+            # a 6-cycle declared with m = 2
+            (
+                "gens s t\n",
+                "gens s t\nchambers 6\n"
+                "panel s: {0,1} {2,3} {4,5}\npanel t: {1,2} {3,4} {5,0}\n",
+                "girth 6, diameter 3",
+            ),
+            # nine chambers of type A2 x A1 whose D^empty is Z/2
+            (
+                "gens s t u\ns t 3\n",
+                "gens s t u\ns t 3\nchambers 9\n"
+                "panel s: {0,5} {4,6,7} {2,3} {1,8}\n"
+                "panel t: {1,4} {2,6} {3,5,7} {0,8}\n"
+                "panel u: {0,7} {2,6} {5,8} {1,3,4}\n",
+                "W-distance: ambiguous distance between 0 and 3",
+            ),
+        ],
+        ids=["hexagon", "torsion"],
+    )
+    def test_hc_refuses_chamber_file_that_is_not_a_building(
+        self, capsys, tmp_path, matrix, chambers, failure
+    ):
+        cox = tmp_path / "type.cox"
+        cox.write_text(matrix)
+        bad = tmp_path / "system.bld"
+        bad.write_text(chambers)
+        code = main(["hc", str(cox), "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not a building" in captured.err and failure in captured.err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, triangle_file, a2_file, free3_file):
@@ -309,18 +343,55 @@ class TestDeterminism:
         assert next(iter(outputs)).count(b"\n") == 2 * len(suite)
 
     @pytest.mark.parametrize(
-        "spec, T, digest",
+        "verb, spec, T, digest",
         [
-            ("fano", [], "ad4ac895ff83b5ea410981d8088da5e211198221f57eca354706b5a6a15af145"),
-            ("fano", ["s"], "c1d786979a4d5e83f089e465b993072ff438c1476f624876497ed500c6964e3a"),
-            ("fanoxa1", [], "53ca74a0fae334ebe6503b2e420f76721f8fdf43c27c43a8ab50505a4e6dabae"),
+            pytest.param(
+                "verify-decomposition", "fano", [],
+                "ad4ac895ff83b5ea410981d8088da5e211198221f57eca354706b5a6a15af145",
+                id="fano-T0-ad4ac895ff83b5ea410981d8088da5e211198221f57eca354706b5a6a15af145",
+            ),
+            pytest.param(
+                "verify-decomposition", "fano", ["s"],
+                "c1d786979a4d5e83f089e465b993072ff438c1476f624876497ed500c6964e3a",
+                id="fano-T1-c1d786979a4d5e83f089e465b993072ff438c1476f624876497ed500c6964e3a",
+            ),
+            pytest.param(
+                "verify-decomposition", "fanoxa1", [],
+                "53ca74a0fae334ebe6503b2e420f76721f8fdf43c27c43a8ab50505a4e6dabae",
+                id="fanoxa1-T2-53ca74a0fae334ebe6503b2e420f76721f8fdf43c27c43a8ab50505a4e6dabae",
+            ),
+        ]
+        + [
+            pytest.param(verb, spec, None, digest, id=f"{verb}-{spec}")
+            for verb, spec, digest in [
+                ("decompose", "fano",
+                 "956a06f1049ee77e91594909cd51040f24b2a38057c0864ee97d2a12299ef0d5"),
+                ("decompose", "fanoxa1",
+                 "7c78ce44c09d29ea3028e620230f91bc525297e4fd03067b25c386bab72f85b0"),
+                ("decompose", "digon(3,3)",
+                 "a07d4bb65ec7bb0187711e0b91daebe6ba2a9c749fc440f0f50b6a923fcf9a4b"),
+                ("sigma-check", "fano",
+                 "fe51122ba164fff363970210cddcdace32ee21ad1b55b3618c32c8da1e83587e"),
+                ("sigma-check", "fanoxa1",
+                 "67311fb4afee7d4eb2cf20de83f5a0462bebd2e07f9cf0b991a003a7d09d8b30"),
+                ("sigma-check", "digon(3,3)",
+                 "4b95c41b313b2cae8fe35362054fac2b93da2e614765c40beafc265e64852108"),
+                ("filtration", "fano",
+                 "62ba430d1bb76fbc8da825fa14c4c343d7a42180d0742cb5d34752ecebf56bbc"),
+                ("filtration", "fanoxa1",
+                 "87ed28c2599321416c90439a69ce79478652c726cb6cd8e94770dd713dbf9b8a"),
+                ("filtration", "digon(3,3)",
+                 "f6bf6071fda3012979aed4b9200404da7b6e056ae2bedfde2113a51225abe62f"),
+            ]
         ],
     )
-    def test_summand_choice_is_pinned(self, capsys, a2_file, spec, T, digest):
+    def test_summand_choice_is_pinned(self, capsys, a2_file, verb, spec, T, digest):
         # the witness matrix shows the chosen hat(A)^V; the digests were
         # recorded from the code that lifted each summand to Z^Phi and
-        # built A^{>T} from every strict superset
-        argv = ["verify-decomposition", a2_file, "--building", spec, "--json", "--T"]
-        code, out = run(capsys, argv + T)
+        # built A^{>T} from every strict superset, and the decompose,
+        # sigma-check and filtration reports from the code that wrote
+        # every module lattice in Z^Phi and factored each A^{>T} anew
+        argv = [verb, a2_file, "--building", spec, "--json"]
+        code, out = run(capsys, argv if T is None else argv + ["--T", *T])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

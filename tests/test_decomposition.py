@@ -1,6 +1,7 @@
 import pytest
 
 from coxtop.chambers import (
+    ChamberSystem,
     digon_building,
     fano_building,
     product_building,
@@ -19,9 +20,11 @@ from coxtop.groups import enumerate_group
 from coxtop.intlinalg import (
     AbGroup,
     GradedGroup,
+    TorsionObstruction,
     column_hermite,
     from_columns,
     lattice_rank,
+    quotient_structure,
     shape,
 )
 
@@ -50,25 +53,28 @@ def digon33():
 
 class TestResidueModules:
     def test_empty_type_full_module(self, fano):
-        assert fano.residue_module(frozenset()).rank == 21
+        assert fano.residue_count(frozenset()) == 21
 
     def test_fano_point_type(self, fano):
-        assert fano.residue_module(frozenset("s")).rank == 7
+        assert fano.residue_count(frozenset("s")) == 7
 
     def test_fano_full_type_connected(self, fano):
-        assert fano.residue_module(frozenset("st")).rank == 1
+        assert fano.residue_count(frozenset("st")) == 1
 
     def test_nonspherical_zero(self):
-        from coxtop.chambers import ChamberSystem
-
         inf = mk("st", [("s", "t", None)])
         panels = {
             "s": (frozenset({0, 1}), frozenset({2, 3})),
             "t": (frozenset({0, 3}), frozenset({1, 2})),
         }
         dec = BuildingDecomposition(ChamberSystem(inf, panels, 4))
-        assert dec.residue_module(frozenset("st")).rank == 0
-        assert dec.residue_module(frozenset()).rank == 4
+        # A^{st} = 0: it adds no generator and has no D or summand
+        assert shape(dec.span_in_coordinates(frozenset(), [frozenset("st")])) == (4, 0)
+        assert dec.d_quotient(frozenset("st")) == AbGroup()
+        assert dec.residue_count(frozenset()) == 4
+        with pytest.raises(ValueError, match="not spherical") as refused:
+            dec.splitting(frozenset("st"))
+        assert not isinstance(refused.value, TorsionObstruction)
 
 
 class TestAboveAndQuotient:
@@ -138,7 +144,35 @@ def test_covers_span_the_same_lattice(build):
             for col in zip(*dec.inclusion_matrix(T, U))
         ]
         every = from_columns(cols, dec.residue_count(T))
-        assert column_hermite(dec.above_in_coordinates(T)) == column_hermite(every), T
+        above = dec.above_in_coordinates(T)
+        assert column_hermite(above) == column_hermite(every), T
+        # D^T read off the splitting equals the quotient factored directly
+        assert dec.d_quotient(T) == quotient_structure(dec.residue_count(T), above), T
+
+
+def test_torsion_quotient_read_off_the_splitting():
+    # nine chambers of type A2 x A1 on which A^{>empty} is not a direct summand
+    nine = ChamberSystem(
+        mk("stu", [("s", "t", 3)]),
+        {
+            "s": tuple(map(frozenset, ([0, 5], [4, 6, 7], [2, 3], [1, 8]))),
+            "t": tuple(map(frozenset, ([1, 4], [2, 6], [3, 5, 7], [0, 8]))),
+            "u": tuple(map(frozenset, ([0, 7], [2, 6], [5, 8], [1, 3, 4]))),
+        },
+        9,
+    )
+    dec = BuildingDecomposition(nine)
+    assert dec.d_quotient(frozenset()) == AbGroup(0, (2,))
+    with pytest.raises(TorsionObstruction) as obstruction:
+        dec.splitting(frozenset())
+    assert obstruction.value.quotient == AbGroup(0, (2,))
+
+
+def test_splittings_are_shared_per_system():
+    system = fano_building()
+    first, second = BuildingDecomposition(system), BuildingDecomposition(system)
+    for T in first.poset:
+        assert first.splitting(T) is second.splitting(T), T
 
 
 class TestSplittings:
@@ -181,40 +215,40 @@ class TestCoefficientCohomology:
             SimplicialComplex.from_maximal([frozenset([0])]),
             {},
         )
-        h = coefficient_cohomology(X, None, fano.system, fano)
+        h = coefficient_cohomology(X, None, fano.system)
         assert h == GradedGroup({0: AbGroup(21)})
 
     def test_unaugmented_chamber_top_group(self, fano):
         # without augmentation the top degree is still D^empty
         X = classical_chamber(fano.matrix)
-        h = coefficient_cohomology(X, None, fano.system, fano)
+        h = coefficient_cohomology(X, None, fano.system)
         assert h[1] == AbGroup(8)
         assert h[0] == AbGroup(1)  # constants survive over a finite type
 
     def test_augmented_chamber_concentration(self, fano):
-        h = classical_chamber_cohomology(fano.system, fano)
+        h = classical_chamber_cohomology(fano.system)
         assert h == GradedGroup({1: AbGroup(8)})
 
     def test_augmented_chamber_thin(self, thin_a2):
-        h = classical_chamber_cohomology(thin_a2.system, thin_a2)
+        h = classical_chamber_cohomology(thin_a2.system)
         assert h == GradedGroup({1: AbGroup(1)})
 
     def test_augmented_chamber_digon(self, digon33):
-        h = classical_chamber_cohomology(digon33.system, digon33)
+        h = classical_chamber_cohomology(digon33.system)
         assert h == GradedGroup({1: AbGroup(4)})
 
     def test_relative_to_full_mirror_union(self, fano):
         # (Delta, boundary): only the top cell survives; group is A itself
         X = classical_chamber(fano.matrix)
         B = X.mirror_union(X.labels)
-        h = coefficient_cohomology(X, B, fano.system, fano)
+        h = coefficient_cohomology(X, B, fano.system)
         assert h == GradedGroup({1: AbGroup(21)})
 
     def test_davis_chamber_coefficient_contractible(self, thin_a2):
         # the Davis chamber computes the compactly supported cohomology of
         # the standard realization; for a finite group that is a point
         X = davis_chamber(thin_a2.matrix)
-        h = coefficient_cohomology(X, None, thin_a2.system, thin_a2)
+        h = coefficient_cohomology(X, None, thin_a2.system)
         assert h == GradedGroup({0: AbGroup(1)})
 
 
@@ -227,26 +261,26 @@ class TestSigmaFormulas:
                 from itertools import combinations
 
                 for U in combinations(sorted(free), k):
-                    report = sigma_formula_check(thin_a2.system, T, U, dec=thin_a2)
+                    report = sigma_formula_check(thin_a2.system, T, U)
                     assert report.ok, (sorted(T), U, report.to_json())
 
     def test_fano_spec_example(self, fano):
         # base type {s}, mirror set {t}: the relative group has rank 7
         # = hat rank 6 + hat rank 1
-        report = sigma_formula_check(fano.system, ("s",), ("t",), dec=fano)
+        report = sigma_formula_check(fano.system, ("s",), ("t",))
         assert report.ok
         rel = report.entries[0]
         assert rel.direct == GradedGroup({0: AbGroup(7)})
 
     def test_fano_base_s_no_mirrors(self, fano):
-        report = sigma_formula_check(fano.system, ("s",), (), dec=fano)
+        report = sigma_formula_check(fano.system, ("s",), ())
         assert report.ok
         rel = report.entries[0]
         assert rel.direct == GradedGroup({0: AbGroup(6)})
 
     def test_invalid_args(self, fano):
         with pytest.raises(ValueError):
-            sigma_formula_check(fano.system, ("s",), ("s",), dec=fano)
+            sigma_formula_check(fano.system, ("s",), ("s",))
 
 
 from hypothesis import given, settings
@@ -264,7 +298,7 @@ def test_digon_family_properties(p, q):
     assert dec.d_quotient(frozenset()) == AbGroup((p - 1) * (q - 1))
     assert dec.d_quotient(frozenset("s")) == AbGroup(q - 1)
     assert dec.d_quotient(frozenset("t")) == AbGroup(p - 1)
-    f = filtration_ranks(system, dec)
+    f = filtration_ranks(system)
     assert f.matches and sum(f.graded_ranks()) == p * q
 
 
@@ -290,7 +324,7 @@ class TestRankThree:
             free = sorted(S - T)
             for r in range(len(free) + 1):
                 for U in combinations(free, r):
-                    report = sigma_formula_check(system, T, U, dec=dec)
+                    report = sigma_formula_check(system, T, U)
                     assert report.ok, (sorted(T), U)
 
     def test_augmented_chamber_rank3(self):
@@ -318,25 +352,25 @@ def test_order3_plane_q_cubed():
     w = dec.witness(frozenset())
     assert w.ok and w.rank_sum() == 52
     assert [r for _, r in w.part_ranks] == [27, 12, 12, 1]
-    h = classical_chamber_cohomology(sys3, dec)
+    h = classical_chamber_cohomology(sys3)
     assert h == GradedGroup({1: AbGroup(27)})
 
 
 class TestFiltration:
     def test_thin_a2(self, thin_a2):
-        f = filtration_ranks(thin_a2.system, thin_a2)
+        f = filtration_ranks(thin_a2.system)
         assert f.matches
         assert f.convention.startswith("sum over |T| >= p")
         assert f.graded_ranks() == [1, 4, 1]
         assert f.ranks[0] == 6
 
     def test_fano(self, fano):
-        f = filtration_ranks(fano.system, fano)
+        f = filtration_ranks(fano.system)
         assert f.matches
         assert f.graded_ranks() == [8, 12, 1]
         assert sum(f.graded_ranks()) == 21
 
     def test_digon(self, digon33):
-        f = filtration_ranks(digon33.system, digon33)
+        f = filtration_ranks(digon33.system)
         assert f.matches
         assert f.graded_ranks() == [4, 4, 1]
