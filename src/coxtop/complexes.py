@@ -35,6 +35,11 @@ def vertex_key(v):
     raise TypeError(f"unsupported vertex label {v!r}")
 
 
+def _vertex_keys(faces):
+    """The vertex_key of every vertex of the faces, computed once each."""
+    return {v: vertex_key(v) for v in {v for f in faces for v in f}}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Nonempty faces closed under taking subsets."""
@@ -71,8 +76,10 @@ class SimplicialComplex:
         return max((len(f) - 1 for f in self.faces), default=-1)
 
     def faces_of_dim(self, k):
+        """The k-faces in cell order: lexicographic in their sorted vertex keys."""
         out = [f for f in self.faces if len(f) == k + 1]
-        out.sort(key=lambda f: tuple(vertex_key(v) for v in sorted(f, key=vertex_key)))
+        keys = _vertex_keys(out)
+        out.sort(key=lambda f: sorted(map(keys.__getitem__, f)))
         return out
 
     def f_vector(self):
@@ -179,6 +186,7 @@ def relative_cochain_complex(X, A=None):
     afaces = A.faces if A is not None else frozenset()
     if A is not None and not afaces <= X.faces:
         raise ValueError("A is not a subcomplex of X")
+    keys = _vertex_keys(X.faces)
     cells = {}
     index = {}
     for k in range(X.dim + 1):
@@ -191,11 +199,11 @@ def relative_cochain_complex(X, A=None):
             continue
         mat = [[0] * dims[k] for _ in range(dims[k + 1])]
         for i, g in enumerate(cells[k + 1]):
-            for v in g:
-                f = g - {v}
-                j = index[k].get(f)
+            # the sign of g - {v} is (-1)^(position of v in key order)
+            for position, v in enumerate(sorted(g, key=keys.__getitem__)):
+                j = index[k].get(g - {v})
                 if j is not None:
-                    mat[i][j] = simplex_sign(g, f)
+                    mat[i][j] = -1 if position % 2 else 1
         maps[k] = mat
     return CochainComplex(dims, maps)
 

@@ -20,7 +20,7 @@ from .complexes import davis_chamber, punctured_nerve_homology, relative_cohomol
 from .coxmatrix import is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
 from .groups import enumerate_ball
-from .intlinalg import OMEGA, GradedGroup
+from .intlinalg import OMEGA, GradedGroup, lattice_rank
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,12 @@ class GradedModuleReport:
 def graded_module_report(matrix, system):
     """Associated-graded ranks: per p, the sum over |T| = p of
     H(K, K^{S-T}) tensored with D^T; the rows must total the realization
-    cohomology of the standard realization."""
+    cohomology of the standard realization.
+
+    The rank of D^T is read as rank A^T - rank A^{>T} from the column
+    Hermite form of A^{>T}, an elimination independent of the Smith
+    complement whose rank ``hc_standard_realization`` multiplies by.
+    """
     # raises TorsionObstruction when some D^T has torsion
     hc = hc_standard_realization(matrix, system)
     locals_ = {frozenset(c.type): c.local for c in hc.contributions}
@@ -307,8 +312,8 @@ def graded_module_report(matrix, system):
         for T in dec.poset:
             if len(T) != p:
                 continue
-            d = dec.d_quotient(T)
-            graded = graded.direct_sum(locals_[T].tensor_free(d.free))
+            rank = dec.residue_count(T) - lattice_rank(dec.above_in_coordinates(T))
+            graded = graded.direct_sum(locals_[T].tensor_free(rank))
         rows.append((p, graded))
         totals = totals.direct_sum(graded)
     return GradedModuleReport(rows, totals, totals == hc.totals)

@@ -1,6 +1,11 @@
 """Exact integer linear algebra: Smith and Hermite forms, quotients,
 complements, and cohomology of cochain complexes of free abelian groups.
 
+Cohomology needs only the invariant factors of each coboundary, which
+``elementary_divisors`` finds by sparse unit-pivot elimination and a Smith
+form of the residual block; the transform-carrying ``smith_normal_form``
+serves the lattice computations that need its change of basis.
+
 Matrices are plain lists of lists of Python ints (rows of equal length).
 Everything is arbitrary precision; pivoting is deterministic (smallest
 nonzero absolute value, ties broken in row-major order) so witnesses are
@@ -9,6 +14,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 
@@ -226,6 +232,61 @@ def smith_normal_form(a):
             row_negate(t)
         t += 1
     return SNFResult(U, D, V, uinv)
+
+
+def elementary_divisors(a):
+    """Nonzero invariant factors of an integer matrix, d1 | d2 | ...
+
+    A +-1 entry splits the matrix unimodularly as 1 + A' (clear its column
+    with row operations, then its row with column operations, which touch
+    no other row), so unit pivots are eliminated first on sparse rows,
+    always from the shortest row that has one.  The residual block, which
+    has no unit entry, is compacted and factored by ``smith_normal_form``.
+
+    >>> elementary_divisors([[1, 1, 0], [0, 2, 2], [0, 0, 0]])
+    [1, 2]
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    where = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        n, p = heapq.heappop(heap)
+        pivot_row = rows[p]
+        if len(pivot_row) != n:
+            continue  # stale entry: the row changed or is eliminated
+        candidates = [j for j, x in pivot_row.items() if x == 1 or x == -1]
+        if not candidates:
+            continue  # comes back on the heap if a later step changes it
+        q = min(candidates, key=lambda j: (len(where[j]), j))
+        u = pivot_row[q]
+        rows[p] = {}
+        for j in pivot_row:
+            where[j].discard(p)
+        for i in sorted(where[q]):
+            row = rows[i]
+            f = row[q] * u
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    where[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+        units += 1
+    live = [row for row in rows if row]
+    cols = sorted({j for row in live for j in row})
+    residual = [[row.get(j, 0) for j in cols] for row in live]
+    rest = smith_normal_form(residual).diagonal() if residual else []
+    return [1] * units + [d for d in rest if d]
 
 
 # ------------------------------------------------------------ Hermite form
@@ -488,10 +549,18 @@ class CochainComplex:
             r, c = shape(m)
             if c != self.dims.get(k, 0) or r != self.dims.get(k + 1, 0):
                 raise ValueError(f"map at degree {k} has shape {r}x{c}")
-        for k in self.maps:
-            if k + 1 in self.maps:
-                comp = matmul(self.maps[k + 1], self.maps[k])
-                if not is_zero_matrix(comp):
+        # d^{k+1} d^k = 0, summed over the nonzero entries of each row
+        sparse = {
+            k: [[(j, x) for j, x in enumerate(row) if x] for row in m]
+            for k, m in self.maps.items()
+        }
+        for k, inner in sparse.items():
+            for row in sparse.get(k + 1, ()):
+                total = {}
+                for mid, x in row:
+                    for j, y in inner[mid]:
+                        total[j] = total.get(j, 0) + x * y
+                if any(total.values()):
                     raise ValueError(f"d^{k+1} d^{k} != 0")
         return self
 
@@ -501,11 +570,11 @@ class CochainComplex:
     def cohomology(self):
         """Kernel modulo image in every degree, as a GradedGroup.
 
-        Each map is factored once; its nonzero Smith diagonal gives the
+        Each map is factored once; its nonzero invariant factors give the
         rank leaving degree k and the rank and torsion entering k + 1.
         """
         nonzero = {
-            k: [d for d in smith_normal_form(m).diagonal() if d]
+            k: elementary_divisors(m)
             for k, m in self.maps.items()
             if self.dims.get(k, 0) > 0 and self.dims.get(k + 1, 0) > 0
         }

@@ -10,7 +10,9 @@ from coxtop.complexes import (
     nerve,
     punctured_nerve_homology,
     reduced_cohomology,
+    relative_cochain_complex,
     relative_cohomology,
+    simplex_sign,
     vertex_key,
 )
 from coxtop.intlinalg import AbGroup, GradedGroup
@@ -159,6 +161,26 @@ class TestRelativeCohomology:
             for k in range(K.complex.dim + 1)
         )
         assert chi_cells == h.euler_characteristic()
+
+
+    def test_cell_order_and_signs(self):
+        # mixed labels (ints, strings, tuples, frozensets) in one complex
+        X = SimplicialComplex.from_maximal(
+            [(1, "a", (2, "b"), frozenset("st")), ("a", frozenset("s"), (2, "b"))]
+        )
+        A = SimplicialComplex.from_maximal([(1, "a")])
+        cx = relative_cochain_complex(X, A)
+        cells = {
+            k: [f for f in X.faces_of_dim(k) if f not in A.faces] for k in range(X.dim + 1)
+        }
+        for k in cells:
+            order = [tuple(vertex_key(v) for v in sorted(f, key=vertex_key)) for f in cells[k]]
+            assert order == sorted(order)
+        for k, mat in cx.maps.items():
+            for i, g in enumerate(cells[k + 1]):
+                for j, f in enumerate(cells[k]):
+                    expected = simplex_sign(g, f) if f < g else 0
+                    assert mat[i][j] == expected
 
 
 class TestReduced:

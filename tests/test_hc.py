@@ -195,6 +195,20 @@ class TestGradedModules:
         p0 = dict(report.rows)[0]
         assert p0 == GradedGroup({})
 
+    def test_wrong_multiplicity_is_caught(self, monkeypatch):
+        # the rows read rank D^T from the Hermite form, so a wrong rank
+        # of hat(A)^T in the hc totals must make the check fail
+        from coxtop.decomposition import BuildingDecomposition
+
+        sys = fano_building()
+        right = BuildingDecomposition.splitting_rank
+        monkeypatch.setattr(
+            BuildingDecomposition,
+            "splitting_rank",
+            lambda self, T: right(self, T) + 1,
+        )
+        assert not graded_module_report(sys.matrix, sys).matches_hc
+
     def test_zero_row_beyond_max(self):
         sys = thin_building(A2)
         report = graded_module_report(sys.matrix, sys)

@@ -10,6 +10,7 @@ from coxtop.intlinalg import (
     column_hermite,
     determinant,
     direct_complement,
+    elementary_divisors,
     hermite_coordinates,
     hermite_reduce,
     identity,
@@ -26,6 +27,18 @@ small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+# Mostly zero, small entries; shapes include 0 x n and n x 0.
+sparse_matrices = st.integers(0, 6).flatmap(
+    lambda r: st.integers(0, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3]), min_size=c, max_size=c),
             min_size=r,
             max_size=r,
         )
@@ -71,6 +84,50 @@ class TestSNF:
         first = smith_normal_form(a)
         second = smith_normal_form(a)
         assert first.U == second.U and first.V == second.V
+
+
+def nonzero_smith_diagonal(a):
+    return [d for d in smith_normal_form(a).diagonal() if d]
+
+
+class TestElementaryDivisors:
+    @given(sparse_matrices, st.sampled_from([1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_smith(self, a, scale):
+        # scale 2 and 3 leave no unit entry, so the residual path runs
+        a = [[scale * x for x in row] for row in a]
+        assert elementary_divisors(a) == nonzero_smith_diagonal(a)
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            ([], []),
+            ([[], []], []),
+            ([[0, 0], [0, 0]], []),
+            ([[3]], [3]),
+            ([[2, 4], [6, 8]], [2, 4]),
+            ([[1, 1], [1, -1]], [1, 2]),
+            ([[0, 1, 0], [0, 0, 0], [1, 0, 1]], [1, 1]),
+        ],
+    )
+    def test_fixed(self, a, expected):
+        assert elementary_divisors(a) == expected == nonzero_smith_diagonal(a)
+
+    def test_only_the_residual_is_factored(self, monkeypatch):
+        from coxtop import intlinalg
+
+        seen = []
+        dense = intlinalg.smith_normal_form
+
+        def recording(a):
+            seen.append(a)
+            return dense(a)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+        assert elementary_divisors([[1, 1], [1, -1]]) == [1, 2]
+        assert seen == [[[-2]]]
+        assert elementary_divisors(identity(4)) == [1] * 4
+        assert len(seen) == 1
 
 
 class TestHermite:
@@ -172,6 +229,38 @@ class TestCochain:
         cx = CochainComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
         with pytest.raises(ValueError):
             cx.validate()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_d_squared_check_matches_dense_product(self, data):
+        n, m, p = (data.draw(st.integers(1, 5)) for _ in range(3))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+        def matrix(r, c):
+            return data.draw(
+                st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+            )
+
+        inner, outer = matrix(m, n), matrix(p, m)
+        cx = CochainComplex({0: n, 1: m, 2: p}, {0: inner, 1: outer})
+        if is_zero_matrix(matmul(outer, inner)):
+            cx.validate()
+        else:
+            with pytest.raises(ValueError):
+                cx.validate()
+
+    def test_three_torsion(self):
+        cx = CochainComplex({0: 1, 1: 1}, {0: [[3]]}).validate()
+        assert cx.cohomology() == GradedGroup({1: AbGroup(0, (3,))})
+
+    def test_rp2_has_z2(self):
+        from coxtop.complexes import SimplicialComplex, relative_cohomology
+
+        rp2 = SimplicialComplex.from_maximal(
+            [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+             (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
+        )
+        assert relative_cohomology(rp2) == GradedGroup({0: AbGroup(1), 2: AbGroup(0, (2,))})
 
     def test_euler(self):
         d0 = [[-1, 1, 0], [0, -1, 1], [-1, 0, 1]]

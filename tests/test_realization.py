@@ -113,7 +113,6 @@ class TestCrossCheck:
         report = formula_cross_check(sys, X)
         assert report.ok and report.euler_ok
 
-    @pytest.mark.slow
     def test_rank3_thin_types(self):
         for pairs in (
             [("a", "b", 3), ("b", "c", 3)],  # A3
@@ -126,7 +125,6 @@ class TestCrossCheck:
                 report = formula_cross_check(sys_, X)
                 assert report.ok and report.euler_ok, pairs
 
-    @pytest.mark.slow
     def test_rank3_product_building(self):
         # 42 chambers of type A2 x A1: the largest cross-check in the suite
         from coxtop.chambers import product_building
