@@ -121,13 +121,16 @@ def resolve_building(args, matrix):
 
 
 def resolve_verified_building(args, matrix):
-    """``resolve_building``, with the axioms checked on a chamber file;
-    the built-in specs are buildings by construction."""
+    """``resolve_building``, with a chamber file checked against the
+    building axioms and then against the type of the matrix; the built-in
+    specs are buildings by construction and define their own type."""
     system = resolve_building(args, matrix)
     if args.chamber_file:
         report = verify_building(system)
         if not report.passed:
             raise NotABuilding(_failed_checks(report))
+        if not system.matrix.same_type(matrix):
+            raise InputError("chamber system type does not match the matrix")
     return system
 
 

@@ -65,6 +65,12 @@ class CoxeterMatrix:
     def index(self, s):
         return self.labels.index(s)
 
+    def same_type(self, other):
+        """Same generators in the same order, with the same m(s, t)."""
+        return self.labels == other.labels and all(
+            self.m(s, t) == other.m(s, t) for s in self.labels for t in self.labels
+        )
+
     def subset_key(self, T):
         """Canonical sort key for subsets of the generators."""
         idx = tuple(sorted(self.index(s) for s in T))

@@ -152,11 +152,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     else:
         label = "concrete"
         concrete = thickness
-        if concrete.matrix.labels != matrix.labels or any(
-            concrete.matrix.m(s, t) != matrix.m(s, t)
-            for s in matrix.labels
-            for t in matrix.labels
-        ):
+        if not concrete.matrix.same_type(matrix):
             raise ValueError("chamber system type does not match the matrix")
 
     contributions = []

@@ -1,10 +1,14 @@
 """Exact integer linear algebra: Smith and Hermite forms, quotients,
 complements, and cohomology of cochain complexes of free abelian groups.
 
-Cohomology needs only the invariant factors of each coboundary, which
-``elementary_divisors`` finds by sparse unit-pivot elimination and a Smith
-form of the residual block; the transform-carrying ``smith_normal_form``
-serves the lattice computations that need its change of basis.
+The cohomology and lattice kernels eliminate +-1 pivots on sparse rows
+and run a dense Smith form (Bareiss, for the determinant) only on the
+residual block, which has no unit entry.  Cohomology and
+``quotient_structure`` need only the invariant factors, which
+``elementary_divisors`` finds that way; ``determinant`` expands along the
+unit pivots; ``direct_complement`` replays the pivot order of the
+transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
+complement is that of the dense form.
 
 Matrices are plain lists of lists of Python ints (rows of equal length).
 Everything is arbitrary precision; pivoting is deterministic (smallest
@@ -79,10 +83,40 @@ def is_zero_matrix(a):
 
 
 def determinant(a):
-    """Bareiss fraction-free determinant of a square integer matrix."""
+    """Determinant of a square integer matrix.
+
+    The unit pivots of ``_unit_pivots`` expand it along their columns; the
+    square block of the rows and columns they leave, in their original
+    order, goes to Bareiss.  The sign is that of the permutation matching
+    every row to its pivot column or residual column.
+    """
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
+    rows, where = _sparse_rows(a)
+    perm = [None] * n
+    sign = 1
+    for p, q, u in _unit_pivots(rows, where):
+        perm[p] = q
+        sign *= u
+    left = [i for i in range(n) if perm[i] is None]
+    if any(not rows[i] for i in left):
+        return 0
+    taken = set(perm)
+    cols = [j for j in range(n) if j not in taken]
+    for i, j in zip(left, cols):
+        perm[i] = j
+    for i in range(n):  # sort perm by transpositions
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            sign = -sign
+    return sign * _bareiss([[rows[i].get(j, 0) for j in cols] for i in left])
+
+
+def _bareiss(a):
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    n = len(a)
     if n == 0:
         return 1
     mat = copy_matrix(a)
@@ -234,26 +268,50 @@ def smith_normal_form(a):
     return SNFResult(U, D, V, uinv)
 
 
-def elementary_divisors(a):
-    """Nonzero invariant factors of an integer matrix, d1 | d2 | ...
-
-    A +-1 entry splits the matrix unimodularly as 1 + A' (clear its column
-    with row operations, then its row with column operations, which touch
-    no other row), so unit pivots are eliminated first on sparse rows,
-    always from the shortest row that has one.  The residual block, which
-    has no unit entry, is compacted and factored by ``smith_normal_form``.
-
-    >>> elementary_divisors([[1, 1, 0], [0, 2, 2], [0, 0, 0]])
-    [1, 2]
-    """
+def _sparse_rows(a):
+    """Rows of a dense matrix as {column: entry} dicts, and for every
+    column the set of rows with a nonzero entry there."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    where = {}  # column -> rows with a nonzero entry there
+    where = {}
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
+    return rows, where
+
+
+def _unit_step(rows, where, p, q):
+    """Clear column q from every other row with the unit pivot rows[p][q],
+    then drop row p: its other entries are cleared by column operations,
+    which touch no other row.  Returns the rows that changed."""
+    pivot_row = rows[p]
+    u = pivot_row[q]
+    rows[p] = {}
+    for j in pivot_row:
+        where[j].discard(p)
+    changed = sorted(where[q])
+    for i in changed:
+        row = rows[i]
+        f = row[q] * u
+        for j, x in pivot_row.items():
+            y = row.get(j, 0) - f * x
+            if y:
+                if j not in row:
+                    where[j].add(i)
+                row[j] = y
+            elif j in row:
+                del row[j]
+                where[j].discard(i)
+    return changed
+
+
+def _unit_pivots(rows, where):
+    """Eliminate +-1 pivots, always from the shortest row that has one and
+    in it the column with the fewest entries.  Returns the pivots as
+    (row, column, unit); the rows left nonzero hold the residual block,
+    which has no unit entry."""
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         n, p = heapq.heappop(heap)
         pivot_row = rows[p]
@@ -263,25 +321,26 @@ def elementary_divisors(a):
         if not candidates:
             continue  # comes back on the heap if a later step changes it
         q = min(candidates, key=lambda j: (len(where[j]), j))
-        u = pivot_row[q]
-        rows[p] = {}
-        for j in pivot_row:
-            where[j].discard(p)
-        for i in sorted(where[q]):
-            row = rows[i]
-            f = row[q] * u
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        where[j].add(i)
-                    row[j] = y
-                elif j in row:
-                    del row[j]
-                    where[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-        units += 1
+        pivots.append((p, q, pivot_row[q]))
+        for i in _unit_step(rows, where, p, q):
+            if rows[i]:
+                heapq.heappush(heap, (len(rows[i]), i))
+    return pivots
+
+
+def elementary_divisors(a):
+    """Nonzero invariant factors of an integer matrix, d1 | d2 | ...
+
+    A +-1 entry splits the matrix unimodularly as 1 + A', so unit pivots
+    are eliminated first on sparse rows (``_unit_pivots``).  The residual
+    block, which has no unit entry, is compacted and factored by
+    ``smith_normal_form``.
+
+    >>> elementary_divisors([[1, 1, 0], [0, 2, 2], [0, 0, 0]])
+    [1, 2]
+    """
+    rows, where = _sparse_rows(a)
+    units = len(_unit_pivots(rows, where))
     live = [row for row in rows if row]
     cols = sorted({j for row in live for j in row})
     residual = [[row.get(j, 0) for j in cols] for row in live]
@@ -348,31 +407,31 @@ def lattice_rank(a):
     return len(column_hermite(a)[1])
 
 
-def hermite_coordinates(H, pivots, v):
-    """Coordinates of v in the Hermite basis, or None if not in the lattice."""
-    cols = columns(H)
+def hermite_coordinates(basis, pivots, v):
+    """Coordinates of v in the Hermite basis (the columns of H, as a list),
+    or None if v is not in the lattice."""
     v = list(v)
-    coords = [0] * len(cols)
+    coords = [0] * len(basis)
     for j, p in enumerate(pivots):
-        if v[p] % cols[j][p] != 0:
+        if v[p] % basis[j][p] != 0:
             return None
-        q = v[p] // cols[j][p]
+        q = v[p] // basis[j][p]
         coords[j] = q
         if q:
-            v = [x - q * y for x, y in zip(v, cols[j])]
+            v = [x - q * y for x, y in zip(v, basis[j])]
     if any(v):
         return None
     return coords
 
 
-def hermite_reduce(H, pivots, v):
-    """Canonical representative of v modulo the column lattice of H."""
-    cols = columns(H)
+def hermite_reduce(basis, pivots, v):
+    """Canonical representative of v modulo the lattice of the Hermite
+    basis (the columns of H, as a list)."""
     v = list(v)
     for j, p in enumerate(pivots):
-        q = v[p] // cols[j][p]
+        q = v[p] // basis[j][p]
         if q:
-            v = [x - q * y for x, y in zip(v, cols[j])]
+            v = [x - q * y for x, y in zip(v, basis[j])]
     return v
 
 
@@ -476,37 +535,72 @@ def quotient_structure(n, basis_matrix):
         return AbGroup(n, ())
     if len(basis_matrix) != n:
         raise ValueError("ambient rank does not match matrix rows")
-    snf = smith_normal_form(basis_matrix)
-    diag = snf.diagonal()
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbGroup(n - rank, torsion)
+    diag = elementary_divisors(basis_matrix)
+    return AbGroup(n - len(diag), tuple(d for d in diag if d > 1))
 
 
 def direct_complement(n, basis_matrix):
     """A complement C with span(B) + span(C) = Z^n as a direct sum.
 
     Requires the quotient Z^n / span(B) to be torsion free.  The
-    complement is deterministic: the Smith change of basis supplies the
-    missing coordinate directions, and each one is reduced to its
-    canonical representative modulo the column lattice of B.
+    complement is deterministic: the tail columns of the inverse row
+    transform of ``smith_normal_form(B)`` supply the missing coordinate
+    directions, and each one is reduced to its canonical representative
+    modulo the column lattice of B.
+
+    The Smith form is replayed on sparse rows: while its pivot (the first
+    +-1 in row-major order over the current positions) is a unit, the
+    step only swaps positions and clears the pivot column, so the tail
+    columns of the inverse stay the unit vectors e_i of the rows at their
+    positions.  At the first non-unit pivot the trailing block, in
+    position order, goes to ``smith_normal_form``, and its tail columns
+    are mapped back through the row positions.
     """
     if not basis_matrix or not basis_matrix[0]:
         return identity(n)
-    snf = smith_normal_form(basis_matrix)
-    diag = snf.diagonal()
-    rank = sum(1 for d in diag if d != 0)
+    rows, where = _sparse_rows(basis_matrix)
+    m = len(basis_matrix[0])
+    row_at = list(range(n))  # position -> row
+    col_at = list(range(m))  # position -> column
+    col_pos = list(range(m))  # column -> position
+    t = 0
+    snf = None
+    while t < min(n, m):
+        found = None
+        for i in range(t, n):
+            units = [col_pos[j] for j, x in rows[row_at[i]].items() if x == 1 or x == -1]
+            if units:
+                found = (i, min(units))
+                break
+        if found is None:
+            if any(rows[row_at[i]] for i in range(t, n)):
+                snf = smith_normal_form(
+                    [[rows[row_at[i]].get(col_at[j], 0) for j in range(t, m)] for i in range(t, n)]
+                )
+            break
+        pi, pj = found
+        row_at[t], row_at[pi] = row_at[pi], row_at[t]
+        col_at[t], col_at[pj] = col_at[pj], col_at[t]
+        col_pos[col_at[t]], col_pos[col_at[pj]] = t, pj
+        _unit_step(rows, where, row_at[t], col_at[t])
+        t += 1
+    diag = [d for d in snf.diagonal() if d] if snf is not None else []
+    uinv = snf.uinv if snf is not None else identity(n - t)
+    rank = t + len(diag)
     torsion = tuple(d for d in diag if d > 1)
     if torsion:
         raise TorsionObstruction(
             f"quotient has invariant factors {list(torsion)}", AbGroup(n - rank, torsion)
         )
+    tail = []
+    for k in range(rank - t, n - t):
+        v = [0] * n
+        for i in range(n - t):
+            v[row_at[t + i]] = uinv[i][k]
+        tail.append(v)
     H, pivots = column_hermite(basis_matrix)
-    comp_cols = []
-    uinv_cols = columns(snf.uinv)
-    for j in range(rank, n):
-        comp_cols.append(hermite_reduce(H, pivots, uinv_cols[j]))
-    return from_columns(comp_cols, n)
+    basis = columns(H)
+    return from_columns([hermite_reduce(basis, pivots, v) for v in tail], n)
 
 
 def submodule_quotient(n, big_gens, small_gens):
@@ -520,9 +614,10 @@ def submodule_quotient(n, big_gens, small_gens):
         if small_gens and small_gens[0] and not is_zero_matrix(small_gens):
             raise ValueError("small module not contained in the zero module")
         return AbGroup(0, ())
+    basis = columns(Hb)
     coords = []
     for col in columns(small_gens) if small_gens and small_gens[0] else []:
-        c = hermite_coordinates(Hb, pivots, col)
+        c = hermite_coordinates(basis, pivots, col)
         if c is None:
             raise ValueError("generator of the small module lies outside the big one")
         coords.append(c)

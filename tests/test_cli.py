@@ -251,6 +251,21 @@ class TestErrors:
         assert "girth 6, diameter 3" in captured.err
 
     @pytest.mark.parametrize(
+        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration", "hc"]
+    )
+    def test_chamber_file_of_another_type(self, capsys, a2_file, tmp_path, verb):
+        # the Fano building is of type A2; the matrix given is A3
+        fano = tmp_path / "fano.bld"
+        assert main(["realize", a2_file, "--building", "fano", "--out", str(fano)]) == 0
+        a3 = tmp_path / "a3.cox"
+        a3.write_text("gens s t u\ns t 3\nt u 3\n")
+        capsys.readouterr()
+        code = main([verb, str(a3), "--chamber-file", str(fano), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "type does not match" in captured.err
+
+    @pytest.mark.parametrize(
         "matrix, chambers, failure",
         [
             # a 6-cycle declared with m = 2

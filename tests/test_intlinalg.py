@@ -8,9 +8,11 @@ from coxtop.intlinalg import (
     GradedGroup,
     TorsionObstruction,
     column_hermite,
+    columns,
     determinant,
     direct_complement,
     elementary_divisors,
+    from_columns,
     hermite_coordinates,
     hermite_reduce,
     identity,
@@ -130,21 +132,108 @@ class TestElementaryDivisors:
         assert len(seen) == 1
 
 
+def dense_complement(n, b):
+    """The complement read off the whole dense Smith form: its inverse row
+    transform's tail columns, reduced modulo the Hermite lattice of b."""
+    if not b or not b[0]:
+        return identity(n)
+    snf = smith_normal_form(b)
+    diag = [d for d in snf.diagonal() if d]
+    torsion = tuple(d for d in diag if d > 1)
+    if torsion:
+        raise TorsionObstruction("dense", AbGroup(n - len(diag), torsion))
+    H, pivots = column_hermite(b)
+    basis = columns(H)
+    tail = columns(snf.uinv)[len(diag):]
+    return from_columns([hermite_reduce(basis, pivots, v) for v in tail], n)
+
+
+sparse_square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+class TestSparseLatticeKernels:
+    @given(sparse_square_matrices, st.sampled_from([1, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_determinant_matches_bareiss(self, a, scale):
+        # scale 2 leaves no unit entry, so the whole matrix is the residual
+        from coxtop.intlinalg import _bareiss
+
+        a = [[scale * x for x in row] for row in a]
+        assert determinant(a) == _bareiss(a)
+
+    @given(sparse_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_complement_matches_dense_smith(self, b):
+        n = len(b)
+        try:
+            expected = dense_complement(n, b)
+        except TorsionObstruction as exc:
+            with pytest.raises(TorsionObstruction) as got:
+                direct_complement(n, b)
+            assert got.value.quotient == exc.quotient
+            return
+        assert direct_complement(n, b) == expected
+
+    @pytest.mark.parametrize("spec", ["fano", "digon(3,3)", "fanoxa1"])
+    def test_complement_matches_dense_smith_on_buildings(self, spec):
+        from coxtop.chambers import digon_building, fano_building, product_building, thin_building
+        from coxtop.coxmatrix import CoxeterMatrix
+        from coxtop.decomposition import BuildingDecomposition
+
+        system = {
+            "fano": fano_building,
+            "digon(3,3)": lambda: digon_building(3, 3),
+            "fanoxa1": lambda: product_building(
+                fano_building(), thin_building(CoxeterMatrix(("u",), {}))
+            ),
+        }[spec]()
+        dec = BuildingDecomposition(system)
+        for T in dec.poset:
+            b = dec.above_in_coordinates(T)
+            n = dec.residue_count(T)
+            assert direct_complement(n, b) == dense_complement(n, b)
+
+    def test_witness_factors_no_dense_matrix(self, monkeypatch):
+        from coxtop import intlinalg
+        from coxtop.chambers import fano_building, product_building
+        from coxtop.decomposition import BuildingDecomposition
+
+        seen = {"smith_normal_form": [], "_bareiss": []}
+        for name, calls in seen.items():
+            dense = getattr(intlinalg, name)
+            monkeypatch.setattr(
+                intlinalg, name, lambda a, calls=calls, dense=dense: calls.append(a) or dense(a)
+            )
+        system = product_building(fano_building(), fano_building(("u", "v")))
+        witness = BuildingDecomposition(system).witness(frozenset())
+        assert shape(witness.matrix) == (441, 441)
+        assert witness.determinant == -1 and witness.ok
+        assert seen["smith_normal_form"] == []
+        assert all(len(a) < 441 for a in seen["_bareiss"])
+
+
 class TestHermite:
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
     def test_hermite_spans_same_lattice(self, a):
         H, pivots = column_hermite(a)
+        basis = columns(H)
         # every original column lies in the Hermite lattice
         cols = list(zip(*a))
         for col in cols:
-            assert hermite_coordinates(H, pivots, list(col)) is not None
+            assert hermite_coordinates(basis, pivots, list(col)) is not None
         # Hermite columns lie in the original lattice: ranks agree
         assert len(pivots) == smith_normal_form(a).rank()
 
     def test_reduce_canonical(self):
         H, pivots = column_hermite([[2, 0], [0, 3]])
-        assert hermite_reduce(H, pivots, [5, 7]) == [1, 1]
+        assert hermite_reduce(columns(H), pivots, [5, 7]) == [1, 1]
 
     def test_rank(self):
         assert lattice_rank([[1, 2], [2, 4]]) == 1
@@ -314,4 +403,9 @@ def test_determinant_bareiss():
     assert determinant([[2, 0, 1], [0, 1, 0], [1, 0, 1]]) == 1
     assert determinant(identity(4)) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([]) == 1
+    assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert determinant([[0, 2, 0], [0, 0, -1], [4, 0, 3]]) == -8  # residual [[0, 2], [4, 0]]
+    assert determinant([[1, 1], [1, 1]]) == determinant([[0, 0], [0, 1]]) == 0
     assert is_zero_matrix([[0]]) and not is_zero_matrix([[0, 1]])
