@@ -83,7 +83,10 @@ class SimplicialComplex:
         return out
 
     def f_vector(self):
-        return tuple(len(self.faces_of_dim(k)) for k in range(self.dim + 1))
+        counts = [0] * (self.dim + 1)
+        for f in self.faces:
+            counts[len(f) - 1] += 1
+        return tuple(counts)
 
     def euler_characteristic(self):
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
@@ -181,31 +184,53 @@ def simplex_sign(face, subface):
     return (-1) ** ordered.index(v)
 
 
+def cochain_complex(cells_by_degree, size, restrict):
+    """Cochain complex with one free block of rank ``size(c)`` per cell c.
+
+    ``cells_by_degree`` maps degree -> ordered cells (frozensets of
+    vertices); a cell of size 0 contributes nothing.  For a codimension-one
+    face f of g, basis element i of g's block lies over element
+    ``restrict(g, f)[i]`` of f's block, and the coboundary entry between
+    them is (-1)^(position of the vertex g - f in vertex_key order).
+    Rows are sparse: (column, entry) pairs, as ``CochainComplex`` stores.
+    """
+    keys = _vertex_keys(c for cells in cells_by_degree.values() for c in cells)
+    blocks = {}  # degree -> {cell: (first basis index, size)}
+    dims = {}
+    for k, cells in cells_by_degree.items():
+        total = 0
+        blocks[k] = {}
+        for c in cells:
+            r = size(c)
+            if r:
+                blocks[k][c] = (total, r)
+                total += r
+        if total:
+            dims[k] = total
+    maps = {}
+    for k in sorted(dims):
+        if k + 1 not in dims:
+            continue
+        low = blocks[k]
+        rows = []
+        for g, (_, r) in blocks[k + 1].items():
+            faces = []
+            for position, v in enumerate(sorted(g, key=keys.__getitem__)):
+                f = g - {v}
+                if f in low:
+                    faces.append((low[f][0], -1 if position % 2 else 1, restrict(g, f)))
+            rows.extend([(off + up[i], sign) for off, sign, up in faces] for i in range(r))
+        maps[k] = rows
+    return CochainComplex(dims, maps)
+
+
 def relative_cochain_complex(X, A=None):
     """Integer cochain complex of the pair (X, A) with lexicographic signs."""
     afaces = A.faces if A is not None else frozenset()
     if A is not None and not afaces <= X.faces:
         raise ValueError("A is not a subcomplex of X")
-    keys = _vertex_keys(X.faces)
-    cells = {}
-    index = {}
-    for k in range(X.dim + 1):
-        cells[k] = [f for f in X.faces_of_dim(k) if f not in afaces]
-        index[k] = {f: i for i, f in enumerate(cells[k])}
-    dims = {k: len(cells[k]) for k in cells if cells[k]}
-    maps = {}
-    for k in sorted(dims):
-        if k + 1 not in dims:
-            continue
-        mat = [[0] * dims[k] for _ in range(dims[k + 1])]
-        for i, g in enumerate(cells[k + 1]):
-            # the sign of g - {v} is (-1)^(position of v in key order)
-            for position, v in enumerate(sorted(g, key=keys.__getitem__)):
-                j = index[k].get(g - {v})
-                if j is not None:
-                    mat[i][j] = -1 if position % 2 else 1
-        maps[k] = mat
-    return CochainComplex(dims, maps)
+    cells = {k: [f for f in X.faces_of_dim(k) if f not in afaces] for k in range(X.dim + 1)}
+    return cochain_complex(cells, lambda c: 1, lambda g, f: (0,))
 
 
 def relative_cohomology(X, A=None):

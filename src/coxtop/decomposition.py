@@ -41,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import simplex_sign, vertex_key
+from .complexes import cochain_complex, vertex_key
 from .coxmatrix import spherical_poset
 from .intlinalg import (
     AbGroup,
-    CochainComplex,
     GradedGroup,
     TorsionObstruction,
     determinant,
@@ -225,44 +224,13 @@ def _block_cochain_complex(dec, cells_by_degree, labels_of):
     ``cells_by_degree`` maps degree -> ordered cells (frozensets of model
     vertices); cells whose label is not spherical contribute nothing.
     """
-    dims = {}
-    offsets = {}
-    for k, cells in cells_by_degree.items():
-        total = 0
-        offs = []
-        for c in cells:
-            lab = labels_of(c)
-            r = dec.residue_count(lab) if frozenset(lab) in dec.poset else 0
-            offs.append((c, lab, total, r))
-            total += r
-        if total:
-            dims[k] = total
-            offsets[k] = offs
-        elif cells:
-            offsets[k] = offs
-    maps = {}
-    for k in sorted(dims):
-        if k + 1 not in dims:
-            continue
-        mat = [[0] * dims[k] for _ in range(dims[k + 1])]
-        low = {c: (lab, off, r) for c, lab, off, r in offsets[k]}
-        for g, lab_g, off_g, r_g in offsets[k + 1]:
-            if r_g == 0:
-                continue
-            for v in g:
-                f = g - {v}
-                entry = low.get(f)
-                if entry is None:
-                    continue
-                lab_f, off_f, r_f = entry
-                if r_f == 0:
-                    continue
-                sign = simplex_sign(g, f)
-                # each lab_g-residue lies in exactly one lab_f-residue
-                for i, j in enumerate(dec._containing(lab_g, lab_f)):
-                    mat[off_g + i][off_f + j] += sign
-        maps[k] = mat
-    return CochainComplex(dims, maps)
+    label = {c: frozenset(labels_of(c)) for cells in cells_by_degree.values() for c in cells}
+    return cochain_complex(
+        cells_by_degree,
+        lambda c: dec.residue_count(label[c]) if label[c] in dec.poset else 0,
+        # each label(g)-residue lies in exactly one label(f)-residue
+        lambda g, f: dec._containing(label[g], label[f]),
+    )
 
 
 def coefficient_cochain_complex(X, B, system):

@@ -10,10 +10,12 @@ unit pivots; ``direct_complement`` replays the pivot order of the
 transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
 complement is that of the dense form.
 
-Matrices are plain lists of lists of Python ints (rows of equal length).
-Everything is arbitrary precision; pivoting is deterministic (smallest
-nonzero absolute value, ties broken in row-major order) so witnesses are
-reproducible byte for byte.
+Lattice matrices are lists of lists of Python ints (rows of equal length);
+coboundaries, the input of ``elementary_divisors``, are sparse: per row a
+list of (column, entry) pairs, nonzero, no column twice (``sparse_rows``
+converts).  Everything is arbitrary precision; pivoting is deterministic
+(smallest nonzero absolute value, ties broken in row-major order) so
+witnesses are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
 
 
+def sparse_rows(a):
+    """The rows of a dense matrix as (column, entry) pairs of its nonzero
+    entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
 # ------------------------------------------------------------- determinant
 
 
@@ -93,7 +101,7 @@ def determinant(a):
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    rows, where = _sparse_rows(a)
+    rows, where = _indexed(sparse_rows(a))
     perm = [None] * n
     sign = 1
     for p, q, u in _unit_pivots(rows, where):
@@ -268,10 +276,10 @@ def smith_normal_form(a):
     return SNFResult(U, D, V, uinv)
 
 
-def _sparse_rows(a):
-    """Rows of a dense matrix as {column: entry} dicts, and for every
-    column the set of rows with a nonzero entry there."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+def _indexed(rows):
+    """Sparse rows as {column: entry} dicts, and for every column the set
+    of rows with a nonzero entry there."""
+    rows = [dict(row) for row in rows]
     where = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -328,18 +336,18 @@ def _unit_pivots(rows, where):
     return pivots
 
 
-def elementary_divisors(a):
-    """Nonzero invariant factors of an integer matrix, d1 | d2 | ...
+def elementary_divisors(rows):
+    """Nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
 
     A +-1 entry splits the matrix unimodularly as 1 + A', so unit pivots
     are eliminated first on sparse rows (``_unit_pivots``).  The residual
     block, which has no unit entry, is compacted and factored by
     ``smith_normal_form``.
 
-    >>> elementary_divisors([[1, 1, 0], [0, 2, 2], [0, 0, 0]])
+    >>> elementary_divisors([[(0, 1), (1, 1)], [(1, 2), (2, 2)], []])
     [1, 2]
     """
-    rows, where = _sparse_rows(a)
+    rows, where = _indexed(rows)
     units = len(_unit_pivots(rows, where))
     live = [row for row in rows if row]
     cols = sorted({j for row in live for j in row})
@@ -535,7 +543,7 @@ def quotient_structure(n, basis_matrix):
         return AbGroup(n, ())
     if len(basis_matrix) != n:
         raise ValueError("ambient rank does not match matrix rows")
-    diag = elementary_divisors(basis_matrix)
+    diag = elementary_divisors(sparse_rows(basis_matrix))
     return AbGroup(n - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -558,7 +566,7 @@ def direct_complement(n, basis_matrix):
     """
     if not basis_matrix or not basis_matrix[0]:
         return identity(n)
-    rows, where = _sparse_rows(basis_matrix)
+    rows, where = _indexed(sparse_rows(basis_matrix))
     m = len(basis_matrix[0])
     row_at = list(range(n))  # position -> row
     col_at = list(range(m))  # position -> column
@@ -629,11 +637,12 @@ def submodule_quotient(n, big_gens, small_gens):
 
 @dataclass
 class CochainComplex:
-    """Free cochain complex: per-degree ranks and coboundary matrices.
+    """Free cochain complex: per-degree ranks and sparse coboundaries.
 
-    ``maps[k]`` has shape (dims[k+1], dims[k]) and sends degree k to
-    degree k+1.  Degrees may be any integers (degree -1 appears for
-    augmented complexes).
+    ``maps[k]`` sends degree k to degree k+1: dims[k+1] rows, each a list
+    of (column, entry) pairs with columns below dims[k], nonzero entries
+    and no column twice.  Degrees may be any integers (degree -1 appears
+    for augmented complexes).
     """
 
     dims: dict
@@ -641,16 +650,15 @@ class CochainComplex:
 
     def validate(self):
         for k, m in self.maps.items():
-            r, c = shape(m)
-            if c != self.dims.get(k, 0) or r != self.dims.get(k + 1, 0):
-                raise ValueError(f"map at degree {k} has shape {r}x{c}")
-        # d^{k+1} d^k = 0, summed over the nonzero entries of each row
-        sparse = {
-            k: [[(j, x) for j, x in enumerate(row) if x] for row in m]
-            for k, m in self.maps.items()
-        }
-        for k, inner in sparse.items():
-            for row in sparse.get(k + 1, ()):
+            n = self.dims.get(k, 0)
+            if len(m) != self.dims.get(k + 1, 0):
+                raise ValueError(f"map at degree {k} has {len(m)} rows")
+            for row in m:
+                if len(dict(row)) < len(row) or not all(0 <= j < n and x for j, x in row):
+                    raise ValueError(f"map at degree {k} has a zero, repeated or stray entry")
+        # d^{k+1} d^k = 0, summed over the stored entries of each row
+        for k, inner in self.maps.items():
+            for row in self.maps.get(k + 1, ()):
                 total = {}
                 for mid, x in row:
                     for j, y in inner[mid]:

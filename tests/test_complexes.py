@@ -176,11 +176,13 @@ class TestRelativeCohomology:
         for k in cells:
             order = [tuple(vertex_key(v) for v in sorted(f, key=vertex_key)) for f in cells[k]]
             assert order == sorted(order)
-        for k, mat in cx.maps.items():
+        for k, rows in cx.validate().maps.items():
+            assert len(rows) == len(cells[k + 1])
             for i, g in enumerate(cells[k + 1]):
+                row = dict(rows[i])
                 for j, f in enumerate(cells[k]):
                     expected = simplex_sign(g, f) if f < g else 0
-                    assert mat[i][j] == expected
+                    assert row.get(j, 0) == expected
 
 
 class TestReduced:

@@ -7,11 +7,16 @@ from coxtop.chambers import (
     product_building,
     thin_building,
 )
-from coxtop.complexes import classical_chamber, davis_chamber
+from coxtop.complexes import classical_chamber, davis_chamber, simplex_sign
 from coxtop.coxmatrix import CoxeterMatrix
 from coxtop.decomposition import (
     BuildingDecomposition,
+    _block_cochain_complex,
+    _chamber_face_cells,
+    _face_sort_key,
+    _mirror_up_faces,
     classical_chamber_cohomology,
+    coefficient_cochain_complex,
     coefficient_cohomology,
     filtration_ranks,
     sigma_formula_check,
@@ -250,6 +255,88 @@ class TestCoefficientCohomology:
         X = davis_chamber(thin_a2.matrix)
         h = coefficient_cohomology(X, None, thin_a2.system)
         assert h == GradedGroup({0: AbGroup(1)})
+
+
+def dense_block_coboundaries(dec, cells_by_degree, label):
+    """Dense reference for the coefficient coboundaries: the block of a
+    cell g over its face f is simplex_sign(g, f) times the inclusion
+    A^{label f} -> A^{label g}; cells with a non-spherical label drop out."""
+    size = {
+        c: dec.residue_count(label(c)) if frozenset(label(c)) in dec.poset else 0
+        for cells in cells_by_degree.values()
+        for c in cells
+    }
+    dims, offset = {}, {}
+    for k, cells in cells_by_degree.items():
+        total = 0
+        for c in cells:
+            offset[c] = total
+            total += size[c]
+        if total:
+            dims[k] = total
+    maps = {}
+    for k in dims:
+        if k + 1 not in dims:
+            continue
+        mat = [[0] * dims[k] for _ in range(dims[k + 1])]
+        for g in cells_by_degree[k + 1]:
+            for f in cells_by_degree[k]:
+                if f < g and size[g] and size[f]:
+                    sign = simplex_sign(g, f)
+                    for i, row in enumerate(dec.inclusion_matrix(label(g), label(f))):
+                        for j, x in enumerate(row):
+                            mat[offset[g] + i][offset[f] + j] += sign * x
+        maps[k] = mat
+    return dims, maps
+
+
+def assert_matches_dense(cx, dec, cells_by_degree, label):
+    dims, maps = dense_block_coboundaries(dec, cells_by_degree, label)
+    cx.validate()
+    assert cx.dims == dims and cx.maps.keys() == maps.keys()
+    for k, rows in cx.maps.items():
+        assert [[dict(row).get(j, 0) for j in range(dims[k])] for row in rows] == maps[k]
+
+
+class TestCoboundariesMatchDense:
+    @pytest.mark.parametrize(
+        "build, model",
+        [("fano", davis_chamber), ("thin_a2", classical_chamber), ("thin_a2", davis_chamber),
+         ("digon33", classical_chamber), ("digon33", davis_chamber)],
+    )
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_mirrored_complex(self, request, build, model, relative):
+        dec = request.getfixturevalue(build)
+        X = model(dec.matrix)
+        B = X.mirror_union(dec.matrix.labels[:1]) if relative else None
+        bfaces = B.faces if B is not None else frozenset()
+        cells = {
+            k: [f for f in X.complex.faces_of_dim(k) if f not in bfaces]
+            for k in range(X.complex.dim + 1)
+        }
+        cx = coefficient_cochain_complex(X, B, dec.system)
+        assert_matches_dense(cx, dec, cells, X.face_label)
+
+    @pytest.mark.parametrize("build", ["fano", "thin_a2", "digon33"])
+    def test_augmented_chamber_faces(self, request, build):
+        # every complex sigma_formula_check builds, the (-1)-cell included
+        from itertools import combinations
+
+        dec = request.getfixturevalue(build)
+        S = frozenset(dec.matrix.labels)
+        for T in dec.poset:
+            sigma = _chamber_face_cells(S, T)
+            for r in range(len(S - T) + 1):
+                for U in map(frozenset, combinations(sorted(S - T), r)):
+                    sigma_U = _mirror_up_faces(sigma, U)
+                    sigma_W = _mirror_up_faces(sigma, S - T - U)
+                    for total, sub in ((sigma, sigma_U), (sigma_U, sigma_U & sigma_W),
+                                       (sigma_U, set())):
+                        cells = {}
+                        for f in sorted(total - sub, key=_face_sort_key):
+                            cells.setdefault(len(f) - 1, []).append(f)
+                        cx = _block_cochain_complex(dec, cells, lambda f: S - f)
+                        assert_matches_dense(cx, dec, cells, lambda f: S - f)
 
 
 class TestSigmaFormulas:

@@ -22,6 +22,7 @@ from coxtop.intlinalg import (
     quotient_structure,
     shape,
     smith_normal_form,
+    sparse_rows,
     submodule_quotient,
 )
 
@@ -98,7 +99,7 @@ class TestElementaryDivisors:
     def test_matches_dense_smith(self, a, scale):
         # scale 2 and 3 leave no unit entry, so the residual path runs
         a = [[scale * x for x in row] for row in a]
-        assert elementary_divisors(a) == nonzero_smith_diagonal(a)
+        assert elementary_divisors(sparse_rows(a)) == nonzero_smith_diagonal(a)
 
     @pytest.mark.parametrize(
         "a, expected",
@@ -113,7 +114,11 @@ class TestElementaryDivisors:
         ],
     )
     def test_fixed(self, a, expected):
-        assert elementary_divisors(a) == expected == nonzero_smith_diagonal(a)
+        assert elementary_divisors(sparse_rows(a)) == expected == nonzero_smith_diagonal(a)
+
+    def test_sparse_rows(self):
+        assert sparse_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 2]]) == [[(1, 3)], [], [(0, -1), (2, 2)]]
+        assert sparse_rows([]) == []
 
     def test_only_the_residual_is_factored(self, monkeypatch):
         from coxtop import intlinalg
@@ -126,9 +131,9 @@ class TestElementaryDivisors:
             return dense(a)
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
-        assert elementary_divisors([[1, 1], [1, -1]]) == [1, 2]
+        assert elementary_divisors([[(0, 1), (1, 1)], [(0, 1), (1, -1)]]) == [1, 2]
         assert seen == [[[-2]]]
-        assert elementary_divisors(identity(4)) == [1] * 4
+        assert elementary_divisors(sparse_rows(identity(4))) == [1] * 4
         assert len(seen) == 1
 
 
@@ -304,20 +309,34 @@ class TestCochain:
 
     def test_triangle_boundary(self):
         # circle: three vertices, three edges
-        d0 = [[-1, 1, 0], [0, -1, 1], [-1, 0, 1]]
+        d0 = [[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(0, -1), (2, 1)]]
         cx = CochainComplex({0: 3, 1: 3}, {0: d0}).validate()
         h = cx.cohomology()
         assert h[0] == AbGroup(1) and h[1] == AbGroup(1)
 
     def test_times_two(self):
-        cx = CochainComplex({0: 1, 1: 1}, {0: [[2]]}).validate()
+        cx = CochainComplex({0: 1, 1: 1}, {0: [[(0, 2)]]}).validate()
         h = cx.cohomology()
         assert h[0] == AbGroup() and h[1] == AbGroup(0, (2,))
 
     def test_d_squared_checked(self):
-        cx = CochainComplex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
+        cx = CochainComplex({0: 1, 1: 1, 2: 1}, {0: [[(0, 1)]], 1: [[(0, 1)]]})
         with pytest.raises(ValueError):
             cx.validate()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[(0, 1)]],  # one row for a target of rank 2
+            [[(0, 1)], [(2, 1)]],  # column past the source rank
+            [[(0, 1)], [(-1, 1)]],  # negative column
+            [[(0, 1)], [(1, 0)]],  # stored zero
+            [[(0, 1)], [(1, 1), (1, -1)]],  # repeated column
+        ],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            CochainComplex({0: 2, 1: 2}, {0: rows}).validate()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -331,7 +350,7 @@ class TestCochain:
             )
 
         inner, outer = matrix(m, n), matrix(p, m)
-        cx = CochainComplex({0: n, 1: m, 2: p}, {0: inner, 1: outer})
+        cx = CochainComplex({0: n, 1: m, 2: p}, {0: sparse_rows(inner), 1: sparse_rows(outer)})
         if is_zero_matrix(matmul(outer, inner)):
             cx.validate()
         else:
@@ -339,7 +358,7 @@ class TestCochain:
                 cx.validate()
 
     def test_three_torsion(self):
-        cx = CochainComplex({0: 1, 1: 1}, {0: [[3]]}).validate()
+        cx = CochainComplex({0: 1, 1: 1}, {0: [[(0, 3)]]}).validate()
         assert cx.cohomology() == GradedGroup({1: AbGroup(0, (3,))})
 
     def test_rp2_has_z2(self):
@@ -352,7 +371,7 @@ class TestCochain:
         assert relative_cohomology(rp2) == GradedGroup({0: AbGroup(1), 2: AbGroup(0, (2,))})
 
     def test_euler(self):
-        d0 = [[-1, 1, 0], [0, -1, 1], [-1, 0, 1]]
+        d0 = [[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(0, -1), (2, 1)]]
         cx = CochainComplex({0: 3, 1: 3}, {0: d0})
         h = cx.cohomology()
         assert cx.euler_characteristic() == h.euler_characteristic() == 0

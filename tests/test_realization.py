@@ -148,3 +148,23 @@ class TestCrossCheck:
         assert not by_type[("s",)].contribution
         assert not by_type[("t",)].contribution
         assert report.realized == GradedGroup({0: AbGroup(1), 1: AbGroup(8)})
+
+
+def test_cohomology_path_scans_no_dense_matrix(monkeypatch):
+    # the splittings (the dense lattice path) are computed first; every
+    # coboundary after that must reach the elimination as sparse rows
+    from coxtop import intlinalg
+    from coxtop.chambers import product_building
+    from coxtop.decomposition import BuildingDecomposition
+
+    prod = product_building(fano_building(), thin_building(mk("u", [])))
+    dec = BuildingDecomposition(prod)
+    for T in dec.poset:
+        dec.splitting(T)
+
+    def dense_scan(a):
+        raise AssertionError("a dense matrix reached the cohomology path")
+
+    monkeypatch.setattr(intlinalg, "sparse_rows", dense_scan)
+    report = formula_cross_check(prod, davis_chamber(prod.matrix))
+    assert report.ok and report.euler_ok

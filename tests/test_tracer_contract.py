@@ -1,9 +1,11 @@
 """The benchmark tracer wraps coxtop functions by name from outside.
 
-Renaming or deleting one of the names in ``bench/tracer.py`` ``LAYERS``
-breaks the traced benchmark; this test makes it fail here instead.
+Renaming or deleting one of the names in ``bench/tracer.py`` ``LAYERS``,
+or changing a format it reads (``CochainComplex.maps``), breaks the traced
+benchmark; these tests make it fail here instead.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,13 +16,9 @@ import coxtop
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_against_src():
+def run_in_bench(script):
+    """Run a Python script from bench/, against the coxtop under test."""
     src = Path(coxtop.__file__).resolve().parents[1]
-    script = (
-        "import coxtop, tracer\n"
-        "tracer.Tracer().install()\n"
-        "print(coxtop.__file__)\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         cwd=ROOT / "bench",
@@ -30,4 +28,32 @@ def test_tracer_installs_against_src():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert Path(proc.stdout.strip()).resolve().is_relative_to(src)
+    return proc.stdout
+
+
+def test_tracer_installs_against_src():
+    src = Path(coxtop.__file__).resolve().parents[1]
+    out = run_in_bench("import coxtop, tracer\ntracer.Tracer().install()\nprint(coxtop.__file__)\n")
+    assert Path(out.strip()).resolve().is_relative_to(src)
+
+
+def test_coboundary_metrics_read_the_stored_format():
+    # cells and nnz of relative_cochain_complex as the tracer reads them off
+    # CochainComplex.maps: the 6-vertex RP^2 has 6 + 15 + 10 cells and
+    # 2 * 15 + 3 * 10 incidences, and one residual block ([2, ...]) to factor
+    out = run_in_bench(
+        "import json, tracer\n"
+        "from coxtop.complexes import SimplicialComplex, relative_cohomology\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "rp2 = SimplicialComplex.from_maximal([(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5),"
+        " (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)])\n"
+        "h = t.run_job('rp2', lambda: relative_cohomology(rp2))\n"
+        "print(json.dumps([str(h), t.layer_metrics(1.0, 0)]))\n"
+    )
+    h, metrics = json.loads(out)
+    assert h == "H^0 = Z; H^2 = Z/2"
+    assert metrics["complexes.relative_cochain_complex.calls"] == 1
+    assert metrics["complexes.relative_cochain_complex.cells"] == 31
+    assert metrics["complexes.relative_cochain_complex.nnz"] == 60
+    assert metrics["intlinalg.smith_normal_form.coboundary.calls"] == 1
