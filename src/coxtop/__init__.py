@@ -7,6 +7,7 @@ from .coxmatrix import (
     CoxeterMatrix,
     SphericalPoset,
     cosine_gram_definite,
+    coxeter_degrees,
     is_spherical,
     parse_coxeter_matrix,
     spherical_poset,

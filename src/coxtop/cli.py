@@ -6,7 +6,8 @@ whitespace), so identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 bad input, 2 a verification report failed
 (non-unit witness determinant, mismatched identity, failed building
-axiom) - distinguishing broken invariants from broken invocations.
+axiom, a required direct summand with torsion) - distinguishing broken
+invariants from broken invocations.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .hc import (
     thin_multiplicity_series,
     vcd,
 )
+from .intlinalg import TorsionObstruction
 from .realization import realization_cohomology, realize
 
 
@@ -486,7 +488,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.verb](args)
-    except NotABuilding as exc:
+    except (NotABuilding, TorsionObstruction) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (InputError, CoxeterError, ChamberError, ValueError) as exc:

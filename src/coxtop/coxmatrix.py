@@ -10,11 +10,16 @@ Two independent finiteness oracles are provided:
 * ``is_spherical`` splits T into irreducible components and matches each
   component's labelled diagram against the classification of finite
   diagrams (A, B, D, E6/E7/E8, F4, H3, H4 and the dihedral I2(m)).  It is
-  exact for every label, including m >= 7.
+  exact for every label, including m >= 7.  The same match gives the
+  degrees of each finite component (``coxeter_degrees``), hence its
+  Poincare polynomial.
 * ``cosine_gram_definite`` checks positive definiteness of the matrix with
-  unit diagonal and off-diagonal entries -cos(pi/m) by exact leading
-  principal minors in Q(sqrt2, sqrt3, sqrt5).  It is restricted to labels
-  in {2, 3, 4, 5, 6, infinity}.
+  unit diagonal and off-diagonal entries -cos(pi/m) by Sylvester's
+  criterion in Q(sqrt2, sqrt3, sqrt5), restricted to labels in
+  {2, 3, 4, 5, 6, infinity}.  The leading minors are taken by prefix
+  recursion (T is definite iff T[:-1] is and det G_T > 0), and each
+  answer is cached by the label pattern of T, so matrices that share a
+  pattern share the field arithmetic.
 
 The two must agree wherever both apply; the test suite sweeps this.
 """
@@ -22,9 +27,11 @@ The two must agree wherever both apply; the test suite sweeps this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
-from .qfield import SUPPORTED_LABELS, four_cos_int
+from .qfield import SUPPORTED_LABELS, ZERO, four_cos_int
 
 INF = None  # label for m = infinity
 
@@ -174,19 +181,26 @@ def parse_coxeter_matrix(text):
     return CoxeterMatrix(labels, entries)
 
 
-def _finite_irreducible(mat, comp):
-    """Classification of connected labelled diagrams of finite type."""
+def _irreducible_degrees(mat, comp):
+    """Degrees of the finite irreducible group on a connected diagram, or
+    None when the group is infinite (classification of connected labelled
+    diagrams of finite type).
+
+    The Poincare polynomial is the product of [d]_t = 1 + t + ... + t^(d-1)
+    over the degrees d, so the group order is their product and the length
+    of the longest element is the sum of d - 1.
+    """
     n = len(comp)
     if n == 1:
-        return True
-    pairs = list(combinations(comp, 2))
-    if any(mat.m(s, t) is INF for s, t in pairs):
-        return False
+        return (2,)
+    pairs = [(s, t, mat.m(s, t)) for s, t in combinations(comp, 2)]
+    if any(m is INF for _, _, m in pairs):
+        return None
     if n == 2:
-        return True  # I2(m), m finite
-    edges = [(s, t, mat.m(s, t)) for s, t in pairs if mat.m(s, t) >= 3]
+        return (2, pairs[0][2])  # I2(m), m finite
+    edges = [(s, t, m) for s, t, m in pairs if m >= 3]
     if len(edges) != n - 1:
-        return False  # connected with a cycle, or disconnected (impossible here)
+        return None  # connected with a cycle, or disconnected (impossible here)
     deg = {s: 0 for s in comp}
     for s, t, _ in edges:
         deg[s] += 1
@@ -194,25 +208,35 @@ def _finite_irreducible(mat, comp):
     big = [(s, t, m) for s, t, m in edges if m >= 4]
     branch = [s for s in comp if deg[s] >= 3]
     if len(big) >= 2 or any(deg[s] >= 4 for s in comp) or len(branch) >= 2:
-        return False
+        return None
     if not big:
         if not branch:
-            return True  # type A_n
+            return tuple(range(2, n + 2))  # type A_n
         # Tree with a single degree-3 vertex: arm lengths decide D/E.
         arms = sorted(_arm_lengths(edges, branch[0]))
         if arms[0] == 1 and arms[1] == 1:
-            return True  # type D_n
-        return arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])  # E6, E7, E8
+            return (*range(2, 2 * n - 1, 2), n)  # type D_n
+        return _E_DEGREES.get(tuple(arms))
     if branch:
-        return False
+        return None
     # A path with exactly one label >= 4.
     (s, t, m) = big[0]
     at_end = deg[s] == 1 or deg[t] == 1
     if m == 4:
-        return at_end or n == 4  # B_n, or F4 (the middle edge of a 4-chain)
-    if m == 5:
-        return at_end and n in (3, 4)  # H3, H4
-    return False  # m >= 6 has no finite type of rank >= 3
+        if at_end:
+            return tuple(range(2, 2 * n + 1, 2))  # type B_n
+        return (2, 6, 8, 12) if n == 4 else None  # F4: the middle edge of a 4-chain
+    if m == 5 and at_end:
+        return _H_DEGREES.get(n)
+    return None  # m >= 6 has no finite type of rank >= 3
+
+
+_E_DEGREES = {
+    (1, 2, 2): (2, 5, 6, 8, 9, 12),
+    (1, 2, 3): (2, 6, 8, 10, 12, 14, 18),
+    (1, 2, 4): (2, 8, 12, 14, 18, 20, 24, 30),
+}
+_H_DEGREES = {3: (2, 6, 10), 4: (2, 12, 20, 30)}
 
 
 def _arm_lengths(edges, center):
@@ -239,7 +263,22 @@ def is_spherical(mat, T):
     T = set(T)
     if not T <= set(mat.labels):
         raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
-    return all(_finite_irreducible(mat, comp) for comp in mat.components(T))
+    return all(_irreducible_degrees(mat, comp) is not None for comp in mat.components(T))
+
+
+def coxeter_degrees(mat, T):
+    """Sorted degrees of the finite group generated by a spherical T: one
+    per generator, read off the classification of its components."""
+    T = set(T)
+    if not T <= set(mat.labels):
+        raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
+    out = []
+    for comp in mat.components(T):
+        degrees = _irreducible_degrees(mat, comp)
+        if degrees is None:
+            raise CoxeterError(f"subset {list(mat.sorted_subset(T))} is not spherical")
+        out.extend(degrees)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -304,8 +343,9 @@ def cosine_gram_definite(mat, T):
 
     The matrix has unit diagonal and off-diagonal -cos(pi/m(s,t)), with
     the value -1 at infinite labels.  Scaling by 4 keeps every entry an
-    integer vector over the field basis, so the leading-minor signs are
-    computed in pure integer arithmetic.
+    integer vector over the field basis, so the minor signs are computed
+    in pure integer arithmetic.  The answer depends only on the labels,
+    so it is decided once per label pattern.
     """
     T = mat.sorted_subset(T)
     for s, t in combinations(T, 2):
@@ -313,44 +353,44 @@ def cosine_gram_definite(mat, T):
             raise CoxeterError(
                 f"label m({s},{t})={mat.m(s, t)} outside the exact-arithmetic set"
             )
-    n = len(T)
-    if n == 0:
+    return _gram_pattern_definite(
+        tuple(mat.m(T[i], T[j]) for i in range(len(T)) for j in range(i))
+    )
+
+
+@lru_cache(maxsize=1 << 16)  # the rank-4 sweep has 46,880 patterns
+def _gram_pattern_definite(pattern):
+    """Sylvester's criterion by prefix recursion: the Gram matrix on
+    T[:n] is definite iff the one on T[:n-1] is and its determinant is
+    positive.  ``pattern`` lists m(T[i], T[j]) for j < i, row by row, so
+    the pattern of T[:n-1] is a prefix of it."""
+    n = (1 + isqrt(1 + 8 * len(pattern))) // 2
+    if n <= 1:
         return True
+    if not _gram_pattern_definite(pattern[: len(pattern) - (n - 1)]):
+        return False
     four = four_cos_int(2) + 4  # the integer 4 as a field element
-    rows = []
-    for s in T:
-        rows.append([four if s == t else -four_cos_int(mat.m(s, t)) for t in T])
-    for k in range(1, n + 1):
-        if _det_leibniz(rows, k).sign() <= 0:
-            return False
-    return True
-
-
-def _det_leibniz(rows, k):
-    """Determinant of the leading k x k block by expansion along row 0."""
-    if k == 1:
-        return rows[0][0]
-    return _det_expand([row[:k] for row in rows[:k]])
+    rows = [[four] * n for _ in range(n)]
+    labels = iter(pattern)
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = -four_cos_int(next(labels))
+    return _det_expand(rows).sign() > 0
 
 
 def _det_expand(mat):
+    """Determinant by expansion along row 0."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = None
+    total = ZERO
     for j in range(n):
         a = mat[0][j]
         if a.is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         term = a * _det_expand(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        from .qfield import ZERO
-
-        return ZERO
+        total = total - term if j % 2 else total + term
     return total

@@ -20,6 +20,12 @@ exactly when appending s shortens w.
 Dihedral groups I2(m) with m outside {2,3,4,5,6} are handled by an exact
 combinatorial model (symmetries of the m-gon), so every finite-type
 subset admitted by the classification can be enumerated.
+
+Balls need the geometric representation on the whole generator set and
+so only take labels in {2,3,4,5,6,infinity}.  No report enumerates one:
+``hc.thin_multiplicity_series`` reads its counts off Steinberg's formula,
+and the ball's descent counts are the independent oracle it is tested
+against.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ type always contributes multiplicity one in the thin case (only the
 identity has empty descent set), every other spherical type is reported
 as countably infinite (``omega``), optionally refined by the exact
 length-graded counts #{w : In(w) = T, l(w) = i} up to a truncation.
+Those counts are truncated power series in Z[[t]] built from Steinberg's
+formula and the Poincare polynomials of the spherical subgroups, so they
+take any label and any radius without enumerating group elements.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 
 from .chambers import thin_building
 from .complexes import davis_chamber, punctured_nerve_homology, relative_cohomology
-from .coxmatrix import is_spherical, spherical_poset
+from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
-from .groups import enumerate_ball
 from .intlinalg import OMEGA, GradedGroup, lattice_rank
 
 
@@ -35,18 +37,66 @@ class GrowthSeries:
 
 
 def thin_multiplicity_series(matrix, T, radius):
-    """a_i = #{w : l(w) = i, In(w) = T} for i <= radius."""
+    """a_i = #{w : l(w) = i, In(w) = T} for i <= radius, from Steinberg's
+    formula; no group element is enumerated.
+
+    Steinberg's identity 1/W(1/t) = sum over spherical U of
+    (-1)^|U| / W_U(t), read at 1/t on the subgroup of each V <= S, gives
+
+        1/W_V(t) = F_V(t) = sum over spherical U <= V of (-1)^|U| t^N_U / W_U(t)
+
+    with N_U the degree of W_U.  The w with In(w) <= V are the minimal
+    coset representatives for W_{S-V}, counted by W(t) F_{S-V}(t), so
+    Moebius inversion gives a_R = W * sum over V <= R of
+    (-1)^|R-V| F_{S-V}.  Summing over V first leaves only the U >= R:
+
+        a_R(t) = W(t) * sum over spherical U >= R of (-1)^|U-R| t^N_U / W_U(t)
+
+    and W = 1/F_S.  Every W_U is the product of [d]_t over the degrees d
+    of ``coxeter_degrees`` and has constant term 1, so the series are
+    integer recurrences modulo t^(radius+1).
+    """
     T = frozenset(T)
     if not is_spherical(matrix, T):
         raise ValueError(f"{sorted(T)} is not a spherical subset")
     if radius < 0:
         raise ValueError(f"growth radius must be >= 0, got {radius}")
-    ball = enumerate_ball(matrix, radius)
-    counts = [0] * (radius + 1)
-    for e in ball.elements:
-        if e.descents == T:
-            counts[e.length] += 1
+    n = radius + 1
+    inverse_w = [0] * n  # F_S(t) = 1/W(t)
+    above = [0] * n  # the sum over U >= T
+    for U in spherical_poset(matrix):
+        term = _steinberg_term(coxeter_degrees(matrix, U), n)
+        sign = (-1) ** len(U)
+        for k, c in enumerate(term):
+            inverse_w[k] += sign * c
+        if T <= U:
+            for k, c in enumerate(term):
+                above[k] += sign * c
+    sign = (-1) ** len(T)
+    counts = _divide([sign * c for c in above], inverse_w)
     return GrowthSeries(tuple(sorted(T, key=matrix.index)), tuple(counts))
+
+
+def _steinberg_term(degrees, n):
+    """t^N / W_T(t) modulo t^n, for W_T the product of [d]_t = (1 - t^d) /
+    (1 - t) over the degrees d and N = sum(d - 1) its degree."""
+    shift = sum(d - 1 for d in degrees)
+    if shift >= n:
+        return [0] * n
+    series = [1] + [0] * (n - shift - 1)
+    for d in degrees:
+        series = [c - (series[k - 1] if k else 0) for k, c in enumerate(series)]
+        for k in range(d, len(series)):
+            series[k] += series[k - d]
+    return [0] * shift + series
+
+
+def _divide(num, den):
+    """num / den modulo t^len(num), for den with constant term 1."""
+    out = []
+    for k, c in enumerate(num):
+        out.append(c - sum(den[j] * out[k - j] for j in range(1, k + 1)))
+    return out
 
 
 @dataclass

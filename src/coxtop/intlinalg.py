@@ -24,8 +24,11 @@ import heapq
 from dataclasses import dataclass, field
 
 
-class TorsionObstruction(ValueError):
+class TorsionObstruction(Exception):
     """A submodule that was required to be a direct summand is not one.
+
+    A failed verification, not bad input: it is deliberately not a
+    ``ValueError``, and the command line reports it with exit code 2.
 
     ``quotient`` is the structure of the ambient module modulo the
     submodule, with the torsion that obstructs the splitting.

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import coxtop
 from coxtop.cli import main
+from coxtop.decomposition import BuildingDecomposition
+from coxtop.intlinalg import AbGroup, TorsionObstruction
 
 TRIANGLE = "gens a b c\na b 3\nb c 3\na c 3\n"
 FREE3 = "gens s t u\ns t inf\nt u inf\ns u inf\n"
@@ -92,6 +95,34 @@ class TestBasicVerbs:
         payload = json.loads(out)
         (row,) = payload["degrees"]
         assert row["degree"] == 1 and row["total"]["free_rank"] == "omega"
+
+    def test_hc_series_on_the_237_triangle_group(self, capsys, tmp_path):
+        # labels >= 7 have no ball enumeration; the series come from
+        # Steinberg's formula and the I2(7) Poincare polynomial
+        p = tmp_path / "t237.cox"
+        p.write_text("gens a b c\na b 7\nb c 3\n")
+        code, out = run(capsys, ["hc", str(p), "--N", "12", "--json"])
+        assert code == 0
+        series = {
+            tuple(c["series"]["T"]): c["series"]["coefficients"]
+            for c in json.loads(out)["contributions"]
+        }
+        assert set(series) == {(), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c")}
+        assert series[()] == [1] + [0] * 12
+        assert series[("a", "b")][:8] == [0] * 7 + [1]
+        for s in "abc":
+            assert series[(s,)][1] == 1
+        # 3 * 2 words of length 2, one of them a commuting pair a c = c a
+        assert sum(coefficients[2] for coefficients in series.values()) == 5
+
+    def test_growth_at_a_large_radius(self, capsys, free3_file):
+        start = time.perf_counter()
+        code, out = run(capsys, ["growth", free3_file, "--T", "s", "--N", "40", "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        coefficients = json.loads(out)["coefficients"]
+        assert len(coefficients) == 41 and coefficients[-1] == 2**39
+        assert elapsed < 1.0
 
 
 class TestBuildingVerbs:
@@ -298,6 +329,18 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "not a building" in captured.err and failure in captured.err
+
+    def test_torsion_obstruction_is_a_failed_verification(self, capsys, a2_file, monkeypatch):
+        assert not issubclass(TorsionObstruction, ValueError)
+
+        def obstructed(self, T):
+            raise TorsionObstruction("quotient has invariant factors [2]", AbGroup(0, (2,)))
+
+        monkeypatch.setattr(BuildingDecomposition, "splitting_rank", obstructed)
+        code = main(["hc", a2_file, "--building", "fano", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "invariant factors [2]" in captured.err
 
 
 class TestDeterminism:

@@ -1,16 +1,20 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
+from coxtop import coxmatrix
 from coxtop.coxmatrix import (
     INF,
     CoxeterError,
     CoxeterMatrix,
     cosine_gram_definite,
+    coxeter_degrees,
     is_spherical,
     parse_coxeter_matrix,
     spherical_poset,
 )
+from coxtop.groups import enumerate_group
 
 
 def mk(labels, pairs):
@@ -174,3 +178,106 @@ class TestGramOracle:
             for r in range(4):
                 for T in combinations(labels, r):
                     assert is_spherical(m, T) == cosine_gram_definite(m, T), (ms, T)
+
+    def test_cache_is_order_independent(self):
+        labels = "abc"
+        values = [2, 3, 4, 5, 6, INF]
+        cases = [
+            (mk(labels, [("a", "b", ms[0]), ("a", "c", ms[1]), ("b", "c", ms[2])]), T)
+            for ms in product(values, repeat=3)
+            for r in range(4)
+            for T in combinations(labels, r)
+        ]
+        coxmatrix._gram_pattern_definite.cache_clear()
+        forward = [cosine_gram_definite(m, T) for m, T in cases]
+        coxmatrix._gram_pattern_definite.cache_clear()
+        backward = [cosine_gram_definite(m, T) for m, T in reversed(cases)]
+        assert backward[::-1] == forward
+        assert forward == [is_spherical(m, T) for m, T in cases]
+
+    def test_unsupported_label_on_warm_cache(self):
+        for T in ("a", "ab", "abc"):
+            cosine_gram_definite(TRIANGLE333, T)
+        m = mk("abc", [("a", "b", 3), ("b", "c", 7)])
+        with pytest.raises(CoxeterError):
+            cosine_gram_definite(m, "abc")
+        with pytest.raises(CoxeterError):
+            cosine_gram_definite(m, "bc")
+        assert cosine_gram_definite(m, "ab")
+
+    def test_label_positions_are_not_conflated(self):
+        # the same labels {5, 3, 3} on a 4-chain: H4 when 5 ends the chain,
+        # an infinite group when 5 sits in the middle
+        h4 = mk("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
+        middle = mk("abcd", [("a", "b", 3), ("b", "c", 5), ("c", "d", 3)])
+        for first, second in ((h4, middle), (middle, h4)):
+            coxmatrix._gram_pattern_definite.cache_clear()
+            assert cosine_gram_definite(first, "abcd") == (first is h4)
+            assert cosine_gram_definite(second, "abcd") == (second is h4)
+        # every ordering of H4's generators is its own pattern, all definite
+        for order in permutations("abcd"):
+            assert cosine_gram_definite(CoxeterMatrix(order, dict(h4.entries)), "abcd")
+
+
+def poincare_polynomial(degrees):
+    poly = [1]
+    for d in degrees:
+        poly = [
+            sum(poly[k - j] for j in range(d) if 0 <= k - j < len(poly))
+            for k in range(len(poly) + d - 1)
+        ]
+    return poly
+
+
+class TestDegrees:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("a", "b", 3), ("b", "c", 3)],  # A3
+            [("a", "b", 4), ("b", "c", 3)],  # B3
+            [("a", "b", 5), ("b", "c", 3)],  # H3
+            [("a", "b", 3), ("b", "c", 3), ("c", "d", 3)],  # A4
+            [("a", "b", 3), ("b", "c", 3), ("b", "d", 3)],  # D4
+            [("a", "b", 7)],  # I2(7) x A1 x A1
+            [("a", "b", 12), ("c", "d", 3)],  # I2(12) x A2
+        ],
+    )
+    def test_poincare_polynomial_of_every_subset(self, pairs):
+        mat = mk("abcd", pairs)
+        for r in range(5):
+            for T in combinations("abcd", r):
+                if not is_spherical(mat, T):
+                    continue
+                group = enumerate_group(mat, T)
+                counts = [0] * (1 + group.longest_element().length)
+                for e in group.elements:
+                    counts[e.length] += 1
+                assert poincare_polynomial(coxeter_degrees(mat, T)) == counts, T
+
+    @pytest.mark.parametrize(
+        "pairs, order, reflections",
+        [
+            ([("a", "b", 3), ("b", "c", 4), ("c", "d", 3)], 1152, 24),  # F4
+            ([("a", "b", 5), ("b", "c", 3), ("c", "d", 3)], 14400, 60),  # H4
+            ([("a", "b", 4), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3)], 3840, 25),  # B5
+            ([("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("c", "e", 3)], 1920, 20),  # D5
+            ([("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3),
+              ("c", "f", 3)], 51840, 36),  # E6
+            ([("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("e", "f", 3),
+              ("c", "g", 3)], 2903040, 63),  # E7
+            ([("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("e", "f", 3),
+              ("f", "g", 3), ("c", "h", 3)], 696729600, 120),  # E8
+        ],
+    )
+    def test_known_orders(self, pairs, order, reflections):
+        labels = sorted({s for p in pairs for s in p[:2]})
+        degrees = coxeter_degrees(mk(labels, pairs), labels)
+        assert len(degrees) == len(labels)
+        assert prod(degrees) == order
+        assert sum(d - 1 for d in degrees) == reflections
+
+    def test_infinite_rejected(self):
+        with pytest.raises(CoxeterError, match="not spherical"):
+            coxeter_degrees(TRIANGLE333, "abc")
+        assert coxeter_degrees(TRIANGLE333, "ab") == (2, 3)
+        assert coxeter_degrees(TRIANGLE333, ()) == ()

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations, combinations_with_replacement, permutations
+
 import pytest
 
 from coxtop.chambers import digon_building, fano_building, thin_building
-from coxtop.coxmatrix import INF, CoxeterMatrix
+from coxtop.coxmatrix import INF, CoxeterMatrix, is_spherical
+from coxtop.groups import enumerate_ball, enumerate_group
 from coxtop.hc import (
     duality_check,
     graded_module_report,
@@ -110,6 +114,88 @@ class TestGrowth:
     def test_nonspherical_rejected(self):
         with pytest.raises(ValueError):
             thin_multiplicity_series(FREE3, ("s", "t"), 3)
+
+
+def descent_counts(table, T, radius):
+    """#{w : In(w) = T, l(w) = i} for i <= radius, read off an enumeration."""
+    counts = [0] * (radius + 1)
+    for e in table.elements:
+        if e.descents == frozenset(T) and e.length <= radius:
+            counts[e.length] += 1
+    return tuple(counts)
+
+
+def spherical_types(mat):
+    subsets = (T for r in range(mat.rank + 1) for T in combinations(mat.labels, r))
+    return [T for T in subsets if is_spherical(mat, T)]
+
+
+def relabelled(mat, perm):
+    """The matrix with every label m(s, t) moved to the pair (perm[s], perm[t])."""
+    return CoxeterMatrix(
+        mat.labels, {frozenset(perm[s] for s in pair): m for pair, m in mat.entries.items()}
+    )
+
+
+GROWTH_VALUES = (2, 3, 4, 5, 6, INF)
+
+
+class TestGrowthAgainstEnumeration:
+    """Steinberg's series against descent counts of enumerated elements."""
+
+    @pytest.mark.slow
+    def test_rank_at_most_3_against_ball(self):
+        # every rank-3 matrix over GROWTH_VALUES is a relabelling of one with
+        # m(a,b) <= m(b,c) <= m(a,c); its ball at radius 5 gives the counts of
+        # all six relabellings, so 56 balls check all 216 matrices
+        pairs = (("a", "b"), ("b", "c"), ("a", "c"))
+        key = lambda m: 99 if m is INF else m  # noqa: E731
+        checked = 0
+        for ms in combinations_with_replacement(sorted(GROWTH_VALUES, key=key), 3):
+            mat = mk("abc", [(s, t, m) for (s, t), m in zip(pairs, ms) if m != 2])
+            ball = enumerate_ball(mat, 5)
+            for image in permutations("abc"):
+                perm = dict(zip("abc", image))
+                moved = relabelled(mat, perm)
+                for T in spherical_types(mat):
+                    series = thin_multiplicity_series(moved, [perm[s] for s in T], 5)
+                    assert series.coefficients == descent_counts(ball, T, 5), (ms, image, T)
+                    checked += 1
+        assert checked == 6 * 372
+        small = [mk("a", [])] + [mk("ab", [("a", "b", m)]) for m in GROWTH_VALUES if m != 2]
+        for mat in small + [mk("ab", [])]:
+            ball = enumerate_ball(mat, 5)
+            for T in spherical_types(mat):
+                series = thin_multiplicity_series(mat, T, 5)
+                assert series.coefficients == descent_counts(ball, T, 5), (mat.entries, T)
+
+    def test_rank_4_sample_against_ball(self):
+        rng = random.Random(8)
+        slots = list(combinations("abcd", 2))
+        for _ in range(6):
+            pairs = [(s, t, rng.choice(GROWTH_VALUES)) for s, t in slots]
+            mat = mk("abcd", [(s, t, m) for s, t, m in pairs if m != 2])
+            ball = enumerate_ball(mat, 4)
+            for T in spherical_types(mat):
+                series = thin_multiplicity_series(mat, T, 4)
+                assert series.coefficients == descent_counts(ball, T, 4), (pairs, T)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            mk("abc", [("a", "b", 7)]),  # I2(7) x A1, 28 elements, longest length 8
+            mk("ab", [("a", "b", 8)]),  # I2(8), longest length 8
+            mk("abc", [("a", "b", 4), ("b", "c", 3)]),  # B3
+            mk("abc", [("a", "b", 5), ("b", "c", 3)]),  # H3
+        ],
+    )
+    def test_finite_types_against_whole_group(self, mat):
+        group = enumerate_group(mat, mat.labels)
+        radius = group.longest_element().length + 2
+        for T in spherical_types(mat):
+            series = thin_multiplicity_series(mat, T, radius)
+            assert series.coefficients == descent_counts(group, T, radius), T
+            assert series.coefficients[-2:] == (0, 0)
 
 
 class TestHcReport:
