@@ -11,6 +11,12 @@ or 3, and products.  ``verify_building`` checks the panel-size axiom,
 the generalized-polygon structure of rank-2 residues (girth 2m, diameter
 m of the panel incidence graph), and consistency of the W-valued
 distance obtained from minimal galleries.
+
+The distance is read off one breadth-first search per chamber
+(``gallery_distances``) over a per-system chamber -> (generator index,
+neighbour) table, carrying one group element per chamber and a sentinel
+where minimal galleries disagree.  A finite chamber system of infinite
+type is never a building: an apartment has |W| = infinity chambers.
 """
 
 from __future__ import annotations
@@ -78,6 +84,21 @@ class ChamberSystem:
         if cached is None:
             cached = enumerate_group(self.matrix, self.matrix.labels)
             object.__setattr__(self, "_table", cached)
+        return cached
+
+    def neighbours(self):
+        """chamber -> tuple of (generator index, adjacent chamber), by
+        generator and then in panel order; cached per instance."""
+        cached = getattr(self, "_neighbours", None)
+        if cached is None:
+            adjacent = [[] for _ in range(self.size)]
+            for k, s in enumerate(self.matrix.labels):
+                for block in self.panels[s]:
+                    pairs = [(k, j) for j in block]  # shared by the block
+                    for i in block:
+                        adjacent[i].extend(p for p in pairs if p[1] != i)
+            cached = tuple(map(tuple, adjacent))
+            object.__setattr__(self, "_neighbours", cached)
         return cached
 
     def to_text(self):
@@ -307,30 +328,42 @@ def product_building(a, b):
 # ------------------------------------------------------------- W-distance
 
 
+AMBIGUOUS = -1  # gallery_distances: minimal galleries realize several elements
+
+
 def gallery_distances(system, start):
-    """For every chamber, the set of group elements realized by minimal
-    galleries from ``start``; in a building each set is a singleton."""
-    table = system.element_table()
-    labels = system.matrix.labels
-    dist = {start: 0}
-    elems = {start: {0}}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for k, s in enumerate(labels):
-                for j in system.panel_of(s, i):
-                    if j == i:
-                        continue
-                    d = dist.get(j)
-                    if d is None:
-                        dist[j] = dist[i] + 1
-                        elems[j] = set()
-                        nxt.append(j)
-                    if dist[j] == dist[i] + 1:
-                        elems[j] |= {table.mult[w][k] for w in elems[i]}
-        frontier = nxt
-    return dist, elems
+    """Minimal galleries from ``start``, by breadth-first search over
+    ``system.neighbours()``.
+
+    Returns ``(order, dist, delta)``: the reachable chambers in discovery
+    order, and per chamber (lists indexed by chamber) the gallery distance
+    (``None`` if unreachable) and the group element realized by its
+    minimal galleries.  ``delta[j]`` is ``AMBIGUOUS`` when two minimal
+    galleries to j realize different elements, or when j's predecessor is
+    ambiguous: right multiplication by a generator is injective, so an
+    ambiguity propagates along every minimal gallery through it.  In a
+    building no chamber is ambiguous.
+    """
+    mult = system.element_table().mult
+    neighbours = system.neighbours()
+    dist = [None] * system.size
+    delta = [AMBIGUOUS] * system.size
+    dist[start] = 0
+    delta[start] = 0
+    order = [start]
+    for i in order:  # grows while it is walked: a FIFO queue
+        d = dist[i] + 1
+        w = delta[i]
+        for k, j in neighbours[i]:
+            dj = dist[j]
+            if dj is None:
+                dist[j] = d
+                delta[j] = AMBIGUOUS if w == AMBIGUOUS else mult[w][k]
+                order.append(j)
+            elif dj == d and delta[j] != AMBIGUOUS:
+                if w == AMBIGUOUS or mult[w][k] != delta[j]:
+                    delta[j] = AMBIGUOUS
+    return order, dist, delta
 
 
 def w_distance(system, i, j):
@@ -340,13 +373,12 @@ def w_distance(system, i, j):
     gallery length is not the word length (the system is not a building).
     """
     table = system.element_table()
-    dist, elems = gallery_distances(system, i)
-    if j not in dist:
+    _, dist, delta = gallery_distances(system, i)
+    if dist[j] is None:
         raise ChamberError("chambers lie in different connected components")
-    found = elems[j]
-    if len(found) != 1:
-        raise ChamberError(f"minimal galleries from {i} to {j} realize {len(found)} elements")
-    w = next(iter(found))
+    w = delta[j]
+    if w == AMBIGUOUS:
+        raise ChamberError(f"minimal galleries from {i} to {j} realize different elements")
     if table.elements[w].length != dist[j]:
         raise ChamberError("minimal gallery type is not a reduced word")
     return table.elements[w]
@@ -426,7 +458,11 @@ def verify_building(system):
     (a) every panel has at least two chambers; (b) every rank-2 residue
     with finite label m is a generalized m-gon (panel incidence graph has
     girth 2m and diameter m); (c) for finite type, minimal galleries
-    define a single-valued distance with delta(x,y) = delta(y,x)^-1.
+    define a single-valued distance with delta(x,y) = delta(y,x)^-1 and
+    gallery length equal to word length.  (c) runs ``gallery_distances``
+    from every chamber and names the first failing pair in discovery
+    order.  For infinite type (c) fails outright: the system is finite,
+    and an apartment of a building of infinite type is not.
     """
     failures = []
     for s in system.matrix.labels:
@@ -471,30 +507,30 @@ def verify_building(system):
             table = system.element_table()
             back = []  # delta(i, 0) for every chamber i
             for i in range(system.size):
-                dist, elems = gallery_distances(system, i)
+                order, dist, delta = gallery_distances(system, i)
                 if i == 0:
-                    elems0 = elems
-                if len(dist) != system.size:
+                    order0, delta0 = order, delta
+                if len(order) != system.size:
                     distance_ok = False
                     note = "disconnected"
                     break
-                for j, found in elems.items():
-                    if len(found) != 1:
+                for j in order:
+                    w = delta[j]
+                    if w == AMBIGUOUS:
                         distance_ok = False
                         note = f"ambiguous distance between {i} and {j}"
                         break
-                    w = next(iter(found))
                     if table.elements[w].length != dist[j]:
                         distance_ok = False
                         note = f"non-reduced gallery between {i} and {j}"
                         break
                 if not distance_ok:
                     break
-                back.append(next(iter(elems[0])))
+                back.append(delta[0])
             if distance_ok:
                 # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
-                for j, found in elems0.items():
-                    if table.inverse(next(iter(found))) != back[j]:
+                for j in order0:
+                    if table.inverse(delta0[j]) != back[j]:
                         distance_ok = False
                         note = f"distance not inverse-symmetric at {j}"
                         break
@@ -502,7 +538,9 @@ def verify_building(system):
             distance_ok = False
             note = str(exc)
     else:
-        note = "type is infinite; distance check skipped"
+        # an apartment of a building of type (W, S) has |W| chambers
+        distance_ok = False
+        note = "type is infinite; a finite chamber system is not a building of infinite type"
     passed = panel_ok and residues_ok and distance_ok
     return BuildingReport(
         panel_ok, failures, residue_checks, residues_ok, distance_ok, note, passed

@@ -93,7 +93,8 @@ class BuildingDecomposition:
         """Matrix of A^coarse -> A^fine in residue-indicator coordinates:
         a coarse indicator is the sum of the fine indicators it covers."""
         up = self._containing(fine, coarse)
-        mat = [[0] * self.residue_count(coarse) for _ in up]
+        width = self.residue_count(coarse)
+        mat = [[0] * width for _ in up]
         for i, j in enumerate(up):
             mat[i][j] = 1
         return mat

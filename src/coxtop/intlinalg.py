@@ -8,7 +8,9 @@ residual block, which has no unit entry.  Cohomology and
 ``elementary_divisors`` finds that way; ``determinant`` expands along the
 unit pivots; ``direct_complement`` replays the pivot order of the
 transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
-complement is that of the dense form.
+complement is that of the dense form.  ``column_hermite`` works on sparse
+columns bucketed by leading row; the Hermite form is unique, so it is
+the same matrix the dense gcd algorithm gives.
 
 Lattice matrices are lists of lists of Python ints (rows of equal length);
 coboundaries, the input of ``elementary_divisors``, are sparse: per row a
@@ -369,49 +371,67 @@ def column_hermite(a):
     nonzero (at pivot_rows[j]) is positive, entries above a pivot are zero
     by echelon shape and entries to the left of a pivot in its pivot row
     are reduced into [0, pivot).
+
+    The columns are sparse {row: entry} dicts, bucketed by their leading
+    row.  Row by row, the columns leading there are reduced modulo the one
+    with the smallest leading entry until one is left; the others move on
+    to the bucket of their new leading row.  The Hermite form of a lattice
+    is unique, so the order of these steps does not show in H.
     """
-    rows, cols = shape(a)
-    work = columns(a)
-    work = [c for c in work if any(c)]
+    nrows = len(a)
+    cols = [{} for _ in range(len(a[0]) if a else 0)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    buckets = {}
+    for c in cols:
+        if c:
+            buckets.setdefault(min(c), []).append(c)
     H = []
     pivots = []
-    r = 0
-    while work and r < rows:
-        here = [c for c in work if c[r] != 0]
-        rest = [c for c in work if c[r] == 0]
-        if not here:
-            r += 1
+    for r in range(nrows):
+        here = buckets.pop(r, None)
+        if here is None:
             continue
-        # gcd-combine everything with support in row r into one column
+        while len(here) > 1:
+            u = min(here, key=lambda c: (abs(c[r]), len(c)))
+            left = [u]
+            for c in here:
+                if c is not u:
+                    _sub_multiple(c, c[r] // u[r], u)
+                    if r in c:
+                        left.append(c)
+                    elif c:
+                        buckets.setdefault(min(c), []).append(c)
+            here = left
         base = here[0]
-        for c in here[1:]:
-            base, c = _gcd_steps(base, c, r)
-            if any(c):
-                rest.append(c)
         if base[r] < 0:
-            base = [-x for x in base]
+            base = {i: -x for i, x in base.items()}
         H.append(base)
         pivots.append(r)
-        work = rest
-        r += 1
     # reduce entries of earlier columns at later pivot rows
     for j in range(len(H)):
         for k in range(j + 1, len(H)):
             p = pivots[k]
-            q = H[j][p] // H[k][p]
+            q = H[j].get(p, 0) // H[k][p]
             if q:
-                H[j] = [x - q * y for x, y in zip(H[j], H[k])]
-    return from_columns(H, rows), pivots
+                _sub_multiple(H[j], q, H[k])
+    dense = zeros(nrows, len(H))
+    for k, c in enumerate(H):
+        for i, x in c.items():
+            dense[i][k] = x
+    return dense, pivots
 
 
-def _gcd_steps(u, v, r):
-    """Column operations making v[r] = 0, keeping the span."""
-    while v[r] != 0:
-        if abs(v[r]) < abs(u[r]) or u[r] == 0:
-            u, v = v, u
-        q = v[r] // u[r]
-        v = [x - q * y for x, y in zip(v, u)]
-    return u, v
+def _sub_multiple(c, q, u):
+    """c -= q * u on sparse {row: entry} columns, in place."""
+    for i, x in u.items():
+        y = c.get(i, 0) - q * x
+        if y:
+            c[i] = y
+        else:
+            del c[i]
 
 
 def lattice_rank(a):

@@ -1,8 +1,9 @@
 import pytest
 
-from coxtop.coxmatrix import CoxeterMatrix
+from coxtop.coxmatrix import INF, CoxeterMatrix
 from coxtop.chambers import (
     ChamberError,
+    ChamberSystem,
     digon_building,
     fano_building,
     parse_chamber_system,
@@ -210,6 +211,75 @@ class TestVerify:
         )
         report = verify_building(sys_bad)
         assert not report.panel_sizes_ok and not report.passed
+
+
+def cycle(n, m):
+    """n chambers in a cycle with alternating s- and t-panels, declared of
+    type m(s, t) = m; a building only when n = 2m (a thin m-gon)."""
+    mat = mk("st", [("s", "t", m)] if m != 2 else [])
+    panels = {
+        "s": tuple(frozenset({i, i + 1}) for i in range(0, n, 2)),
+        "t": tuple(frozenset({i + 1, (i + 2) % n}) for i in range(0, n, 2)),
+    }
+    return ChamberSystem(mat, panels, n)
+
+
+def two_fanos():
+    """Two disjoint copies of the Fano building: every residue is fine."""
+    f = fano_building()
+    panels = {
+        s: f.panels[s] + tuple(frozenset(c + f.size for c in b) for b in f.panels[s])
+        for s in f.matrix.labels
+    }
+    return ChamberSystem(f.matrix, panels, 2 * f.size)
+
+
+class TestDistanceFailures:
+    @pytest.mark.parametrize(
+        "system, residues_ok, note",
+        [
+            (cycle(6, 2), False, "ambiguous distance between 0 and 3"),
+            (cycle(8, 2), False, "non-reduced gallery between 0 and 3"),
+            (cycle(8, 3), False, "ambiguous distance between 0 and 4"),
+            (two_fanos(), True, "disconnected"),
+        ],
+        ids=["6-cycle-m2", "8-cycle-m2", "8-cycle-m3", "two-fanos"],
+    )
+    def test_first_failure_is_named(self, system, residues_ok, note):
+        report = verify_building(system)
+        assert report.residues_ok == residues_ok
+        assert not report.distance_ok and not report.passed
+        assert report.distance_note == note
+
+    def test_w_distance_refuses_ambiguous_galleries(self):
+        with pytest.raises(ChamberError):
+            w_distance(cycle(8, 3), 0, 4)
+
+    def test_finite_system_of_infinite_type_fails(self):
+        mat = mk("st", [("s", "t", INF)])
+        one_panel = (frozenset({0, 1}),)
+        report = verify_building(ChamberSystem(mat, {"s": one_panel, "t": one_panel}, 2))
+        assert report.panel_sizes_ok and report.residues_ok
+        assert not report.distance_ok and not report.passed
+        assert report.distance_note.startswith("type is infinite")
+
+    def test_bfs_reads_no_panel(self, monkeypatch):
+        # the distance check walks the per-system neighbour table, one
+        # gallery BFS per chamber, and looks up no panel per edge
+        from coxtop import chambers
+
+        def refuse(self, s, i):
+            raise AssertionError("panel_of called")
+
+        calls = []
+        bfs = chambers.gallery_distances
+        monkeypatch.setattr(ChamberSystem, "panel_of", refuse)
+        monkeypatch.setattr(
+            chambers, "gallery_distances", lambda system, i: calls.append(i) or bfs(system, i)
+        )
+        system = product_building(fano_building(), fano_building(("u", "v")))
+        assert verify_building(system).passed
+        assert calls == list(range(441))
 
 
 def test_constructor_panels_are_regular():

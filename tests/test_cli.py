@@ -330,6 +330,29 @@ class TestErrors:
         assert code == 2 and captured.out == ""
         assert "not a building" in captured.err and failure in captured.err
 
+    @pytest.mark.parametrize("verb", ["verify-building", "hc", "decompose"])
+    def test_finite_chamber_file_of_infinite_type_is_not_a_building(
+        self, capsys, tmp_path, verb
+    ):
+        # an apartment of a building of type s t inf has infinitely many
+        # chambers, so these two chambers are no building of that type
+        cox = tmp_path / "dinf.cox"
+        cox.write_text("gens s t\ns t inf\n")
+        bad = tmp_path / "dinf.bld"
+        bad.write_text("gens s t\ns t inf\nchambers 2\npanel s: {0,1}\npanel t: {0,1}\n")
+        matrix = [] if verb == "verify-building" else [str(cox)]
+        code = main([verb, *matrix, "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        if verb == "verify-building":
+            out = json.loads(captured.out)
+            assert not out["distance_ok"] and not out["passed"]
+            assert out["distance_note"].startswith("type is infinite")
+        else:
+            assert captured.out == ""
+            assert "not a building" in captured.err
+            assert "W-distance: type is infinite" in captured.err
+
     def test_torsion_obstruction_is_a_failed_verification(self, capsys, a2_file, monkeypatch):
         assert not issubclass(TorsionObstruction, ValueError)
 

@@ -153,6 +153,23 @@ def dense_complement(n, b):
     return from_columns([hermite_reduce(basis, pivots, v) for v in tail], n)
 
 
+def building_decomposition(spec):
+    """The decomposition of one of the small built-in buildings."""
+    from coxtop.chambers import digon_building, fano_building, product_building, thin_building
+    from coxtop.coxmatrix import CoxeterMatrix
+    from coxtop.decomposition import BuildingDecomposition
+
+    system = {
+        "fano": fano_building,
+        "digon(3,3)": lambda: digon_building(3, 3),
+        "fanoxa1": lambda: product_building(
+            fano_building(), thin_building(CoxeterMatrix(("u",), {}))
+        ),
+        "fanoxfano": lambda: product_building(fano_building(), fano_building(("u", "v"))),
+    }[spec]()
+    return BuildingDecomposition(system)
+
+
 sparse_square_matrices = st.integers(0, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3]), min_size=n, max_size=n),
@@ -187,18 +204,7 @@ class TestSparseLatticeKernels:
 
     @pytest.mark.parametrize("spec", ["fano", "digon(3,3)", "fanoxa1"])
     def test_complement_matches_dense_smith_on_buildings(self, spec):
-        from coxtop.chambers import digon_building, fano_building, product_building, thin_building
-        from coxtop.coxmatrix import CoxeterMatrix
-        from coxtop.decomposition import BuildingDecomposition
-
-        system = {
-            "fano": fano_building,
-            "digon(3,3)": lambda: digon_building(3, 3),
-            "fanoxa1": lambda: product_building(
-                fano_building(), thin_building(CoxeterMatrix(("u",), {}))
-            ),
-        }[spec]()
-        dec = BuildingDecomposition(system)
+        dec = building_decomposition(spec)
         for T in dec.poset:
             b = dec.above_in_coordinates(T)
             n = dec.residue_count(T)
@@ -242,6 +248,76 @@ class TestHermite:
 
     def test_rank(self):
         assert lattice_rank([[1, 2], [2, 4]]) == 1
+
+
+def dense_hermite(a):
+    """Reference column Hermite form on dense columns: gcd-combine the
+    columns with support in each row in turn, then reduce earlier columns
+    at later pivot rows."""
+    rows, _ = shape(a)
+    work = [c for c in columns(a) if any(c)]
+    H = []
+    pivots = []
+    r = 0
+    while work and r < rows:
+        here = [c for c in work if c[r] != 0]
+        rest = [c for c in work if c[r] == 0]
+        if not here:
+            r += 1
+            continue
+        base = here[0]
+        for c in here[1:]:
+            base, c = dense_gcd_steps(base, c, r)
+            if any(c):
+                rest.append(c)
+        if base[r] < 0:
+            base = [-x for x in base]
+        H.append(base)
+        pivots.append(r)
+        work = rest
+        r += 1
+    for j in range(len(H)):
+        for k in range(j + 1, len(H)):
+            p = pivots[k]
+            q = H[j][p] // H[k][p]
+            if q:
+                H[j] = [x - q * y for x, y in zip(H[j], H[k])]
+    return from_columns(H, rows), pivots
+
+
+def dense_gcd_steps(u, v, r):
+    """Column operations making v[r] = 0, keeping the span."""
+    while v[r] != 0:
+        if abs(v[r]) < abs(u[r]) or u[r] == 0:
+            u, v = v, u
+        q = v[r] // u[r]
+        v = [x - q * y for x, y in zip(v, u)]
+    return u, v
+
+
+class TestSparseHermite:
+    """The Hermite form is unique, so the sparse one equals the dense one."""
+
+    @given(st.one_of(small_matrices, sparse_matrices))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense(self, a):
+        assert column_hermite(a) == dense_hermite(a)
+
+    def test_matches_dense_on_seeded_matrices(self):
+        import random
+
+        rng = random.Random(20081)
+        for _ in range(400):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            a = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            assert column_hermite(a) == dense_hermite(a), a
+
+    @pytest.mark.parametrize("spec", ["fano", "digon(3,3)", "fanoxa1", "fanoxfano"])
+    def test_matches_dense_on_buildings(self, spec):
+        dec = building_decomposition(spec)
+        for T in dec.poset:
+            b = dec.above_in_coordinates(T)
+            assert column_hermite(b) == dense_hermite(b), sorted(T)
 
 
 class TestQuotient:
