@@ -163,6 +163,18 @@ def _emit(args, payload, human):
             sys.stdout.write("\n")
 
 
+def _check_labels(args, labels):
+    """Refuse --T or --U labels that name no generator, and --U without --T."""
+    if getattr(args, "U", None) is not None and args.T is None:
+        raise InputError("--U needs --T")
+    for option in ("T", "U"):
+        for s in getattr(args, option, None) or ():
+            if s not in labels:
+                raise InputError(
+                    f"--{option}: unknown generator {s!r} (generators: {' '.join(labels)})"
+                )
+
+
 def _graded_lines(graded, prefix="  "):
     if not graded.groups:
         return [f"{prefix}0"]
@@ -208,6 +220,7 @@ def cmd_davis_chamber(args):
 
 def cmd_cohomology(args):
     mat = _read_matrix(args.matrix)
+    _check_labels(args, mat.labels)
     X = model_chamber(mat, args.model)
     S = set(mat.labels)
     poset = spherical_poset(mat)
@@ -288,6 +301,7 @@ def cmd_decompose(args):
 def cmd_verify_decomposition(args):
     mat = _read_matrix(args.matrix)
     system = resolve_verified_building(args, mat)
+    _check_labels(args, system.matrix.labels)
     dec = BuildingDecomposition(system)
     T = frozenset(args.T or [])
     witness = dec.witness(T)
@@ -305,6 +319,7 @@ def cmd_verify_decomposition(args):
 def cmd_sigma_check(args):
     mat = _read_matrix(args.matrix)
     system = resolve_verified_building(args, mat)
+    _check_labels(args, system.matrix.labels)
     dec = BuildingDecomposition(system)
     S = set(system.matrix.labels)
     pairs = []
@@ -376,6 +391,7 @@ def cmd_growth(args):
         raise InputError("growth needs --T")
     if args.N is None:
         raise InputError("growth needs --N")
+    _check_labels(args, mat.labels)
     series = thin_multiplicity_series(mat, args.T, args.N)
     _emit(args, series.to_json(), str(list(series.coefficients)))
     return 0

@@ -308,9 +308,6 @@ class SphericalPoset:
         T = frozenset(T)
         return [U for U in self.members if T < U or (not strict and T == U)]
 
-    def full_set_spherical(self):
-        return frozenset(self.matrix.labels) in self._member_set
-
     def to_json(self):
         return [sorted(T, key=self.matrix.index) for T in self.members]
 

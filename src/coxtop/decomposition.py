@@ -9,20 +9,24 @@ and D^T = A^T / A^{>T}.  Every module lattice is written over the
 residue basis of its own type: for V containing T, A^V inside A^T is
 spanned by the V-residue indicators as sums of T-residue indicators
 (``span_in_coordinates``); only over the empty type, whose residues are
-the chambers, are these coordinates those of Z^Phi.
+the chambers, are these coordinates those of Z^Phi.  A lattice is a list
+of sparse generators, (index, entry) pairs over the T-residues, read
+straight off the residue partition maps; the kernels of ``intlinalg``
+take it in that form.
 
 A deterministic complementary summand hat(A)^T of A^{>T} inside A^T is
 chosen via the Smith complement, reduced to canonical representatives,
-as columns over the T-residues.  D^T is read off that same factorization:
-free of the rank of hat(A)^T, or the torsion quotient that the
-``TorsionObstruction`` carries when A^{>T} is not a direct summand.  The
-splittings are cached on the ``ChamberSystem`` beside its residue
+as sparse columns over the T-residues.  D^T is read off that same
+factorization: free of the rank of hat(A)^T, or the torsion quotient that
+the ``TorsionObstruction`` carries when A^{>T} is not a direct summand.
+The splittings are cached on the ``ChamberSystem`` beside its residue
 partition maps, so every ``BuildingDecomposition`` of one system shares
 them and each is computed once per system.
 ``BuildingDecomposition.witness`` lifts the hat(A)^V for V containing T
 to the T-residues (each T-residue reads the entry of the V-residue that
-contains it), assembles them into a square matrix and certifies the
-direct-sum decomposition by a unit determinant.
+contains it) and certifies the direct-sum decomposition by a unit
+determinant of the square matrix they form; the dense matrix is built
+only for the report.
 
 Coefficient cochain complexes assign the module A^{S(c)} to each cell c
 of a mirrored complex, with coboundaries combining simplicial signs and
@@ -49,10 +53,8 @@ from .intlinalg import (
     TorsionObstruction,
     determinant,
     direct_complement,
-    from_columns,
     lattice_rank,
     quotient_structure,
-    shape,
     submodule_quotient,
 )
 
@@ -89,6 +91,13 @@ class BuildingDecomposition:
             up[f] = c
         return up
 
+    def _covered(self, fine, coarse):
+        """For each coarse residue, the fine residues it holds, in order."""
+        held = [[] for _ in range(self.residue_count(coarse))]
+        for f, c in enumerate(self._containing(fine, coarse)):
+            held[c].append(f)
+        return held
+
     def inclusion_matrix(self, fine, coarse):
         """Matrix of A^coarse -> A^fine in residue-indicator coordinates:
         a coarse indicator is the sum of the fine indicators it covers."""
@@ -102,21 +111,22 @@ class BuildingDecomposition:
     # ----------------------------------------------------- module lattices
 
     def span_in_coordinates(self, T, types):
-        """Generators of the span of the A^V, V in ``types``, written over
-        the T-residue basis of A^T.
+        """Sparse generators of the span of the A^V, V in ``types``,
+        written over the T-residue basis of A^T: each V-residue indicator
+        as the T-residues it holds.
 
         Every V must contain T; a non-spherical V adds nothing (A^V = 0).
         """
         T = frozenset(T)
-        cols = []
+        gens = []
         for V in types:
             V = frozenset(V)
             if V in self.poset:
-                cols.extend(list(col) for col in zip(*self.inclusion_matrix(T, V)))
-        return from_columns(cols, self.residue_count(T))
+                gens.extend([(f, 1) for f in held] for held in self._covered(T, V))
+        return gens
 
     def above_in_coordinates(self, T):
-        """Generators of A^{>T} written over the T-residue basis of A^T.
+        """Sparse generators of A^{>T} over the T-residue basis of A^T.
 
         Only the covers T+s contribute: A^U lies in A^{T+s} for every s
         in U - T, so the larger types add nothing to the span.
@@ -140,7 +150,7 @@ class BuildingDecomposition:
             return exc.quotient
 
     def splitting(self, T):
-        """Columns of hat(A)^T over the T-residue basis of A^T: a
+        """Sparse columns of hat(A)^T over the T-residue basis of A^T: a
         deterministic complement of A^{>T}, canonical modulo A^{>T}.
         Raises ``TorsionObstruction`` when there is none."""
         T = frozenset(T)
@@ -154,7 +164,7 @@ class BuildingDecomposition:
         return result
 
     def splitting_rank(self, T):
-        return shape(self.splitting(T))[1]
+        return len(self.splitting(T))
 
     def witness(self, T):
         """Assemble the hat(A)^V for V >= T over the A^T basis."""
@@ -164,26 +174,28 @@ class BuildingDecomposition:
         cols = []
         for V in self.poset.supersets(T):
             hat = self.splitting(V)
-            parts.append((V, shape(hat)[1]))
+            parts.append((V, len(hat)))
             # a T-residue takes the value of the V-residue holding it
-            up = self._containing(T, V)
-            cols.extend([col[v] for v in up] for col in zip(*hat))
-        assembled = from_columns(cols, rT)
-        rows, ncols = shape(assembled)
-        if rows != ncols:
+            held = self._covered(T, V)
+            cols.extend([(f, x) for v, x in col for f in held[v]] for col in hat)
+        matrix = [[0] * len(cols) for _ in range(rT)]
+        for k, col in enumerate(cols):
+            for f, x in col:
+                matrix[f][k] = x
+        if len(cols) != rT:
             return DecompositionWitness(
                 base_type=T,
                 part_ranks=parts,
-                matrix=assembled,
+                matrix=matrix,
                 determinant=None,
                 ok=False,
-                note=f"rank sum {ncols} differs from the number of T-residues {rows}",
+                note=f"rank sum {len(cols)} differs from the number of T-residues {rT}",
             )
-        det = determinant(assembled)
+        det = determinant(cols, rT)
         return DecompositionWitness(
             base_type=T,
             part_ranks=parts,
-            matrix=assembled,
+            matrix=matrix,
             determinant=det,
             ok=abs(det) == 1,
             note="" if abs(det) == 1 else "determinant is not a unit",
@@ -411,7 +423,7 @@ def sigma_formula_check(system, T, U):
     # pair (sigma^U, boundary of sigma^U)
     direct_bnd = _augmented_pair_cohomology(dec, S, T, sigma_U, sigma_U & sigma_W)
     span_U = dec.span_in_coordinates(T, [T | {s} for s in U])
-    quo_bnd = AbGroup(lattice_rank(span_U) if span_U and span_U[0] else 0)
+    quo_bnd = AbGroup(lattice_rank(span_U))
     sum_bnd = AbGroup(
         sum(
             dec.splitting_rank(V)
@@ -424,10 +436,7 @@ def sigma_formula_check(system, T, U):
     # absolute sigma^U
     direct_abs = _augmented_pair_cohomology(dec, S, T, sigma_U, set())
     pair_gens = dec.span_in_coordinates(T, [T | {s, t} for s in U for t in W])
-    if span_U and span_U[0]:
-        quo_abs = submodule_quotient(rT, span_U, pair_gens)
-    else:
-        quo_abs = AbGroup()
+    quo_abs = submodule_quotient(rT, span_U, pair_gens)
     sum_abs = AbGroup(
         sum(
             dec.splitting_rank(V)
@@ -504,16 +513,8 @@ def filtration_ranks(system):
         dec.span_in_coordinates(frozenset(), [T for T in dec.poset if len(T) >= p])
         for p in range(max_p + 2)
     ]
-    ranks = [lattice_rank(g) if g and g[0] else 0 for g in steps]
-    graded = []
-    for p in range(max_p + 1):
-        big, small = steps[p], steps[p + 1]
-        if not (big and big[0]):
-            graded.append(AbGroup())
-        elif small and small[0]:
-            graded.append(submodule_quotient(system.size, big, small))
-        else:
-            graded.append(AbGroup(lattice_rank(big)))
+    ranks = [lattice_rank(g) for g in steps]
+    graded = [submodule_quotient(system.size, steps[p], steps[p + 1]) for p in range(max_p + 1)]
     if graded == expected:
         return Filtration("sum over |T| >= p (decreasing)", ranks, graded, expected, True)
     return Filtration("no reading matches", ranks, graded, expected, False)

@@ -9,15 +9,18 @@ residual block, which has no unit entry.  Cohomology and
 unit pivots; ``direct_complement`` replays the pivot order of the
 transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
 complement is that of the dense form.  ``column_hermite`` works on sparse
-columns bucketed by leading row; the Hermite form is unique, so it is
-the same matrix the dense gcd algorithm gives.
+columns bucketed by leading index; the Hermite form is unique, so it is
+the same lattice basis the dense gcd algorithm gives.
 
-Lattice matrices are lists of lists of Python ints (rows of equal length);
-coboundaries, the input of ``elementary_divisors``, are sparse: per row a
-list of (column, entry) pairs, nonzero, no column twice (``sparse_rows``
-converts).  Everything is arbitrary precision; pivoting is deterministic
-(smallest nonzero absolute value, ties broken in row-major order) so
-witnesses are reproducible byte for byte.
+There is one sparse format.  A coboundary is a list of rows and a module
+lattice in Z^n is a list of generators; either way each is a list of
+(index, entry) pairs, nonzero, no index twice, and the ambient rank n is
+passed alongside.  ``quotient_structure``, ``direct_complement``,
+``submodule_quotient`` and ``determinant`` refuse an index outside
+[0, n).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
+it factors are dense lists of lists.  Everything is arbitrary precision;
+pivoting is deterministic (smallest nonzero absolute value, ties broken
+in row-major order) so witnesses are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -44,15 +47,8 @@ class TorsionObstruction(Exception):
 # ----------------------------------------------------------------- matrices
 
 
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
 def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def copy_matrix(a):
@@ -72,41 +68,34 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def columns(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def from_columns(cols, nrows=None):
-    if not cols:
-        return [[] for _ in range(nrows or 0)]
-    return [list(row) for row in zip(*cols)]
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
-
-
-def sparse_rows(a):
-    """The rows of a dense matrix as (column, entry) pairs of its nonzero
-    entries."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+def _check_generators(n, gens):
+    """Refuse a generator index outside [0, n): list indexing would wrap a
+    negative one silently."""
+    for g in gens:
+        for i, _ in g:
+            if not 0 <= i < n:
+                raise ValueError(f"generator index {i} outside [0, {n})")
 
 
 # ------------------------------------------------------------- determinant
 
 
-def determinant(a):
-    """Determinant of a square integer matrix.
+def determinant(a, n):
+    """Determinant of the n x n integer matrix with the sparse columns a.
 
-    The unit pivots of ``_unit_pivots`` expand it along their columns; the
-    square block of the rows and columns they leave, in their original
-    order, goes to Bareiss.  The sign is that of the permutation matching
-    every row to its pivot column or residual column.
+    The columns are eliminated as the rows of the transpose, which has the
+    same determinant.  Its unit pivots of ``_unit_pivots`` expand it along
+    their columns; the square block of the rows and columns they leave, in
+    their original order, goes to Bareiss.  The sign is that of the
+    permutation matching every row to its pivot column or residual column.
+
+    >>> determinant([[(0, 1), (1, 3)], [(0, 2), (1, 4)]], 2)
+    -2
     """
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    rows, where = _indexed(sparse_rows(a))
+    if len(a) != n:
+        raise ValueError(f"determinant of {len(a)} columns in Z^{n}: not square")
+    _check_generators(n, a)
+    rows, where = _indexed(a)
     perm = [None] * n
     sign = 1
     for p, q, u in _unit_pivots(rows, where):
@@ -364,42 +353,35 @@ def elementary_divisors(rows):
 # ------------------------------------------------------------ Hermite form
 
 
-def column_hermite(a):
-    """Canonical column Hermite form of the lattice spanned by the columns.
+def column_hermite(gens):
+    """Canonical column Hermite form of the lattice the generators span.
 
-    Returns (H, pivot_rows): H has full column rank, each column's leading
-    nonzero (at pivot_rows[j]) is positive, entries above a pivot are zero
-    by echelon shape and entries to the left of a pivot in its pivot row
-    are reduced into [0, pivot).
+    Returns the Hermite basis as sparse columns sorted by index: each
+    column's first pair is its pivot, a positive leading entry, and the
+    pivots increase from column to column; every column's entries at the
+    later pivots are reduced into [0, pivot).
 
-    The columns are sparse {row: entry} dicts, bucketed by their leading
-    row.  Row by row, the columns leading there are reduced modulo the one
+    The columns are {index: entry} dicts, bucketed by their leading index.
+    Bucket by bucket, the columns leading there are reduced modulo the one
     with the smallest leading entry until one is left; the others move on
-    to the bucket of their new leading row.  The Hermite form of a lattice
-    is unique, so the order of these steps does not show in H.
+    to the bucket of their new leading index.  The Hermite form of a
+    lattice is unique, so the order of these steps does not show in it.
     """
-    nrows = len(a)
-    cols = [{} for _ in range(len(a[0]) if a else 0)]
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
     buckets = {}
-    for c in cols:
-        if c:
+    for g in gens:
+        if g:
+            c = dict(g)
             buckets.setdefault(min(c), []).append(c)
     H = []
-    pivots = []
-    for r in range(nrows):
-        here = buckets.pop(r, None)
-        if here is None:
-            continue
+    while buckets:
+        r = min(buckets)
+        here = buckets.pop(r)
         while len(here) > 1:
             u = min(here, key=lambda c: (abs(c[r]), len(c)))
             left = [u]
             for c in here:
                 if c is not u:
-                    _sub_multiple(c, c[r] // u[r], u)
+                    _sub_multiple(c, c[r] // u[r], u.items())
                     if r in c:
                         left.append(c)
                     elif c:
@@ -408,25 +390,20 @@ def column_hermite(a):
         base = here[0]
         if base[r] < 0:
             base = {i: -x for i, x in base.items()}
-        H.append(base)
-        pivots.append(r)
-    # reduce entries of earlier columns at later pivot rows
-    for j in range(len(H)):
-        for k in range(j + 1, len(H)):
-            p = pivots[k]
-            q = H[j].get(p, 0) // H[k][p]
+        H.append((r, base))
+    # reduce entries of earlier columns at later pivots
+    for j, (_, c) in enumerate(H):
+        for p, u in H[j + 1:]:
+            q = c.get(p, 0) // u[p]
             if q:
-                _sub_multiple(H[j], q, H[k])
-    dense = zeros(nrows, len(H))
-    for k, c in enumerate(H):
-        for i, x in c.items():
-            dense[i][k] = x
-    return dense, pivots
+                _sub_multiple(c, q, u.items())
+    return [sorted(c.items()) for _, c in H]
 
 
 def _sub_multiple(c, q, u):
-    """c -= q * u on sparse {row: entry} columns, in place."""
-    for i, x in u.items():
+    """c -= q * u for a sparse {index: entry} column c and (index, entry)
+    pairs u, in place."""
+    for i, x in u:
         y = c.get(i, 0) - q * x
         if y:
             c[i] = y
@@ -434,36 +411,36 @@ def _sub_multiple(c, q, u):
             del c[i]
 
 
-def lattice_rank(a):
-    return len(column_hermite(a)[1])
+def lattice_rank(gens):
+    return len(column_hermite(gens))
 
 
-def hermite_coordinates(basis, pivots, v):
-    """Coordinates of v in the Hermite basis (the columns of H, as a list),
-    or None if v is not in the lattice."""
-    v = list(v)
-    coords = [0] * len(basis)
-    for j, p in enumerate(pivots):
-        if v[p] % basis[j][p] != 0:
+def hermite_coordinates(basis, v):
+    """Sparse coordinates of the sparse vector v in the Hermite basis of
+    ``column_hermite``, or None if v is not in the lattice."""
+    v = dict(v)
+    coords = []
+    for j, col in enumerate(basis):
+        p, pivot = col[0]
+        q, r = divmod(v.get(p, 0), pivot)
+        if r:
             return None
-        q = v[p] // basis[j][p]
-        coords[j] = q
         if q:
-            v = [x - q * y for x, y in zip(v, basis[j])]
-    if any(v):
-        return None
-    return coords
+            coords.append((j, q))
+            _sub_multiple(v, q, col)
+    return None if v else coords
 
 
-def hermite_reduce(basis, pivots, v):
-    """Canonical representative of v modulo the lattice of the Hermite
-    basis (the columns of H, as a list)."""
-    v = list(v)
-    for j, p in enumerate(pivots):
-        q = v[p] // basis[j][p]
+def hermite_reduce(basis, v):
+    """Canonical representative of the sparse vector v modulo the lattice
+    of the Hermite basis of ``column_hermite``, sorted by index."""
+    v = dict(v)
+    for col in basis:
+        p, pivot = col[0]
+        q = v.get(p, 0) // pivot
         if q:
-            v = [x - q * y for x, y in zip(v, basis[j])]
-    return v
+            _sub_multiple(v, q, col)
+    return sorted(v.items())
 
 
 # -------------------------------------------------- quotients, complements
@@ -560,37 +537,41 @@ def _factor(n):
     return out
 
 
-def quotient_structure(n, basis_matrix):
-    """Structure of Z^n modulo the column span of basis_matrix."""
-    if not basis_matrix or not basis_matrix[0]:
-        return AbGroup(n, ())
-    if len(basis_matrix) != n:
-        raise ValueError("ambient rank does not match matrix rows")
-    diag = elementary_divisors(sparse_rows(basis_matrix))
+def quotient_structure(n, gens):
+    """Structure of Z^n modulo the span of the sparse generators.
+
+    The generators are the rows of the transpose of the matrix they form
+    as columns, which has the same invariant factors.
+    """
+    _check_generators(n, gens)
+    diag = elementary_divisors(gens)
     return AbGroup(n - len(diag), tuple(d for d in diag if d > 1))
 
 
-def direct_complement(n, basis_matrix):
-    """A complement C with span(B) + span(C) = Z^n as a direct sum.
+def direct_complement(n, gens):
+    """Sparse columns C with span(gens) + span(C) = Z^n as a direct sum.
 
-    Requires the quotient Z^n / span(B) to be torsion free.  The
+    Requires the quotient Z^n / span(gens) to be torsion free.  The
     complement is deterministic: the tail columns of the inverse row
-    transform of ``smith_normal_form(B)`` supply the missing coordinate
-    directions, and each one is reduced to its canonical representative
-    modulo the column lattice of B.
+    transform of ``smith_normal_form`` of the matrix with the generators
+    as columns supply the missing coordinate directions, and each one is
+    reduced to its canonical representative modulo the lattice.
 
-    The Smith form is replayed on sparse rows: while its pivot (the first
-    +-1 in row-major order over the current positions) is a unit, the
-    step only swaps positions and clears the pivot column, so the tail
-    columns of the inverse stay the unit vectors e_i of the rows at their
-    positions.  At the first non-unit pivot the trailing block, in
-    position order, goes to ``smith_normal_form``, and its tail columns
-    are mapped back through the row positions.
+    The Smith form is replayed on sparse rows, one per coordinate of Z^n:
+    while its pivot (the first +-1 in row-major order over the current
+    positions) is a unit, the step only swaps positions and clears the
+    pivot column, so the tail columns of the inverse stay the unit vectors
+    e_i of the rows at their positions.  At the first non-unit pivot the
+    trailing block, in position order, goes to ``smith_normal_form``, and
+    its tail columns are mapped back through the row positions.
     """
-    if not basis_matrix or not basis_matrix[0]:
-        return identity(n)
-    rows, where = _indexed(sparse_rows(basis_matrix))
-    m = len(basis_matrix[0])
+    _check_generators(n, gens)
+    transpose = [[] for _ in range(n)]
+    for j, g in enumerate(gens):
+        for i, x in g:
+            transpose[i].append((j, x))
+    rows, where = _indexed(transpose)
+    m = len(gens)
     row_at = list(range(n))  # position -> row
     col_at = list(range(m))  # position -> column
     col_pos = list(range(m))  # column -> position
@@ -615,44 +596,39 @@ def direct_complement(n, basis_matrix):
         col_pos[col_at[t]], col_pos[col_at[pj]] = t, pj
         _unit_step(rows, where, row_at[t], col_at[t])
         t += 1
-    diag = [d for d in snf.diagonal() if d] if snf is not None else []
-    uinv = snf.uinv if snf is not None else identity(n - t)
-    rank = t + len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    if torsion:
-        raise TorsionObstruction(
-            f"quotient has invariant factors {list(torsion)}", AbGroup(n - rank, torsion)
-        )
-    tail = []
-    for k in range(rank - t, n - t):
-        v = [0] * n
-        for i in range(n - t):
-            v[row_at[t + i]] = uinv[i][k]
-        tail.append(v)
-    H, pivots = column_hermite(basis_matrix)
-    basis = columns(H)
-    return from_columns([hermite_reduce(basis, pivots, v) for v in tail], n)
+    if snf is None:
+        tail = [[(row_at[i], 1)] for i in range(t, n)]
+    else:
+        diag = [d for d in snf.diagonal() if d]
+        torsion = tuple(d for d in diag if d > 1)
+        if torsion:
+            raise TorsionObstruction(
+                f"quotient has invariant factors {list(torsion)}",
+                AbGroup(n - t - len(diag), torsion),
+            )
+        tail = [
+            sorted((row_at[t + i], x) for i, x in enumerate(col) if x)
+            for col in list(zip(*snf.uinv))[len(diag):]
+        ]
+    basis = column_hermite(gens)
+    return [hermite_reduce(basis, v) for v in tail]
 
 
-def submodule_quotient(n, big_gens, small_gens):
-    """Structure of span(big) / span(small) inside Z^n.
+def submodule_quotient(n, big, small):
+    """Structure of span(big) / span(small) for sparse generators in Z^n.
 
-    ``small`` must be contained in ``big``; generators are columns.
+    ``small`` must be contained in ``big``.
     """
-    Hb, pivots = column_hermite(big_gens) if big_gens and big_gens[0] else ([], [])
-    rank_big = len(pivots)
-    if rank_big == 0:
-        if small_gens and small_gens[0] and not is_zero_matrix(small_gens):
-            raise ValueError("small module not contained in the zero module")
-        return AbGroup(0, ())
-    basis = columns(Hb)
+    _check_generators(n, big)
+    _check_generators(n, small)
+    basis = column_hermite(big)
     coords = []
-    for col in columns(small_gens) if small_gens and small_gens[0] else []:
-        c = hermite_coordinates(basis, pivots, col)
+    for g in small:
+        c = hermite_coordinates(basis, g)
         if c is None:
             raise ValueError("generator of the small module lies outside the big one")
         coords.append(c)
-    return quotient_structure(rank_big, from_columns(coords, rank_big))
+    return quotient_structure(len(basis), coords)
 
 
 # --------------------------------------------------------- cochain complexes
@@ -746,9 +722,6 @@ class GradedGroup:
     def top_degree(self):
         return max(self.groups) if self.groups else None
 
-    def concentrated_in(self, degree):
-        return all(k == degree for k in self.groups)
-
     def is_free(self):
         return all(g.is_free() for g in self.groups.values())
 
@@ -757,9 +730,6 @@ class GradedGroup:
         if OMEGA in ranks:
             return OMEGA
         return sum(ranks)
-
-    def shifted(self, offset):
-        return GradedGroup({k + offset: g for k, g in self.groups.items()})
 
     def direct_sum(self, other):
         out = dict(self.groups)

@@ -228,6 +228,29 @@ class TestErrors:
     def test_growth_needs_args(self, capsys, free3_file):
         assert main(["growth", free3_file]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify-decomposition", "--building", "fano", "--T", "x"], "--T"),
+            (["sigma-check", "--building", "fano", "--T", "x"], "--T"),
+            (["sigma-check", "--building", "fano", "--T", "s", "--U", "x"], "--U"),
+            (["cohomology", "--T", "s", "x"], "--T"),
+            (["growth", "--T", "x", "--N", "3"], "--T"),
+        ],
+        ids=["verify-decomposition", "sigma-check-T", "sigma-check-U", "cohomology", "growth"],
+    )
+    def test_unknown_generator(self, capsys, a2_file, argv, option):
+        code = main([argv[0], a2_file, "--json", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"{option}: unknown generator 'x'" in captured.err
+
+    def test_sigma_check_mirror_set_needs_a_base_type(self, capsys, a2_file):
+        code = main(["sigma-check", a2_file, "--building", "fano", "--U", "s", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--U needs --T" in captured.err
+
     def test_negative_growth_radius(self, capsys, free3_file):
         code = main(["growth", free3_file, "--T", "s", "--N", "-3", "--json"])
         captured = capsys.readouterr()

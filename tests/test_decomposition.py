@@ -27,10 +27,8 @@ from coxtop.intlinalg import (
     GradedGroup,
     TorsionObstruction,
     column_hermite,
-    from_columns,
     lattice_rank,
     quotient_structure,
-    shape,
 )
 
 
@@ -74,7 +72,7 @@ class TestResidueModules:
         }
         dec = BuildingDecomposition(ChamberSystem(inf, panels, 4))
         # A^{st} = 0: it adds no generator and has no D or summand
-        assert shape(dec.span_in_coordinates(frozenset(), [frozenset("st")])) == (4, 0)
+        assert dec.span_in_coordinates(frozenset(), [frozenset("st")]) == []
         assert dec.d_quotient(frozenset("st")) == AbGroup()
         assert dec.residue_count(frozenset()) == 4
         with pytest.raises(ValueError, match="not spherical") as refused:
@@ -143,12 +141,11 @@ def test_covers_span_the_same_lattice(build):
     # A^{>T} from the covers T+s equals the span over every strict superset
     dec = BuildingDecomposition(build())
     for T in dec.poset:
-        cols = [
-            list(col)
+        every = [
+            [(i, x) for i, x in enumerate(col) if x]
             for U in dec.poset.supersets(T, strict=True)
             for col in zip(*dec.inclusion_matrix(T, U))
         ]
-        every = from_columns(cols, dec.residue_count(T))
         above = dec.above_in_coordinates(T)
         assert column_hermite(above) == column_hermite(every), T
         # D^T read off the splitting equals the quotient factored directly
@@ -183,7 +180,7 @@ def test_splittings_are_shared_per_system():
 class TestSplittings:
     def test_maximal_is_whole_module(self, fano):
         hat = fano.splitting(frozenset("st"))
-        assert shape(hat)[1] == 1
+        assert len(hat) == 1
 
     def test_splitting_ranks_sum_to_size(self, fano):
         total = sum(fano.splitting_rank(T) for T in fano.poset)
