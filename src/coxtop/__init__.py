@@ -32,6 +32,7 @@ from .complexes import (
     classical_chamber,
     davis_chamber,
     flag_complex,
+    local_groups,
     metric_flag_check,
     nerve,
     punctured_nerve_homology,
@@ -62,7 +63,6 @@ from .decomposition import (
     sigma_formula_check,
 )
 from .realization import (
-    RealizedComplex,
     coxeter_complex,
     formula_cross_check,
     realization_cohomology,

@@ -26,12 +26,7 @@ from .chambers import (
     thin_building,
     verify_building,
 )
-from .complexes import (
-    metric_flag_check,
-    model_chamber,
-    nerve,
-    relative_cohomology,
-)
+from .complexes import local_groups, metric_flag_check, model_chamber, nerve
 from .complexes import davis_chamber as davis_chamber_of
 from .coxmatrix import CoxeterError, CoxeterMatrix, parse_coxeter_matrix, spherical_poset
 from .decomposition import (
@@ -194,11 +189,9 @@ def cmd_spherical_subsets(args):
 
 def cmd_nerve(args):
     mat = _read_matrix(args.matrix)
-    n = nerve(mat)
-    human = "\n".join(
-        " ".join(sorted(f, key=mat.index)) for f in sorted(n.faces, key=len)
-    )
-    _emit(args, n.to_json(), human or "(empty nerve)")
+    faces = nerve(mat).to_json()
+    human = "\n".join(" ".join(sorted(f, key=mat.index)) for f in faces)
+    _emit(args, faces, human or "(empty nerve)")
     return 0
 
 
@@ -222,7 +215,6 @@ def cmd_cohomology(args):
     mat = _read_matrix(args.matrix)
     _check_labels(args, mat.labels)
     X = model_chamber(mat, args.model)
-    S = set(mat.labels)
     poset = spherical_poset(mat)
     if args.T is not None:
         types = [frozenset(args.T)]
@@ -232,9 +224,7 @@ def cmd_cohomology(args):
         types = list(poset)
     payload = []
     lines = []
-    for T in types:
-        sub = X.mirror_union(S - set(T))
-        h = relative_cohomology(X.complex, sub)
+    for T, h in local_groups(X, types):
         name = "{" + ",".join(sorted(T, key=mat.index)) + "}"
         payload.append({"T": sorted(T, key=mat.index), "groups": h.to_json()})
         lines.append(f"H(X, X^(S-{name})):")
@@ -249,11 +239,9 @@ def cmd_realize(args):
     X = model_chamber(system.matrix, args.model)
     realized = realize(system, X)
     h = realization_cohomology(realized)
-    payload = {
-        "f_vector": list(realized.f_vector()),
-        "cohomology": h.to_json(),
-        "faces": realized.complex.to_json(),
-    }
+    payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
+    if args.json:
+        payload["faces"] = realized.to_json()
     human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
     _emit(args, payload, human)
     if args.out:

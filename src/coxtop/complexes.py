@@ -1,9 +1,15 @@
 """Finite simplicial complexes, mirror structures, and their cohomology.
 
-Vertices may be strings, ints, tuples or frozensets (the Davis chamber
-uses frozensets of generator labels); a canonical sort key makes the
-orientation convention deterministic: simplices are oriented by the
-sorted order of their vertices.
+A complex numbers its vertices once.  ``vertices`` is its table of vertex
+labels (strings, ints, tuples or frozensets; the Davis chamber uses
+frozensets of generator labels) in the canonical ``vertex_key`` order, and
+each face is the increasing tuple of the positions of its vertices in that
+table.  That is the one orientation decision: a simplex is oriented by its
+ids, which is the ``vertex_key`` order of its labels, the k-cells come in
+lexicographic order of their id tuples, and labels appear again only in
+``to_json``.  A subcomplex cut out by ``sub`` keeps its parent's table; a
+complex on another table is translated once, label by label, where it
+meets one (``faces_from``).
 
 A mirror structure on a complex X is a family of subcomplexes X_s indexed
 by the generators.  The label of a cell c is S(c) = {s : c lies in X_s};
@@ -35,38 +41,40 @@ def vertex_key(v):
     raise TypeError(f"unsupported vertex label {v!r}")
 
 
-def _vertex_keys(faces):
-    """The vertex_key of every vertex of the faces, computed once each."""
-    return {v: vertex_key(v) for v in {v for f in faces for v in f}}
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Nonempty faces closed under taking subsets."""
+    """Nonempty faces closed under taking subsets, over a numbered vertex table."""
 
-    faces: frozenset  # frozensets of vertices, all nonempty
+    vertices: tuple  # vertex labels in vertex_key order
+    faces: frozenset  # increasing tuples of positions in ``vertices``
 
     @classmethod
     def from_maximal(cls, maximal):
+        """The faces of the given vertex-label sets, numbered afresh.
+
+        >>> X = SimplicialComplex.from_maximal([("b", "a"), ("c",)])
+        >>> X.vertices, X.faces_of_dim(1), X.to_json()
+        (('a', 'b', 'c'), [(0, 1)], [['a'], ['b'], ['c'], ['a', 'b']])
+        """
+        maximal = [set(f) for f in maximal]
+        table = tuple(sorted(set().union(*maximal), key=vertex_key))
+        index = {v: i for i, v in enumerate(table)}
         faces = set()
         for f in maximal:
-            f = frozenset(f)
-            for k in range(1, len(f) + 1):
-                faces.update(map(frozenset, combinations(f, k)))
-        return cls(frozenset(faces))
+            ids = sorted(map(index.__getitem__, f))
+            for k in range(1, len(ids) + 1):
+                faces.update(combinations(ids, k))
+        return cls(table, frozenset(faces))
 
     @classmethod
     def empty(cls):
-        return cls(frozenset())
+        return cls((), frozenset())
 
     def __post_init__(self):
+        n = len(self.vertices)
         for f in self.faces:
-            if not f:
-                raise ValueError("faces must be nonempty vertex sets")
-
-    @property
-    def vertices(self):
-        return sorted({v for f in self.faces for v in f}, key=vertex_key)
+            if not f or f[0] < 0 or f[-1] >= n or any(a >= b for a, b in zip(f, f[1:])):
+                raise ValueError(f"face {f!r} is not a nonempty increasing tuple of ids below {n}")
 
     def is_empty(self):
         return not self.faces
@@ -76,11 +84,8 @@ class SimplicialComplex:
         return max((len(f) - 1 for f in self.faces), default=-1)
 
     def faces_of_dim(self, k):
-        """The k-faces in cell order: lexicographic in their sorted vertex keys."""
-        out = [f for f in self.faces if len(f) == k + 1]
-        keys = _vertex_keys(out)
-        out.sort(key=lambda f: sorted(map(keys.__getitem__, f)))
-        return out
+        """The k-faces in cell order: lexicographic in their id tuples."""
+        return sorted(f for f in self.faces if len(f) == k + 1)
 
     def f_vector(self):
         counts = [0] * (self.dim + 1)
@@ -91,21 +96,33 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
+    def sub(self, keep):
+        """The faces that pass ``keep``, on this table; ``keep`` must hold
+        on every face of a face it holds on."""
+        return SimplicialComplex(self.vertices, frozenset(filter(keep, self.faces)))
+
+    def faces_from(self, other):
+        """The faces of ``other`` as id tuples of this table, or None when
+        one of them is not a face here.  ``other`` may number its vertices
+        differently; its labels are looked up once (a label missing here
+        becomes id -1, which is in no face)."""
+        if other.vertices == self.vertices:
+            faces = other.faces
+        else:
+            index = {v: i for i, v in enumerate(self.vertices)}
+            ids = [index.get(v, -1) for v in other.vertices]
+            faces = {tuple(sorted(ids[i] for i in f)) for f in other.faces}
+        return faces if faces <= self.faces else None
+
     def is_subcomplex_of(self, other):
-        return self.faces <= other.faces
-
-    def union(self, other):
-        return SimplicialComplex(self.faces | other.faces)
-
-    def intersection(self, other):
-        return SimplicialComplex(self.faces & other.faces)
+        return other.faces_from(self) is not None
 
     def to_json(self):
-        out = []
-        for k in range(self.dim + 1):
-            for f in self.faces_of_dim(k):
-                out.append([_label_json(v) for v in sorted(f, key=vertex_key)])
-        return out
+        return [
+            [_label_json(self.vertices[i]) for i in f]
+            for k in range(self.dim + 1)
+            for f in self.faces_of_dim(k)
+        ]
 
 
 def _label_json(v):
@@ -117,29 +134,30 @@ def _label_json(v):
 
 
 def flag_complex(elements):
-    """Faces are the chains of a finite family of sets under strict inclusion."""
-    elements = list(elements)
-    comparable = {}
-    for a, b in combinations(elements, 2):
-        if a < b or b < a:
-            comparable.setdefault(a, set()).add(b)
-            comparable.setdefault(b, set()).add(a)
+    """Faces are the chains of a finite family of sets under strict inclusion.
+
+    The sets are numbered in ``vertex_key`` order, which puts every set
+    after its proper subsets (they are shorter), so each chain is an
+    increasing id tuple and is grown once, upwards.
+    """
+    table = tuple(sorted(elements, key=vertex_key))
+    n = len(table)
+    above = [{j for j in range(i + 1, n) if table[i] < table[j]} for i in range(n)]
     faces = set()
 
     def grow(chain, candidates):
-        faces.add(frozenset(chain))
-        for v in candidates:
-            grow(chain + [v], [w for w in candidates if w in comparable.get(v, ())])
+        faces.add(chain)
+        for j in candidates:
+            grow(chain + (j,), [w for w in candidates if w in above[j]])
 
-    for i, v in enumerate(elements):
-        grow([v], [w for w in elements[i + 1 :] if w in comparable.get(v, ())])
-    faces.discard(frozenset())
-    return SimplicialComplex(frozenset(faces))
+    for i in range(n):
+        grow((i,), sorted(above[i]))
+    return SimplicialComplex(table, frozenset(faces))
 
 
 @dataclass(frozen=True)
 class MirroredComplex:
-    """A complex with one mirror subcomplex per generator."""
+    """A complex with one mirror subcomplex per generator, on its table."""
 
     labels: tuple
     complex: SimplicialComplex
@@ -147,31 +165,29 @@ class MirroredComplex:
 
     def __post_init__(self):
         for s in self.labels:
-            m = self.mirrors.get(s, SimplicialComplex.empty())
-            if not m.is_subcomplex_of(self.complex):
-                raise ValueError(f"mirror {s} is not a subcomplex")
+            m = self.mirror(s)
+            if m.vertices != self.complex.vertices or not m.faces <= self.complex.faces:
+                raise ValueError(f"mirror {s} is not a subcomplex on the complex's vertex table")
 
     def mirror(self, s):
-        return self.mirrors.get(s, SimplicialComplex.empty())
+        m = self.mirrors.get(s)
+        return m if m is not None else SimplicialComplex(self.complex.vertices, frozenset())
 
     def face_label(self, f):
-        """S(c) = the generators whose mirror contains the cell."""
-        f = frozenset(f)
+        """S(c) = the generators whose mirror contains the cell (an id tuple)."""
         return frozenset(s for s in self.labels if f in self.mirror(s).faces)
 
     def mirror_union(self, U):
         """X^U; the empty union is the empty complex."""
-        out = SimplicialComplex.empty()
-        for s in U:
-            out = out.union(self.mirror(s))
-        return out
+        faces = frozenset().union(*(self.mirror(s).faces for s in U))
+        return SimplicialComplex(self.complex.vertices, faces)
 
     def mirror_intersection(self, T):
         """X_T; the empty intersection is the whole complex."""
-        out = self.complex
+        faces = self.complex.faces
         for s in T:
-            out = out.intersection(self.mirror(s))
-        return out
+            faces &= self.mirror(s).faces
+        return SimplicialComplex(self.complex.vertices, faces)
 
 
 def simplex_sign(face, subface):
@@ -187,14 +203,14 @@ def simplex_sign(face, subface):
 def cochain_complex(cells_by_degree, size, restrict):
     """Cochain complex with one free block of rank ``size(c)`` per cell c.
 
-    ``cells_by_degree`` maps degree -> ordered cells (frozensets of
-    vertices); a cell of size 0 contributes nothing.  For a codimension-one
-    face f of g, basis element i of g's block lies over element
+    ``cells_by_degree`` maps degree -> ordered cells, each a tuple of
+    vertices in orientation order (the id tuples of a complex); a cell of
+    size 0 contributes nothing.  For the face f of g that drops the vertex
+    at position p, basis element i of g's block lies over element
     ``restrict(g, f)[i]`` of f's block, and the coboundary entry between
-    them is (-1)^(position of the vertex g - f in vertex_key order).
-    Rows are sparse: (column, entry) pairs, as ``CochainComplex`` stores.
+    them is (-1)^p.  Rows are sparse: (column, entry) pairs, as
+    ``CochainComplex`` stores.
     """
-    keys = _vertex_keys(c for cells in cells_by_degree.values() for c in cells)
     blocks = {}  # degree -> {cell: (first basis index, size)}
     dims = {}
     for k, cells in cells_by_degree.items():
@@ -215,19 +231,21 @@ def cochain_complex(cells_by_degree, size, restrict):
         rows = []
         for g, (_, r) in blocks[k + 1].items():
             faces = []
-            for position, v in enumerate(sorted(g, key=keys.__getitem__)):
-                f = g - {v}
+            for p in range(len(g)):
+                f = g[:p] + g[p + 1 :]
                 if f in low:
-                    faces.append((low[f][0], -1 if position % 2 else 1, restrict(g, f)))
+                    faces.append((low[f][0], -1 if p % 2 else 1, restrict(g, f)))
             rows.extend([(off + up[i], sign) for off, sign, up in faces] for i in range(r))
         maps[k] = rows
     return CochainComplex(dims, maps)
 
 
 def relative_cochain_complex(X, A=None):
-    """Integer cochain complex of the pair (X, A) with lexicographic signs."""
-    afaces = A.faces if A is not None else frozenset()
-    if A is not None and not afaces <= X.faces:
+    """Integer cochain complex of the pair (X, A) with lexicographic signs.
+
+    A may number its vertices differently from X."""
+    afaces = X.faces_from(A) if A is not None else frozenset()
+    if afaces is None:
         raise ValueError("A is not a subcomplex of X")
     cells = {k: [f for f in X.faces_of_dim(k) if f not in afaces] for k in range(X.dim + 1)}
     return cochain_complex(cells, lambda c: 1, lambda g, f: (0,))
@@ -238,6 +256,12 @@ def relative_cohomology(X, A=None):
     if X.is_empty():
         return GradedGroup({})
     return relative_cochain_complex(X, A).cohomology()
+
+
+def local_groups(X, types):
+    """(T, H(X, X^{S-T})) for each T of ``types``, in order."""
+    S = set(X.labels)
+    return [(T, relative_cohomology(X.complex, X.mirror_union(S - set(T)))) for T in types]
 
 
 @dataclass(frozen=True)
@@ -280,9 +304,7 @@ def reduced_cohomology(X):
 
 def nerve(mat):
     """Vertices are the generators; faces are the nonempty spherical subsets."""
-    poset = spherical_poset(mat)
-    faces = frozenset(T for T in poset if T)
-    return SimplicialComplex(faces)
+    return SimplicialComplex.from_maximal(T for T in spherical_poset(mat) if T)
 
 
 def davis_chamber(mat):
@@ -292,12 +314,11 @@ def davis_chamber(mat):
     barycentric subdivision of the nerve.  The mirror for s consists of
     the chains whose members all contain s.
     """
-    poset = spherical_poset(mat)
-    K = flag_complex(list(poset))
+    K = flag_complex(spherical_poset(mat))
     mirrors = {}
     for s in mat.labels:
-        up = [T for T in poset if s in T]
-        mirrors[s] = flag_complex(up)
+        up = {i for i, T in enumerate(K.vertices) if s in T}
+        mirrors[s] = K.sub(up.issuperset)
     return MirroredComplex(mat.labels, K, mirrors)
 
 
@@ -307,17 +328,11 @@ def classical_chamber(mat):
     Vertices are the generator labels; the mirror for s is the facet
     spanned by the other labels, so a face f has label S minus f.
     """
-    S = mat.labels
-    top = frozenset(S)
-    complex_ = SimplicialComplex.from_maximal([top])
+    simplex = SimplicialComplex.from_maximal([mat.labels])
     mirrors = {}
-    for s in S:
-        rest = top - {s}
-        if rest:
-            mirrors[s] = SimplicialComplex.from_maximal([rest])
-        else:
-            mirrors[s] = SimplicialComplex.empty()
-    return MirroredComplex(S, complex_, mirrors)
+    for p, s in enumerate(simplex.vertices):
+        mirrors[s] = simplex.sub(lambda f, p=p: p not in f)
+    return MirroredComplex(mat.labels, simplex, mirrors)
 
 
 def model_chamber(mat, name):

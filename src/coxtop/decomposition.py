@@ -45,17 +45,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import cochain_complex, vertex_key
+from .complexes import cochain_complex
 from .coxmatrix import spherical_poset
 from .intlinalg import (
     AbGroup,
     GradedGroup,
     TorsionObstruction,
+    basis_quotient,
     determinant,
     direct_complement,
-    lattice_rank,
+    hermite_basis,
     quotient_structure,
-    submodule_quotient,
 )
 
 
@@ -234,8 +234,9 @@ class DecompositionWitness:
 def _block_cochain_complex(dec, cells_by_degree, labels_of):
     """Cochain complex with one A^{label} block per cell.
 
-    ``cells_by_degree`` maps degree -> ordered cells (frozensets of model
-    vertices); cells whose label is not spherical contribute nothing.
+    ``cells_by_degree`` maps degree -> ordered cells (id tuples of a model
+    complex, or label tuples of the chamber simplex); cells whose label is
+    not spherical contribute nothing.
     """
     label = {c: frozenset(labels_of(c)) for cells in cells_by_degree.values() for c in cells}
     return cochain_complex(
@@ -252,9 +253,9 @@ def coefficient_cochain_complex(X, B, system):
     Degree-k module: one copy of A^{S(c)} per k-cell c of X outside B.
     """
     dec = BuildingDecomposition(system)
-    if B is not None and not B.is_subcomplex_of(X.complex):
+    bfaces = X.complex.faces_from(B) if B is not None else frozenset()
+    if bfaces is None:
         raise ValueError("relative subcomplex is not a subcomplex of X")
-    bfaces = B.faces if B is not None else frozenset()
     cells_by_degree = {}
     for k in range(X.complex.dim + 1):
         cells = [f for f in X.complex.faces_of_dim(k) if f not in bfaces]
@@ -270,18 +271,11 @@ def coefficient_cohomology(X, B, system):
 # --------------------------------------------- classical chamber face sets
 
 
-def _face_sort_key(f):
-    return (len(f), tuple(vertex_key(v) for v in sorted(f, key=vertex_key)))
-
-
 def _chamber_face_cells(S, T):
-    """All faces of the T-fixed face of the chamber simplex, as subsets of
-    the free vertex set S - T, including the empty face."""
+    """All faces of the T-fixed face of the chamber simplex, as sorted
+    tuples of the free vertices S - T, including the empty face."""
     free = sorted(set(S) - set(T))
-    cells = [frozenset()]
-    for k in range(1, len(free) + 1):
-        cells.extend(frozenset(c) for c in combinations(free, k))
-    return set(cells)
+    return {c for k in range(len(free) + 1) for c in combinations(free, k)}
 
 
 def _mirror_up_faces(cells, U):
@@ -290,20 +284,15 @@ def _mirror_up_faces(cells, U):
     U = set(U)
     if not U:
         return set()
-    return {f for f in cells if not U <= f}
+    return {f for f in cells if not U.issubset(f)}
 
 
 def _augmented_pair_cohomology(dec, S, T, total_cells, sub_cells):
-    cells = sorted(total_cells - sub_cells, key=_face_sort_key)
     by_degree = {}
-    for f in cells:
+    for f in sorted(total_cells - sub_cells):
         by_degree.setdefault(len(f) - 1, []).append(f)
     Sset = frozenset(S)
-
-    def label(f):
-        return Sset - f
-
-    return _block_cochain_complex(dec, by_degree, label).validate().cohomology()
+    return _block_cochain_complex(dec, by_degree, Sset.difference).validate().cohomology()
 
 
 def classical_chamber_cohomology(system):
@@ -422,8 +411,9 @@ def sigma_formula_check(system, T, U):
 
     # pair (sigma^U, boundary of sigma^U)
     direct_bnd = _augmented_pair_cohomology(dec, S, T, sigma_U, sigma_U & sigma_W)
-    span_U = dec.span_in_coordinates(T, [T | {s} for s in U])
-    quo_bnd = AbGroup(lattice_rank(span_U))
+    # one Hermite basis of the span of the A^{T+s}, s in U, for both routes
+    basis_U = hermite_basis(rT, dec.span_in_coordinates(T, [T | {s} for s in U]))
+    quo_bnd = AbGroup(len(basis_U))
     sum_bnd = AbGroup(
         sum(
             dec.splitting_rank(V)
@@ -436,7 +426,7 @@ def sigma_formula_check(system, T, U):
     # absolute sigma^U
     direct_abs = _augmented_pair_cohomology(dec, S, T, sigma_U, set())
     pair_gens = dec.span_in_coordinates(T, [T | {s, t} for s in U for t in W])
-    quo_abs = submodule_quotient(rT, span_U, pair_gens)
+    quo_abs = basis_quotient(rT, basis_U, pair_gens)
     sum_abs = AbGroup(
         sum(
             dec.splitting_rank(V)
@@ -513,8 +503,9 @@ def filtration_ranks(system):
         dec.span_in_coordinates(frozenset(), [T for T in dec.poset if len(T) >= p])
         for p in range(max_p + 2)
     ]
-    ranks = [lattice_rank(g) for g in steps]
-    graded = [submodule_quotient(system.size, steps[p], steps[p + 1]) for p in range(max_p + 1)]
+    bases = [hermite_basis(system.size, g) for g in steps]
+    ranks = [len(b) for b in bases]
+    graded = [basis_quotient(system.size, bases[p], steps[p + 1]) for p in range(max_p + 1)]
     if graded == expected:
         return Filtration("sum over |T| >= p (decreasing)", ranks, graded, expected, True)
     return Filtration("no reading matches", ranks, graded, expected, False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chambers import thin_building
-from .complexes import davis_chamber, punctured_nerve_homology, relative_cohomology
+from .complexes import davis_chamber, local_groups, punctured_nerve_homology
 from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
 from .intlinalg import OMEGA, GradedGroup, lattice_rank
@@ -161,16 +161,6 @@ class HcReport:
         }
 
 
-def _local_groups(matrix):
-    K = davis_chamber(matrix)
-    S = set(matrix.labels)
-    out = []
-    for T in spherical_poset(matrix):
-        sub = K.mirror_union(S - set(T))
-        out.append((T, relative_cohomology(K.complex, sub)))
-    return out
-
-
 def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     """Per-degree report for the compactly supported cohomology of the
     standard realization.
@@ -180,7 +170,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     (infinite type only; multiplicities are then not quantified).
     """
     w_finite = is_spherical(matrix, matrix.labels)
-    locals_ = _local_groups(matrix)
+    locals_ = local_groups(davis_chamber(matrix), spherical_poset(matrix))
 
     concrete = None
     label = None
@@ -257,7 +247,7 @@ def vcd(matrix):
         return VcdReport(0, True, [])
     best = 0
     witnesses = []
-    for T, local in _local_groups(matrix):
+    for T, local in local_groups(davis_chamber(matrix), spherical_poset(matrix)):
         top = local.top_degree()
         if top is None:
             continue

@@ -16,8 +16,8 @@ There is one sparse format.  A coboundary is a list of rows and a module
 lattice in Z^n is a list of generators; either way each is a list of
 (index, entry) pairs, nonzero, no index twice, and the ambient rank n is
 passed alongside.  ``quotient_structure``, ``direct_complement``,
-``submodule_quotient`` and ``determinant`` refuse an index outside
-[0, n).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
+``hermite_basis``, ``basis_quotient``, ``submodule_quotient`` and
+``determinant`` refuse an index outside [0, n).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
 it factors are dense lists of lists.  Everything is arbitrary precision;
 pivoting is deterministic (smallest nonzero absolute value, ties broken
 in row-major order) so witnesses are reproducible byte for byte.
@@ -614,14 +614,18 @@ def direct_complement(n, gens):
     return [hermite_reduce(basis, v) for v in tail]
 
 
-def submodule_quotient(n, big, small):
-    """Structure of span(big) / span(small) for sparse generators in Z^n.
+def hermite_basis(n, gens):
+    """``column_hermite`` of sparse generators in Z^n, after refusing an
+    index outside [0, n); its length is the rank of the lattice."""
+    _check_generators(n, gens)
+    return column_hermite(gens)
 
-    ``small`` must be contained in ``big``.
+
+def basis_quotient(n, basis, small):
+    """Structure of L / span(small), for L the lattice in Z^n with the
+    Hermite basis ``basis`` of ``hermite_basis``; ``small`` must lie in L.
     """
-    _check_generators(n, big)
     _check_generators(n, small)
-    basis = column_hermite(big)
     coords = []
     for g in small:
         c = hermite_coordinates(basis, g)
@@ -629,6 +633,14 @@ def submodule_quotient(n, big, small):
             raise ValueError("generator of the small module lies outside the big one")
         coords.append(c)
     return quotient_structure(len(basis), coords)
+
+
+def submodule_quotient(n, big, small):
+    """Structure of span(big) / span(small) for sparse generators in Z^n.
+
+    ``small`` must be contained in ``big``.
+    """
+    return basis_quotient(n, hermite_basis(n, big), small)
 
 
 # --------------------------------------------------------- cochain complexes

@@ -47,7 +47,7 @@ class QF:
     True
     >>> (SQRT5 + 1) * (SQRT5 - 1) == QF.from_int(4)
     True
-    >>> two_cos(5) ** 2 == two_cos(5) + 1   # golden ratio
+    >>> two_cos(5) * two_cos(5) == two_cos(5) + 1   # golden ratio
     True
     """
 

@@ -14,70 +14,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chambers import thin_building
-from .complexes import (
-    MirroredComplex,
-    SimplicialComplex,
-    classical_chamber,
-    relative_cohomology,
-)
+from .complexes import SimplicialComplex, classical_chamber, local_groups, relative_cohomology
 from .decomposition import BuildingDecomposition
 from .intlinalg import GradedGroup
 
 
-@dataclass(frozen=True)
-class RealizedComplex:
-    """The glued complex; cells carry (model cell, residue index) labels."""
-
-    complex: SimplicialComplex
-    cell_labels: dict  # face -> (model cell, label type tuple, residue index)
-    model: MirroredComplex
-
-    def f_vector(self):
-        return self.complex.f_vector()
-
-
 def realize(system, X):
-    """One copy of each model cell per residue of its label type.
+    """The glued complex: one copy of each model cell per residue of its
+    label type.
 
-    A vertex of the output is (model vertex, index of the S(v)-residue);
-    the face of a glued cell at a model subcell c' is the copy of c'
-    indexed by the coarser S(c')-residue through the same chamber.
+    The glued vertices over model vertex v are (label of v, r) for the
+    S(v)-residues r = 0, 1, ...; their ids are offset(v) + r, where
+    offset(v) counts the residues of the model vertices before v, so the
+    ids run in the ``vertex_key`` order of these labels.  The face of a
+    glued cell at a model subcell c' is the copy of c' indexed by the
+    coarser S(c')-residue through the same chamber.
     """
-    matrix = system.matrix
-    label_of = {f: X.face_label(f) for f in X.complex.faces}
-    pm = {f: system.partition_map(lab) for f, lab in label_of.items()}
-
+    model = X.complex
+    pm = {f: system.partition_map(X.face_label(f)) for f in model.faces}
+    table, offset = [], {}
+    for v, label in enumerate(model.vertices):
+        if (v,) in pm:
+            offset[v] = len(table)
+            table.extend((label, r) for r in range(max(pm[(v,)]) + 1))
     faces = set()
-    cell_labels = {}
-    for f in X.complex.faces:
-        lab = label_of[f]
-        vertex_pms = [(v, pm[frozenset([v])]) for v in f]
+    for f in model.faces:
+        vertex_pms = [(offset[v], pm[(v,)]) for v in f]
         seen = set()
-        for chamber in range(system.size):
-            r = pm[f][chamber]
-            if r in seen:
-                continue
-            seen.add(r)
-            glued = frozenset((v, vpm[chamber]) for v, vpm in vertex_pms)
-            if len(glued) != len(f):
-                raise ValueError("degenerate gluing: vertices collapsed")
-            if glued not in faces:
-                faces.add(glued)
-                cell_labels[glued] = (f, tuple(sorted(lab, key=matrix.index)), r)
-    out = SimplicialComplex(frozenset(faces))
+        for chamber, r in enumerate(pm[f]):
+            if r not in seen:
+                seen.add(r)
+                faces.add(tuple(o + vpm[chamber] for o, vpm in vertex_pms))
+    out = SimplicialComplex(tuple(table), frozenset(faces))
     # cell-count identity: one glued cell per (model cell, residue)
-    expected = [0] * (X.complex.dim + 1)
-    for f in X.complex.faces:
+    expected = [0] * (model.dim + 1)
+    for f in model.faces:
         expected[len(f) - 1] += max(pm[f]) + 1
     if out.f_vector() != tuple(expected):
         raise AssertionError(f"cell count mismatch: {out.f_vector()} != {tuple(expected)}")
-    return RealizedComplex(out, cell_labels, X)
+    return out
 
 
 def realization_cohomology(realized):
     """Integral cohomology of the glued complex (compact, so this is the
     compactly supported cohomology as well)."""
-    return relative_cohomology(realized.complex)
+    return relative_cohomology(realized)
 
 
 def coxeter_complex(matrix):
@@ -130,13 +111,10 @@ def formula_cross_check(system, X):
     """
     dec = BuildingDecomposition(system)
     matrix = system.matrix
-    S = set(matrix.labels)
     realized = realization_cohomology(realize(system, X))
     assembled = GradedGroup({})
     entries = []
-    for T in dec.poset:
-        sub = X.mirror_union(S - set(T))
-        local = relative_cohomology(X.complex, sub)
+    for T, local in local_groups(X, dec.poset):
         mult = dec.splitting_rank(T)
         contribution = local.tensor_free(mult)
         assembled = assembled.direct_sum(contribution)

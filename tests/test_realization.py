@@ -61,7 +61,7 @@ class TestRealize:
                 len(residues(sys, K.face_label(f)))
                 for f in K.complex.faces_of_dim(k)
             )
-            assert len(r.complex.faces_of_dim(k)) == expected
+            assert len(r.faces_of_dim(k)) == expected
 
     def test_davis_realization_contractible(self):
         # the standard realization of a building is contractible
