@@ -521,109 +521,109 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "verb, matrix, extra, digest",
         [
-            pytest.param('realize', 'a2', ['--building', 'fano', '--model', 'delta'],
+            pytest.param("realize", "a2", ["--building", "fano", "--model", "delta"],
                          "0718d3023d41465a3ae5534ae85bba5548eb8312952c43c0e3fb8889ef3b55c7",
                          id="realize-a2-fano-delta"),
-            pytest.param('realize', 'a2', ['--building', 'fanoxa1', '--model', 'delta'],
+            pytest.param("realize", "a2", ["--building", "fanoxa1", "--model", "delta"],
                          "f4bb20bc35ab3e3b4159e91ebf06db0a4c182be2378e5754e2ed7dc3ca51af60",
                          id="realize-a2-fanoxa1-delta"),
-            pytest.param('realize', 'a2', ['--building', 'digon(3,3)', '--model', 'delta'],
+            pytest.param("realize", "a2", ["--building", "digon(3,3)", "--model", "delta"],
                          "e9b2a8223c4d2268f6a65106d6ed63f90cdd0008e9ac1846a4067101b8fe4486",
                          id="realize-a2-digon(3,3)-delta"),
-            pytest.param('realize', 'a2', ['--model', 'delta'],
+            pytest.param("realize", "a2", ["--model", "delta"],
                          "ba361325cabd04c3112a1b2b613674c2d31fae50f6c934a996a31bb2952565bf",
                          id="realize-a2-delta"),
-            pytest.param('realize', 'a3', ['--model', 'delta'],
+            pytest.param("realize", "a3", ["--model", "delta"],
                          "157daff0c738ad9ce5de97fed8c3645f328431d3853a274240132f98ffafd7e7",
                          id="realize-a3-delta"),
-            pytest.param('realize', 'b3', ['--model', 'delta'],
+            pytest.param("realize", "b3", ["--model", "delta"],
                          "5f0f2d586a95e5c4de279a0a62b1ec9d08c01048111d20b9c109e66491cec9e6",
                          id="realize-b3-delta"),
-            pytest.param('realize', 'a2', ['--building', 'fano', '--model', 'K'],
+            pytest.param("realize", "a2", ["--building", "fano", "--model", "K"],
                          "d8d85e93d5750100eb23732cbc0a51f4a3af007ea0bc3b537aecbdcf0b379a35",
                          id="realize-a2-fano-K"),
-            pytest.param('realize', 'a2', ['--building', 'fanoxa1', '--model', 'K'],
+            pytest.param("realize", "a2", ["--building", "fanoxa1", "--model", "K"],
                          "7b1c4716c663f858bf9cf186830e711c565355e9ee2e2fae3df5739d291435f6",
                          id="realize-a2-fanoxa1-K"),
-            pytest.param('realize', 'a2', ['--building', 'digon(3,3)', '--model', 'K'],
+            pytest.param("realize", "a2", ["--building", "digon(3,3)", "--model", "K"],
                          "8ba580e07985d6b05a78c619b71c2a8ed310bd497503559ed76d432c9fa7c091",
                          id="realize-a2-digon(3,3)-K"),
-            pytest.param('realize', 'a2', ['--model', 'K'],
+            pytest.param("realize", "a2", ["--model", "K"],
                          "7012c09dfb7572766ac9918d154cc41d0e92a8c7c61cca829f96fe84e1adeecb",
                          id="realize-a2-K"),
-            pytest.param('realize', 'a3', ['--model', 'K'],
+            pytest.param("realize", "a3", ["--model", "K"],
                          "7c725891d4452b08857dc8d39cabf8d88632550c996c332d967687a9a47cea99",
                          id="realize-a3-K"),
-            pytest.param('realize', 'b3', ['--model', 'K'],
+            pytest.param("realize", "b3", ["--model", "K"],
                          "a480e3eb1d77ec65d2229481def3a6a24935ed2b6488afc8556d052d0130dcc4",
                          id="realize-b3-K"),
-            pytest.param('davis-chamber', 'a2', [],
+            pytest.param("davis-chamber", "a2", [],
                          "d6583332159918be4620e4ad568b94550dbbb1fc3d09f82acf38d9a2100118c8",
                          id="davis-chamber-a2"),
-            pytest.param('nerve', 'a2', [],
+            pytest.param("nerve", "a2", [],
                          "e02852cde9422e4d45c1f8b09165fea40f4df1957034f6430ba165d86c0d5c41",
                          id="nerve-a2"),
-            pytest.param('coxeter-complex', 'a2', [],
+            pytest.param("coxeter-complex", "a2", [],
                          "3f95b0e0211f8b6fa348278948a0d33c18c541a6d7e738ad6a43b7bab9c65ec9",
                          id="coxeter-complex-a2"),
-            pytest.param('cohomology', 'a2', ['--model', 'delta'],
+            pytest.param("cohomology", "a2", ["--model", "delta"],
                          "1afe9729e445acb3e82ba5989f4353016b206f7148b782402bb6b03d477cafd1",
                          id="cohomology-a2-delta"),
-            pytest.param('cohomology', 'a2', ['--model', 'K'],
+            pytest.param("cohomology", "a2", ["--model", "K"],
                          "f0bb9d1d3e6a1f896f55da59d2948a0281c7d05ca558ea0232f804ff2ef4809e",
                          id="cohomology-a2-K"),
-            pytest.param('davis-chamber', 'a3', [],
+            pytest.param("davis-chamber", "a3", [],
                          "5dd2ecbf030f9516139c2486e71e968984bd5edf7c163e69d406e85f4f8d0b86",
                          id="davis-chamber-a3"),
-            pytest.param('nerve', 'a3', [],
+            pytest.param("nerve", "a3", [],
                          "52ae6d87425de914f65d7135a20fc088dc515ff1aa9184b619fa7940974bd3c7",
                          id="nerve-a3"),
-            pytest.param('coxeter-complex', 'a3', [],
+            pytest.param("coxeter-complex", "a3", [],
                          "cf1c27795f18a1ad6dcf9901c64103fbeef5e18106c0a6b62d1c5ea5cf76ea69",
                          id="coxeter-complex-a3"),
-            pytest.param('cohomology', 'a3', ['--model', 'delta'],
+            pytest.param("cohomology", "a3", ["--model", "delta"],
                          "22876da71e073fbff280880a1fb6c5c8cd1a289b28a6bee4a60352368b7e1349",
                          id="cohomology-a3-delta"),
-            pytest.param('cohomology', 'a3', ['--model', 'K'],
+            pytest.param("cohomology", "a3", ["--model", "K"],
                          "46ec379da674f9e4d6e46c8f61457ce89323d5e0832ce5e90de10a9a23c9d5eb",
                          id="cohomology-a3-K"),
-            pytest.param('davis-chamber', 'b3', [],
+            pytest.param("davis-chamber", "b3", [],
                          "5dd2ecbf030f9516139c2486e71e968984bd5edf7c163e69d406e85f4f8d0b86",
                          id="davis-chamber-b3"),
-            pytest.param('nerve', 'b3', [],
+            pytest.param("nerve", "b3", [],
                          "52ae6d87425de914f65d7135a20fc088dc515ff1aa9184b619fa7940974bd3c7",
                          id="nerve-b3"),
-            pytest.param('coxeter-complex', 'b3', [],
+            pytest.param("coxeter-complex", "b3", [],
                          "4ab29e59d647f55b309f628d1918d831416f062648ed5bbb88fa9439c9834c5f",
                          id="coxeter-complex-b3"),
-            pytest.param('cohomology', 'b3', ['--model', 'delta'],
+            pytest.param("cohomology", "b3", ["--model", "delta"],
                          "22876da71e073fbff280880a1fb6c5c8cd1a289b28a6bee4a60352368b7e1349",
                          id="cohomology-b3-delta"),
-            pytest.param('cohomology', 'b3', ['--model', 'K'],
+            pytest.param("cohomology", "b3", ["--model", "K"],
                          "46ec379da674f9e4d6e46c8f61457ce89323d5e0832ce5e90de10a9a23c9d5eb",
                          id="cohomology-b3-K"),
-            pytest.param('davis-chamber', 'triangle333', [],
+            pytest.param("davis-chamber", "triangle333", [],
                          "8bfc042e278e22f7ad00c87d49e25bcc8b829be387fa752ecc577b1a7eb7f251",
                          id="davis-chamber-triangle333"),
-            pytest.param('nerve', 'triangle333', [],
+            pytest.param("nerve", "triangle333", [],
                          "8828a3d67b72241b550b5d3dc474139cf99574cfa8c2f65494c7301691f2596c",
                          id="nerve-triangle333"),
-            pytest.param('cohomology', 'triangle333', ['--model', 'delta'],
+            pytest.param("cohomology", "triangle333", ["--model", "delta"],
                          "7c8189dedef1c523e7441a508c251ecd462775e031af83b14e1d9221f95ab69b",
                          id="cohomology-triangle333-delta"),
-            pytest.param('cohomology', 'triangle333', ['--model', 'K'],
+            pytest.param("cohomology", "triangle333", ["--model", "K"],
                          "7c8189dedef1c523e7441a508c251ecd462775e031af83b14e1d9221f95ab69b",
                          id="cohomology-triangle333-K"),
-            pytest.param('davis-chamber', 'freeprod3', [],
+            pytest.param("davis-chamber", "freeprod3", [],
                          "53f5046681260b17acba77ad6d609449b5027ac42c2dbb2b0c59cea75c644b25",
                          id="davis-chamber-freeprod3"),
-            pytest.param('nerve', 'freeprod3', [],
+            pytest.param("nerve", "freeprod3", [],
                          "92e7be7dbe727f09d143d651e0eabd8b52adf9cd77bb516dbf20903d7d1ac82d",
                          id="nerve-freeprod3"),
-            pytest.param('cohomology', 'freeprod3', ['--model', 'delta'],
+            pytest.param("cohomology", "freeprod3", ["--model", "delta"],
                          "b8d2fdcfbd62a1e73304db70ace09b2f9f11fe0a3386fe412589f230f461d0d5",
                          id="cohomology-freeprod3-delta"),
-            pytest.param('cohomology', 'freeprod3', ['--model', 'K'],
+            pytest.param("cohomology", "freeprod3", ["--model", "K"],
                          "c27b7c518203cd1c689dd350817bf5cede566b607ca61d13788ebc7cb501ba55",
                          id="cohomology-freeprod3-K"),
         ],

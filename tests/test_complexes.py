@@ -185,7 +185,9 @@ class TestRelativeCohomology:
         A = SimplicialComplex.from_maximal([(1, "a")])
         cx = relative_cochain_complex(X, A)
         # A numbers its own vertices: compare the cells by their labels
-        labels = lambda C, f: frozenset(C.vertices[i] for i in f)  # noqa: E731
+        def labels(C, f):
+            return frozenset(C.vertices[i] for i in f)
+
         afaces = {labels(A, f) for f in A.faces}
         cells = {
             k: [labels(X, f) for f in X.faces_of_dim(k) if labels(X, f) not in afaces]
