@@ -39,6 +39,7 @@ from .hc import (
     graded_module_report,
     hc_standard_realization,
     thin_multiplicity_series,
+    type_mismatch,
     vcd,
 )
 from .intlinalg import TorsionObstruction
@@ -127,7 +128,7 @@ def resolve_verified_building(args, matrix):
         if not report.passed:
             raise NotABuilding(_failed_checks(report))
         if not system.matrix.same_type(matrix):
-            raise InputError("chamber system type does not match the matrix")
+            raise InputError(type_mismatch(system.matrix, matrix))
     return system
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .coxmatrix import is_spherical, spherical_poset
+from .coxmatrix import cosine_gram_definite, is_spherical, spherical_poset
 from .intlinalg import AbGroup, CochainComplex, GradedGroup
 
 
@@ -363,8 +363,6 @@ def metric_flag_check(mat):
     positive definite.  With exact arithmetic this always holds; a False
     return indicates an implementation fault.
     """
-    from .coxmatrix import cosine_gram_definite
-
     S = mat.labels
     for r in range(1, len(S) + 1):
         for T in combinations(S, r):

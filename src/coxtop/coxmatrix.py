@@ -17,9 +17,12 @@ Two independent finiteness oracles are provided:
   unit diagonal and off-diagonal entries -cos(pi/m) by Sylvester's
   criterion in Q(sqrt2, sqrt3, sqrt5), restricted to labels in
   {2, 3, 4, 5, 6, infinity}.  The leading minors are taken by prefix
-  recursion (T is definite iff T[:-1] is and det G_T > 0), and each
-  answer is cached by the label pattern of T, so matrices that share a
-  pattern share the field arithmetic.
+  recursion (T is definite iff T[:-1] is and det G_T > 0).
+
+Both read T through one key, ``CoxeterMatrix.pattern(T)``: the number of
+generators of T and their labels in generator order.  Each oracle decides
+a key once, so subsets and matrices that share a label pattern share the
+classification and the field arithmetic.
 
 The two must agree wherever both apply; the test suite sweeps this.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import isqrt
 
 from .qfield import SUPPORTED_LABELS, ZERO, four_cos_int
@@ -86,26 +89,39 @@ class CoxeterMatrix:
     def sorted_subset(self, T):
         return tuple(sorted(T, key=self.index))
 
+    def pattern(self, T):
+        """The key of every subset question: ``(n, labels)`` for the n
+        distinct generators of T in generator order, with labels listing
+        m(T[i], T[j]) for j < i, row by row.  Sphericity, the degrees and
+        the Gram minors depend on T only through this key.
+
+        >>> B3 = CoxeterMatrix(("s", "t", "u"), {frozenset("st"): 4, frozenset("tu"): 3})
+        >>> B3.pattern(()), B3.pattern("s")
+        ((0, ()), (1, ()))
+        >>> B3.pattern("utss")
+        (3, (4, 2, 3))
+        >>> B3.pattern("sz")
+        Traceback (most recent call last):
+        ...
+        coxtop.coxmatrix.CoxeterError: subset ['s', 'z'] not contained in the generators
+        """
+        T = set(T)
+        backwards = [s for s in reversed(self.labels) if s in T]
+        n = len(backwards)
+        if n != len(T):
+            raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
+        if n < 2:
+            return n, ()
+        # The pairs of T backwards, in combinations order, are the pairs
+        # (T[i], T[j]), j < i, row by row, in reverse.
+        pairs = map(frozenset, combinations(backwards, 2))
+        return n, tuple(map(self.entries.get, pairs, repeat(2)))[::-1]
+
     def components(self, T):
         """Irreducible components of T: s, t connected iff m(s,t) != 2."""
-        T = list(self.sorted_subset(T))
-        seen = set()
-        comps = []
-        for root in T:
-            if root in seen:
-                continue
-            comp = []
-            stack = [root]
-            seen.add(root)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in T:
-                    if v not in seen and self.m(u, v) != 2:
-                        seen.add(v)
-                        stack.append(v)
-            comps.append(self.sorted_subset(comp))
-        return comps
+        table = _local_table(*self.pattern(T))
+        gens = self.sorted_subset(set(T))
+        return [tuple(gens[i] for i in comp) for comp in _components(table)]
 
     def restrict(self, T):
         """The Coxeter matrix induced on a subset of the generators."""
@@ -181,10 +197,11 @@ def parse_coxeter_matrix(text):
     return CoxeterMatrix(labels, entries)
 
 
-def _irreducible_degrees(mat, comp):
+def _irreducible_degrees(table, comp):
     """Degrees of the finite irreducible group on a connected diagram, or
     None when the group is infinite (classification of connected labelled
-    diagrams of finite type).
+    diagrams of finite type).  ``table[s][t]`` is m(s, t) on the local
+    generators 0..n-1 of a key (``_local_table``).
 
     The Poincare polynomial is the product of [d]_t = 1 + t + ... + t^(d-1)
     over the degrees d, so the group order is their product and the length
@@ -193,7 +210,7 @@ def _irreducible_degrees(mat, comp):
     n = len(comp)
     if n == 1:
         return (2,)
-    pairs = [(s, t, mat.m(s, t)) for s, t in combinations(comp, 2)]
+    pairs = [(s, t, table[s][t]) for s, t in combinations(comp, 2)]
     if any(m is INF for _, _, m in pairs):
         return None
     if n == 2:
@@ -258,27 +275,66 @@ def _arm_lengths(edges, center):
     return lengths
 
 
+def _local_table(n, labels):
+    """The full matrix of m(i, j) on the local generators 0..n-1 of the
+    key ``(n, labels)``."""
+    table = [[1] * n for _ in range(n)]
+    it = iter(labels)
+    for i in range(n):
+        for j in range(i):
+            table[i][j] = table[j][i] = next(it)
+    return table
+
+
+def _components(table):
+    """Irreducible components of the local generators, each an increasing
+    list, ordered by their least member."""
+    n = len(table)
+    seen = set()
+    comps = []
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = []
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in range(n):
+                if v not in seen and table[u][v] != 2:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+@lru_cache(maxsize=1 << 16)  # the 6^6 rank-4 sweep has 46,656 four-generator keys
+def _pattern_degrees(n, labels):
+    """Sorted degrees of the group with key ``(n, labels)`` (see
+    ``CoxeterMatrix.pattern``), or None when it is infinite."""
+    table = _local_table(n, labels)
+    out = []
+    for comp in _components(table):
+        degrees = _irreducible_degrees(table, comp)
+        if degrees is None:
+            return None
+        out.extend(degrees)
+    return tuple(sorted(out))
+
+
 def is_spherical(mat, T):
     """True iff the subgroup generated by T is finite."""
-    T = set(T)
-    if not T <= set(mat.labels):
-        raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
-    return all(_irreducible_degrees(mat, comp) is not None for comp in mat.components(T))
+    return _pattern_degrees(*mat.pattern(T)) is not None
 
 
 def coxeter_degrees(mat, T):
     """Sorted degrees of the finite group generated by a spherical T: one
     per generator, read off the classification of its components."""
-    T = set(T)
-    if not T <= set(mat.labels):
-        raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
-    out = []
-    for comp in mat.components(T):
-        degrees = _irreducible_degrees(mat, comp)
-        if degrees is None:
-            raise CoxeterError(f"subset {list(mat.sorted_subset(T))} is not spherical")
-        out.extend(degrees)
-    return tuple(sorted(out))
+    degrees = _pattern_degrees(*mat.pattern(T))
+    if degrees is None:
+        raise CoxeterError(f"subset {list(mat.sorted_subset(set(T)))} is not spherical")
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -344,15 +400,14 @@ def cosine_gram_definite(mat, T):
     in pure integer arithmetic.  The answer depends only on the labels,
     so it is decided once per label pattern.
     """
-    T = mat.sorted_subset(T)
-    for s, t in combinations(T, 2):
-        if mat.m(s, t) not in SUPPORTED_LABELS:
-            raise CoxeterError(
-                f"label m({s},{t})={mat.m(s, t)} outside the exact-arithmetic set"
-            )
-    return _gram_pattern_definite(
-        tuple(mat.m(T[i], T[j]) for i in range(len(T)) for j in range(i))
-    )
+    _, labels = mat.pattern(T)
+    if not SUPPORTED_LABELS.issuperset(labels):
+        for s, t in combinations(mat.sorted_subset(set(T)), 2):
+            if mat.m(s, t) not in SUPPORTED_LABELS:
+                raise CoxeterError(
+                    f"label m({s},{t})={mat.m(s, t)} outside the exact-arithmetic set"
+                )
+    return _gram_pattern_definite(labels)
 
 
 @lru_cache(maxsize=1 << 16)  # the rank-4 sweep has 46,880 patterns

@@ -161,6 +161,16 @@ class HcReport:
         }
 
 
+def type_mismatch(system_matrix, matrix):
+    """The error text for a chamber system whose type is not the matrix's.
+    It names both generator lists: a product building renames a repeated
+    factor's generators (``plane(3)xplane(3)`` has ``s t s1 t1``)."""
+    return (
+        "chamber system type does not match the matrix: chamber system generators "
+        f"{' '.join(system_matrix.labels)}, matrix generators {' '.join(matrix.labels)}"
+    )
+
+
 def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     """Per-degree report for the compactly supported cohomology of the
     standard realization.
@@ -193,7 +203,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         label = "concrete"
         concrete = thickness
         if not concrete.matrix.same_type(matrix):
-            raise ValueError("chamber system type does not match the matrix")
+            raise ValueError(type_mismatch(concrete.matrix, matrix))
 
     contributions = []
     if concrete is not None:

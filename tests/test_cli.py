@@ -321,6 +321,21 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "type does not match" in captured.err
+        assert "chamber system generators s t, matrix generators s t u" in captured.err
+
+    def test_hc_names_the_generators_of_a_product(self, capsys, tmp_path):
+        # a repeated factor's generators take its position as a suffix, so
+        # the matrix for fano x fano must be written over s t s1 t1
+        wrong = tmp_path / "a2a2.cox"
+        wrong.write_text("gens s t u v\ns t 3\nu v 3\n")
+        code = main(["hc", str(wrong), "--building", "fanoxfano", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "chamber system generators s t s1 t1, matrix generators s t u v" in captured.err
+        right = tmp_path / "a2a2_suffixed.cox"
+        right.write_text("gens s t s1 t1\ns t 3\ns1 t1 3\n")
+        assert main(["hc", str(right), "--building", "fanoxfano", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["gens"] == ["s", "t", "s1", "t1"]
 
     @pytest.mark.parametrize(
         "matrix, chambers, failure",

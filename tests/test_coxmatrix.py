@@ -219,6 +219,84 @@ class TestGramOracle:
             assert cosine_gram_definite(CoxeterMatrix(order, dict(h4.entries)), "abcd")
 
 
+H4 = mk("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
+F4 = mk("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)])
+MIXED4 = mk("abcd", [("a", "b", 7), ("a", "c", INF), ("a", "d", 3), ("b", "d", 4), ("c", "d", 5)])
+
+
+def reference_pattern(mat, T):
+    T = mat.sorted_subset(set(T))
+    return len(T), tuple(mat.m(T[i], T[j]) for i in range(len(T)) for j in range(i))
+
+
+class TestPatternKey:
+    @pytest.mark.parametrize("mat", [H4, F4, MIXED4], ids=["H4", "F4", "mixed"])
+    def test_matches_reference_in_every_generator_order(self, mat):
+        for order in permutations(mat.labels):
+            permuted = CoxeterMatrix(order, dict(mat.entries))
+            for r in range(5):
+                for T in combinations(mat.labels, r):
+                    want = reference_pattern(permuted, T)
+                    assert permuted.pattern(T) == want, (order, T)
+                    assert permuted.pattern(T[::-1] + T) == want, (order, T)
+                    assert permuted.pattern(frozenset(T)) == want, (order, T)
+
+    def test_size_is_part_of_the_key(self):
+        # the empty set and a singleton share the label tuple ()
+        for order in [((), ("s",)), (("s",), ())]:
+            coxmatrix._pattern_degrees.cache_clear()
+            assert [coxeter_degrees(A2, T) for T in order] == [(2,) * len(T) for T in order]
+
+    @pytest.mark.parametrize(
+        "oracle", [is_spherical, coxeter_degrees, cosine_gram_definite]
+    )
+    def test_unknown_generator_is_named(self, oracle):
+        with pytest.raises(CoxeterError, match=r"subset \['s', 'z'\] not contained"):
+            oracle(A2, "sz")
+
+    def test_repeated_generator_counts_once(self):
+        assert is_spherical(A2, "ss")
+        assert coxeter_degrees(A2, "ss") == (2,)
+        assert cosine_gram_definite(A2, "ss")
+        assert coxeter_degrees(A2, "tsst") == (2, 3)
+
+    def test_components_in_generator_order(self):
+        mat = mk("abcd", [("a", "c", 3), ("b", "d", INF)])
+        assert mat.components("dcba") == [("a", "c"), ("b", "d")]
+        assert mat.components("cad") == [("a", "c"), ("d",)]
+        assert mat.components(()) == []
+
+    def test_cache_is_order_independent(self):
+        labels = "abc"
+        values = [2, 3, 4, 5, 6, INF]
+        cases = [
+            (mk(labels, [("a", "b", ms[0]), ("a", "c", ms[1]), ("b", "c", ms[2])]), T)
+            for ms in product(values, repeat=3)
+            for r in range(4)
+            for T in combinations(labels, r)
+        ]
+        coxmatrix._pattern_degrees.cache_clear()
+        forward = [is_spherical(m, T) for m, T in cases]
+        coxmatrix._pattern_degrees.cache_clear()
+        backward = [is_spherical(m, T) for m, T in reversed(cases)]
+        assert backward[::-1] == forward
+        assert forward == [cosine_gram_definite(m, T) for m, T in cases]
+
+    def test_label_positions_are_not_conflated(self):
+        # the same labels {5, 3, 3} on a 4-chain: H4 when 5 ends the chain,
+        # an infinite group when 5 sits in the middle
+        middle = mk("abcd", [("a", "b", 3), ("b", "c", 5), ("c", "d", 3)])
+        for first, second in ((H4, middle), (middle, H4)):
+            coxmatrix._pattern_degrees.cache_clear()
+            assert is_spherical(first, "abcd") == (first is H4)
+            assert is_spherical(second, "abcd") == (second is H4)
+        # every ordering of H4's generators is its own key, all finite
+        for order in permutations("abcd"):
+            permuted = CoxeterMatrix(order, dict(H4.entries))
+            assert is_spherical(permuted, "abcd")
+            assert coxeter_degrees(permuted, "abcd") == (2, 12, 20, 30)
+
+
 def poincare_polynomial(degrees):
     poly = [1]
     for d in degrees:
