@@ -128,17 +128,17 @@ def parse_chamber_system(text):
     body = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
         if stripped.startswith("chambers") or stripped.startswith("panel"):
             body.append((lineno, stripped))
-        else:
-            head_lines.append(stripped)
+            raw = ""  # blanked, so the matrix parser numbers the file's lines
+        head_lines.append(raw)
     matrix = parse_coxeter_matrix("\n".join(head_lines))
     size = None
     panels = {}
     for lineno, line in body:
         if line.startswith("chambers"):
+            if size is not None:
+                raise ChamberError(f"line {lineno}: second 'chambers' line")
             count = line[len("chambers") :].strip()
             try:
                 size = int(count)

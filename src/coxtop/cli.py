@@ -4,10 +4,10 @@ Verbs map one-to-one onto the library operations; reports print as plain
 text by default and as canonical JSON with ``--json`` (sorted keys, no
 whitespace), so identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 1 bad input, 2 a verification report failed
-(non-unit witness determinant, mismatched identity, failed building
-axiom, a required direct summand with torsion) - distinguishing broken
-invariants from broken invocations.
+Exit codes: 0 success, 1 bad input (usage errors included), 2 a
+verification report failed (non-unit witness determinant, mismatched
+identity, failed building axiom, a required direct summand with
+torsion) - distinguishing broken invariants from broken invocations.
 """
 
 from __future__ import annotations
@@ -341,6 +341,11 @@ def cmd_sigma_check(args):
 def cmd_hc(args):
     mat = _read_matrix(args.matrix)
     if args.chamber_file or args.building:
+        if args.N is not None:
+            raise InputError(
+                "--N counts descent classes of the thin type; "
+                "it does not apply with --building or --chamber-file"
+            )
         thickness = resolve_verified_building(args, mat)
     else:
         thickness = "thin"
@@ -454,8 +459,17 @@ NEEDS_BUILDING = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the bad-input code; argparse's own 2 would
+    read as a failed verification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxtop",
         description="Exact computations with Coxeter groups, buildings and "
         "the cohomology of their realizations.",
@@ -468,10 +482,12 @@ def build_parser():
         else:
             p.add_argument("matrix", help="Coxeter matrix file (.cox)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--T", nargs="*", default=None, help="generator labels")
+        if verb in ("cohomology", "verify-decomposition", "sigma-check", "growth"):
+            p.add_argument("--T", nargs="*", default=None, help="generator labels")
         if verb == "sigma-check":
             p.add_argument("--U", nargs="*", default=None, help="mirror labels")
-        p.add_argument("--N", type=int, default=None, help="truncation radius")
+        if verb in ("hc", "growth"):
+            p.add_argument("--N", type=int, default=None, help="truncation radius")
         if verb in ("cohomology", "realize"):
             p.add_argument(
                 "--model", choices=("delta", "K"), default="K", help="model chamber"
@@ -484,7 +500,8 @@ def build_parser():
                 help="builder spec: thin | a1 | fano | digon(p,q) | plane(q), "
                 "joined with 'x' for products",
             )
-        p.add_argument("--out", default=None, help="write the chamber system here")
+        if verb == "realize":
+            p.add_argument("--out", default=None, help="write the chamber system here")
     return parser
 
 

@@ -178,6 +178,8 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     ``thickness`` is ``"thin"``, a concrete ChamberSystem of matching
     type, or ``("regular", {s: q_s})`` for a symbolic thick building
     (infinite type only; multiplicities are then not quantified).
+    A ``growth_radius`` attaches to each type of a thin report, finite or
+    not, its descent-class series up to that length.
     """
     w_finite = is_spherical(matrix, matrix.labels)
     locals_ = local_groups(davis_chamber(matrix), spherical_poset(matrix))
@@ -206,25 +208,20 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
             raise ValueError(type_mismatch(concrete.matrix, matrix))
 
     contributions = []
-    if concrete is not None:
-        dec = BuildingDecomposition(concrete)
-        for T, local in locals_:
+    dec = BuildingDecomposition(concrete) if concrete is not None else None
+    for T, local in locals_:
+        if dec is not None:
             mult = dec.splitting_rank(T)
-            contributions.append(
-                HcContribution(tuple(sorted(T, key=matrix.index)), local, mult)
-            )
-    else:
-        for T, local in locals_:
-            if label == "thin" and len(T) == 0:
-                mult = 1  # only the identity has empty descent set
-            else:
-                mult = OMEGA
-            series = None
-            if growth_radius is not None and label == "thin":
-                series = thin_multiplicity_series(matrix, T, growth_radius)
-            contributions.append(
-                HcContribution(tuple(sorted(T, key=matrix.index)), local, mult, series)
-            )
+        elif label == "thin" and len(T) == 0:
+            mult = 1  # only the identity has empty descent set
+        else:
+            mult = OMEGA
+        series = None
+        if growth_radius is not None and label == "thin":
+            series = thin_multiplicity_series(matrix, T, growth_radius)
+        contributions.append(
+            HcContribution(tuple(sorted(T, key=matrix.index)), local, mult, series)
+        )
 
     totals = GradedGroup({})
     for c in contributions:

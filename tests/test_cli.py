@@ -118,6 +118,21 @@ class TestBasicVerbs:
         # 3 * 2 words of length 2, one of them a commuting pair a c = c a
         assert sum(coefficients[2] for coefficients in series.values()) == 5
 
+    @pytest.mark.parametrize(
+        "text, longest",
+        [(A2, 3), (A3, 6), (B3, 9), ("gens a b c\na b 5\nb c 3\n", 15)],
+        ids=["a2", "a3", "b3", "h3"],
+    )
+    def test_hc_series_on_a_finite_type(self, capsys, tmp_path, text, longest):
+        # up to the longest length a series counts every w with In(w) = T,
+        # which is the multiplicity of T in the thin building
+        p = tmp_path / "finite.cox"
+        p.write_text(text)
+        code, out = run(capsys, ["hc", str(p), "--N", str(longest), "--json"])
+        assert code == 0
+        for c in json.loads(out)["contributions"]:
+            assert sum(c["series"]["coefficients"]) == c["multiplicity"], c["T"]
+
     def test_growth_at_a_large_radius(self, capsys, free3_file):
         start = time.perf_counter()
         code, out = run(capsys, ["growth", free3_file, "--T", "s", "--N", "40", "--json"])
@@ -272,6 +287,15 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert "line 5" in captured.err and "'s'" in captured.err
 
+    def test_second_chambers_line(self, capsys, tmp_path):
+        # the second line alone would make a valid thin A1
+        bad = tmp_path / "twice.bld"
+        bad.write_text("gens s\nchambers 6\nchambers 2\npanel s: {0,1}\n")
+        code = main(["verify-building", "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "line 3" in captured.err and "chambers" in captured.err
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -280,6 +304,8 @@ class TestErrors:
             ("gens s\nchambers 2\n\npanel s: {0,a}\n", "line 4"),
             ("gens s\nchambers 0\npanel s:\n", "line 2"),
             ("gens s\nchambers -1\npanel s:\n", "line 2"),
+            # a matrix line is numbered as in the file, past comments and blanks
+            ("# c\ngens s t\n\ns t x\nchambers 2\npanel s: {0,1}\npanel t: {0,1}\n", "line 4"),
         ],
     )
     def test_non_integer_in_chamber_file(self, capsys, tmp_path, text, line):
@@ -393,6 +419,41 @@ class TestErrors:
             assert captured.out == ""
             assert "not a building" in captured.err
             assert "W-distance: type is infinite" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vcd"],
+            ["hc", "{a2}", "--N", "x"],
+            ["nerve", "{a2}", "--T", "x", "--N", "5", "--out", "{out}"],
+            ["vcd", "{a2}", "--T", "s"],
+            ["hc", "{a2}", "--out", "{out}"],
+            ["realize", "{a2}", "--N", "3"],
+            ["growth", "{a2}", "--T", "s", "--N", "3", "--U", "s"],
+        ],
+        ids=["missing-matrix", "non-integer-N", "nerve-options", "vcd-T", "hc-out",
+             "realize-N", "growth-U"],
+    )
+    def test_usage_errors_exit_1(self, capsys, a2_file, tmp_path, argv):
+        # 2 is kept for failed verifications; an option a verb does not
+        # use is refused, not ignored
+        out = tmp_path / "out.bld"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(a2=a2_file, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "usage:" in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("spec", [["--building", "fano"], ["--chamber-file", "{fano}"]])
+    def test_hc_series_needs_the_thin_type(self, capsys, a2_file, tmp_path, spec):
+        fano = tmp_path / "fano.bld"
+        assert main(["realize", a2_file, "--building", "fano", "--out", str(fano)]) == 0
+        capsys.readouterr()
+        extra = [arg.format(fano=fano) for arg in spec]
+        code = main(["hc", a2_file, *extra, "--N", "3", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--N" in captured.err
 
     def test_torsion_obstruction_is_a_failed_verification(self, capsys, a2_file, monkeypatch):
         assert not issubclass(TorsionObstruction, ValueError)

@@ -1,6 +1,16 @@
+import hashlib
+from math import prod
+
 import pytest
 
-from coxtop.coxmatrix import INF, CoxeterError, CoxeterMatrix, is_spherical, spherical_poset
+from coxtop.coxmatrix import (
+    INF,
+    CoxeterError,
+    CoxeterMatrix,
+    coxeter_degrees,
+    is_spherical,
+    spherical_poset,
+)
 from coxtop.groups import descent_set, enumerate_ball, enumerate_group
 
 
@@ -11,19 +21,47 @@ def mk(labels, pairs):
 A2 = mk("st", [("s", "t", 3)])
 FREE3 = mk("stu", [("s", "t", INF), ("t", "u", INF), ("s", "u", INF)])
 TRIANGLE333 = mk("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
+TRIANGLE236 = mk("abc", [("a", "b", 2), ("b", "c", 3), ("a", "c", 6)])
+A4 = mk("abcd", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3)])
+B4 = mk("abcd", [("a", "b", 4), ("b", "c", 3), ("c", "d", 3)])
+D4 = mk("abcd", [("a", "b", 3), ("b", "c", 3), ("b", "d", 3)])
+F4 = mk("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)])
+H4 = mk("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
+A5 = mk("abcde", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3)])
+B5 = mk("abcde", [("a", "b", 4), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3)])
+D5 = mk("abcde", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("c", "e", 3)])
+E6 = mk("abcdef", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("c", "f", 3)])
+
+A1 = mk("a", [])
+B2 = mk("st", [("s", "t", 4)])
+I25 = mk("st", [("s", "t", 5)])
+I26 = mk("st", [("s", "t", 6)])
+I27 = mk("st", [("s", "t", 7)])  # dihedral backend
+A3 = mk("abc", [("a", "b", 3), ("b", "c", 3)])
+B3 = mk("abc", [("a", "b", 4), ("b", "c", 3)])
+H3 = mk("abc", [("a", "b", 5), ("b", "c", 3)])
 
 CLASSIFIED_ORDERS = [
-    (mk("a", []), "a", 2),  # A1
+    (A1, "a", 2),
     (A2, "st", 6),
-    (mk("st", [("s", "t", 4)]), "st", 8),  # B2
-    (mk("st", [("s", "t", 5)]), "st", 10),  # I2(5)
-    (mk("st", [("s", "t", 6)]), "st", 12),  # I2(6)
-    (mk("st", [("s", "t", 7)]), "st", 14),  # I2(7), dihedral backend
-    (mk("abc", [("a", "b", 3), ("b", "c", 3)]), "abc", 24),  # A3
-    (mk("abc", [("a", "b", 4), ("b", "c", 3)]), "abc", 48),  # B3
-    (mk("abc", [("a", "b", 5), ("b", "c", 3)]), "abc", 120),  # H3
-    (mk("abcd", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3)]), "abcd", 120),  # A4
+    (B2, "st", 8),
+    (I25, "st", 10),
+    (I26, "st", 12),
+    (I27, "st", 14),
+    (A3, "abc", 24),
+    (B3, "abc", 48),
+    (H3, "abc", 120),
+    (A4, "abcd", 120),
 ]
+
+
+def table_digest(table):
+    """sha256 of (labels, words, lengths, descents, mult) of a group or ball."""
+    rows = tuple(
+        (e.word, e.length, tuple(s for s in table.labels if s in e.descents))
+        for e in table.elements
+    )
+    return hashlib.sha256(repr((table.labels, rows, table.mult)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mat,T,order", CLASSIFIED_ORDERS)
@@ -155,20 +193,6 @@ class TestBalls:
         for e in ball.elements:
             assert is_spherical(TRIANGLE333, e.descents)
 
-    def test_ball_descents_match_table_in_interior(self):
-        # inside the ball, root-sign descents must agree with the
-        # length-comparison definition
-        ball = enumerate_ball(TRIANGLE333, 4)
-        for e in ball.elements:
-            if e.length >= ball.radius:
-                continue
-            by_table = frozenset(
-                s
-                for k, s in enumerate(ball.labels)
-                if ball.elements[ball.mult[e.index][k]].length < e.length
-            )
-            assert e.descents == by_table
-
     def test_finite_group_ball_matches_enumeration(self):
         ball = enumerate_ball(A2, 10)
         assert len(ball) == 6
@@ -191,3 +215,79 @@ def test_spherical_poset_consistency():
     for T in poset:
         table = enumerate_group(TRIANGLE333, T)
         assert len(table) >= 1
+
+
+# Recorded from the enumeration that multiplied full matrices over
+# Q(sqrt2,sqrt3,sqrt5) and decided ball descents by the signs of the roots
+# w(alpha_s); the root-table enumeration must reproduce every table.
+@pytest.mark.parametrize(
+    "mat, T, digest",
+    [
+        pytest.param(A1, "a",
+                     "3d652a7e159a7e9d6818864889c22892e9ab49f7050f11d5d6e4f5930b9cc040", id="A1"),
+        pytest.param(A2, "st",
+                     "ba7a0a25fe2383d3275e39205d0e080ec112245071030519622c00922622ad20", id="A2"),
+        pytest.param(B2, "st",
+                     "8b2c8587245c11cd926352af4a622bf61298034c1ae06d8c615c8a9b149a6c72", id="B2"),
+        pytest.param(I25, "st",
+                     "81cb28be870611c02932907866deb35c10515197fa70b43386bd4b0a3e70ca66", id="I2(5)"),
+        pytest.param(I26, "st",
+                     "9fad037ae33fd4ecba452f2166e7c518303e5f60d3d441c658cd7a6a5c661f38", id="I2(6)"),
+        pytest.param(I27, "st",
+                     "0ba8bb37924ee6b15add3fc48157a401aa6a378e54098d2181315d99376c9127", id="I2(7)"),
+        pytest.param(A3, "abc",
+                     "6a7c732245bd77749a42fac7d21079ac891c22a6429987a473a51d13563ffead", id="A3"),
+        pytest.param(B3, "abc",
+                     "318f4b31377a51ef05ae7df58aaf8bc319735b326ce039d2a343724a2076fb12", id="B3"),
+        pytest.param(H3, "abc",
+                     "2a878a80145fdf4dcec6da2e404a802e0778b81916e7d63b7b3be96bcedfe1a8", id="H3"),
+        pytest.param(A4, "abcd",
+                     "04b330633e0105a09a6e95ddefc983379d6672a2e3c1bfd576fee14e2e367530", id="A4"),
+        pytest.param(B4, "abcd",
+                     "1759bf396d81a91d8f219aa180ed37d96db1bfc86ad8aa40d363c5dcc117f030", id="B4"),
+        pytest.param(D4, "abcd",
+                     "0d0953aea4f05c961691ef7929b3190c6e69b570b6d62d230d3774e10cdb369d", id="D4"),
+        pytest.param(F4, "abcd",
+                     "67c592765e92d6560d03dc53eea7358a6f643d9c3a893297ed684bbfe82593ce", id="F4"),
+        pytest.param(A5, "abcde",
+                     "03963e1cd835c1fd8d73cea617e26aaf7ef21e709e72247e1c7a58639a7d624e", id="A5"),
+    ],
+)
+def test_group_table_is_pinned(mat, T, digest):
+    assert table_digest(enumerate_group(mat, T)) == digest
+
+
+@pytest.mark.parametrize(
+    "mat, radius, digest",
+    [
+        pytest.param(FREE3, 6,
+                     "e6ba5831fc666c29e5e67a510149eb9d9dcac350b10746b492f96954e3aa97df", id="free3"),
+        pytest.param(TRIANGLE333, 8,
+                     "5419b6dc565a94a7443736382b984f3397dd2ea676fdc7e1af19cb1691eb02eb", id="333"),
+        pytest.param(TRIANGLE236, 8,
+                     "a899538ffbd6160064d91c7806002f577ac9a4240f55cc06187e0ee2515b2403", id="236"),
+    ],
+)
+def test_ball_table_is_pinned(mat, radius, digest):
+    assert table_digest(enumerate_ball(mat, radius)) == digest
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        pytest.param(F4, id="F4"),
+        pytest.param(H4, id="H4"),
+        pytest.param(B5, id="B5"),
+        pytest.param(D5, id="D5"),
+        pytest.param(E6, id="E6"),
+    ],
+)
+def test_large_groups_against_degrees(mat):
+    # |W| is the product of the degrees, the longest element has one
+    # letter per reflection, sum(d - 1), and it descends on every generator
+    table = enumerate_group(mat, mat.labels)
+    degrees = coxeter_degrees(mat, mat.labels)
+    assert len(table) == prod(degrees)
+    w0 = table.longest_element()
+    assert w0.length == sum(d - 1 for d in degrees)
+    assert w0.descents == frozenset(mat.labels)

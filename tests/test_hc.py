@@ -187,6 +187,8 @@ class TestGrowthAgainstEnumeration:
             mk("ab", [("a", "b", 8)]),  # I2(8), longest length 8
             mk("abc", [("a", "b", 4), ("b", "c", 3)]),  # B3
             mk("abc", [("a", "b", 5), ("b", "c", 3)]),  # H3
+            mk("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)]),  # F4
+            mk("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)]),  # H4
         ],
     )
     def test_finite_types_against_whole_group(self, mat):
