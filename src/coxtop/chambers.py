@@ -12,11 +12,14 @@ the generalized-polygon structure of rank-2 residues (girth 2m, diameter
 m of the panel incidence graph), and consistency of the W-valued
 distance obtained from minimal galleries.
 
-The distance is read off one breadth-first search per chamber
-(``gallery_distances``) over a per-system chamber -> (generator index,
-neighbour) table, carrying one group element per chamber and a sentinel
-where minimal galleries disagree.  A finite chamber system of infinite
-type is never a building: an apartment has |W| = infinity chambers.
+The distance is read off one layered breadth-first pass from every
+chamber at once over a per-system chamber -> (generator index,
+neighbour) table: the sources are the bits of Python ints, and each
+chamber keeps, per group element, the sources whose minimal galleries to
+it realize that element.  ``gallery_distances``, one search from one
+chamber, names the first failing pair.  A finite chamber system of
+infinite type is never a building: an apartment has |W| = infinity
+chambers.
 """
 
 from __future__ import annotations
@@ -384,49 +387,113 @@ def w_distance(system, i, j):
     return table.elements[w]
 
 
+def _distance_pass(system, table):
+    """``gallery_distances`` from every chamber at once, one layer at a time.
+
+    The sources are the bits of Python ints.  At layer d, ``layer[j]``
+    maps a group element w to the sources i with gallery distance d to j
+    whose minimal galleries to j realize w, and ``reached[j]`` holds the
+    sources within distance d of j.  Returns ``(bad, back)``: the sources
+    whose breadth-first search would meet an ambiguous or non-reduced
+    chamber or miss one, and delta(i, 0) per source i.
+    """
+    mult = table.mult
+    length = [e.length for e in table.elements]
+    neighbours = system.neighbours()
+    layer = [{0: 1 << j} for j in range(system.size)]
+    reached = [1 << j for j in range(system.size)]
+    back = [None] * system.size
+    everyone = (1 << system.size) - 1
+    bad = 0
+    d = 0
+    while True:
+        for w, bits in layer[0].items():
+            while bits:
+                low = bits & -bits
+                back[low.bit_length() - 1] = w
+                bits ^= low
+        d += 1
+        nxt = []
+        for j, adjacent in enumerate(neighbours):
+            fresh = everyone ^ reached[j]
+            entries = {}
+            for k, p in adjacent:
+                for w, bits in layer[p].items():
+                    new = bits & fresh
+                    if new:
+                        v = mult[w][k]
+                        entries[v] = entries.get(v, 0) | new
+            seen = 0
+            for v, bits in entries.items():
+                bad |= seen & bits  # a source in two entries: ambiguous
+                seen |= bits
+                if length[v] != d:
+                    bad |= bits  # non-reduced
+            reached[j] |= seen
+            nxt.append(entries)
+        if not any(nxt):
+            break
+        layer = nxt
+    for r in reached:
+        bad |= everyone ^ r  # disconnected
+    return bad, back
+
+
+def _first_distance_failure(system, table, i):
+    """The first failure on ``gallery_distances`` from i, in discovery
+    order: an unreached chamber, then an ambiguous or a non-reduced one."""
+    order, dist, delta = gallery_distances(system, i)
+    if len(order) != system.size:
+        return "disconnected"
+    for j in order:
+        w = delta[j]
+        if w == AMBIGUOUS:
+            return f"ambiguous distance between {i} and {j}"
+        if table.elements[w].length != dist[j]:
+            return f"non-reduced gallery between {i} and {j}"
+    return None
+
+
 # ------------------------------------------------------------ verification
 
 
-def _bipartite_girth_diameter(edges, left, right):
-    """Girth and diameter of the bipartite multigraph with the given edge
-    multiset; edges are (left_vertex, right_vertex) pairs."""
-    adjacency = {("L", x): [] for x in left}
-    adjacency.update({("R", y): [] for y in right})
-    for x, y in edges:
-        adjacency[("L", x)].append(("R", y))
-        adjacency[("R", y)].append(("L", x))
-    # multi-edges give girth 2
-    girth = None
-    from collections import Counter
-
-    counts = Counter(edges)
-    if any(c > 1 for c in counts.values()):
-        girth = 2
-    simple = {u: sorted(set(vs)) for u, vs in adjacency.items()}
+def _bipartite_girth_diameter(edges, a, b):
+    """Girth and diameter of the bipartite multigraph with left vertices
+    0..a-1, right vertices a..a+b-1 and one edge (x, a + y) per pair
+    (x, y) of ``edges``; the diameter is None when it is disconnected."""
+    simple = dict.fromkeys(edges)
+    girth = 2 if len(simple) < len(edges) else None  # a multi-edge
+    size = a + b
+    adjacency = [[] for _ in range(size)]
+    for x, y in simple:
+        adjacency[x].append(a + y)
+        adjacency[a + y].append(x)
     # girth and eccentricity by one BFS from every vertex on the simple graph
     diameter = 0
     connected = True
-    for src in sorted(simple):
-        dist = {src: 0}
-        parent = {src: None}
+    for src in range(size):
+        dist = [-1] * size
+        parent = [-1] * size
+        dist[src] = 0
         frontier = [src]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in simple[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
+                du = dist[u]
+                for v in adjacency[u]:
+                    if dist[v] < 0:
+                        dist[v] = du + 1
                         parent[v] = u
                         nxt.append(v)
-                    elif parent[u] != v and dist[v] >= dist[u]:
-                        cycle = dist[u] + dist[v] + 1
+                    elif parent[u] != v and dist[v] >= du:
+                        cycle = du + dist[v] + 1
                         if girth is None or cycle < girth:
                             girth = cycle
             frontier = nxt
-        if len(dist) != len(simple):
+        if -1 in dist:
             connected = False
         else:
-            diameter = max(diameter, max(dist.values()))
+            diameter = max(diameter, max(dist))
     return girth, (diameter if connected else None)
 
 
@@ -459,10 +526,12 @@ def verify_building(system):
     with finite label m is a generalized m-gon (panel incidence graph has
     girth 2m and diameter m); (c) for finite type, minimal galleries
     define a single-valued distance with delta(x,y) = delta(y,x)^-1 and
-    gallery length equal to word length.  (c) runs ``gallery_distances``
-    from every chamber and names the first failing pair in discovery
-    order.  For infinite type (c) fails outright: the system is finite,
-    and an apartment of a building of infinite type is not.
+    gallery length equal to word length.  (c) runs one pass from every
+    chamber at once (``_distance_pass``); when a source fails, one
+    ``gallery_distances`` from the lowest failing source names the first
+    failing pair in discovery order.  For infinite type (c) fails
+    outright: the system is finite, and an apartment of a building of
+    infinite type is not.
     """
     failures = []
     for s in system.matrix.labels:
@@ -479,19 +548,25 @@ def verify_building(system):
             continue
         s_ids = system._panel_index[s]
         t_ids = system._panel_index[t]
-        for r in residues(system, (s, t)):
-            # vertices are panel ids: girth and diameter do not depend on them
-            edges = [(s_ids[c], t_ids[c]) for c in r.chambers]
-            girth, diameter = _bipartite_girth_diameter(
-                edges, {x for x, _ in edges}, {y for _, y in edges}
-            )
+        pm = system.partition_map((s, t))
+        by_residue = [[] for _ in range(max(pm) + 1)]
+        for c, r in enumerate(pm):
+            by_residue[r].append(c)
+        for chambers in by_residue:
+            # vertices are the residue's panels, numbered in order of appearance
+            left, right = {}, {}
+            edges = [
+                (left.setdefault(s_ids[c], len(left)), right.setdefault(t_ids[c], len(right)))
+                for c in chambers
+            ]
+            girth, diameter = _bipartite_girth_diameter(edges, len(left), len(right))
             ok = girth == 2 * m and diameter == m
             residues_ok &= ok
             residue_checks.append(
                 {
                     "pair": [s, t],
                     "m": m,
-                    "residue_min_chamber": r.chambers[0],
+                    "residue_min_chamber": chambers[0],
                     "girth": girth,
                     "expected_girth": 2 * m,
                     "diameter": diameter,
@@ -505,30 +580,13 @@ def verify_building(system):
         note = "checked"
         try:
             table = system.element_table()
-            back = []  # delta(i, 0) for every chamber i
-            for i in range(system.size):
-                order, dist, delta = gallery_distances(system, i)
-                if i == 0:
-                    order0, delta0 = order, delta
-                if len(order) != system.size:
-                    distance_ok = False
-                    note = "disconnected"
-                    break
-                for j in order:
-                    w = delta[j]
-                    if w == AMBIGUOUS:
-                        distance_ok = False
-                        note = f"ambiguous distance between {i} and {j}"
-                        break
-                    if table.elements[w].length != dist[j]:
-                        distance_ok = False
-                        note = f"non-reduced gallery between {i} and {j}"
-                        break
-                if not distance_ok:
-                    break
-                back.append(delta[0])
-            if distance_ok:
+            bad, back = _distance_pass(system, table)
+            if bad:
+                distance_ok = False
+                note = _first_distance_failure(system, table, (bad & -bad).bit_length() - 1)
+            else:
                 # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
+                order0, _, delta0 = gallery_distances(system, 0)
                 for j in order0:
                     if table.inverse(delta0[j]) != back[j]:
                         distance_ok = False

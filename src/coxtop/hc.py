@@ -179,8 +179,14 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     type, or ``("regular", {s: q_s})`` for a symbolic thick building
     (infinite type only; multiplicities are then not quantified).
     A ``growth_radius`` attaches to each type of a thin report, finite or
-    not, its descent-class series up to that length.
+    not, its descent-class series up to that length; any other thickness
+    refuses it.
     """
+    if growth_radius is not None and thickness != "thin":
+        raise ValueError(
+            "growth_radius counts descent classes of the thin type; "
+            "it does not apply to a concrete or regular thickness"
+        )
     w_finite = is_spherical(matrix, matrix.labels)
     locals_ = local_groups(davis_chamber(matrix), spherical_poset(matrix))
 
@@ -217,7 +223,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         else:
             mult = OMEGA
         series = None
-        if growth_radius is not None and label == "thin":
+        if growth_radius is not None:
             series = thin_multiplicity_series(matrix, T, growth_radius)
         contributions.append(
             HcContribution(tuple(sorted(T, key=matrix.index)), local, mult, series)

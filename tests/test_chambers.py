@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from coxtop.coxmatrix import INF, CoxeterMatrix
 from coxtop.chambers import (
+    AMBIGUOUS,
     ChamberError,
     ChamberSystem,
     digon_building,
     fano_building,
+    gallery_distances,
     parse_chamber_system,
     product_building,
     projective_plane_building,
@@ -183,6 +187,15 @@ class TestVerify:
         check = report.residue_checks[0]
         assert check["girth"] == 6 and check["diameter"] == 3
 
+    def test_plane3_squared_passes(self):
+        # 2,704 chambers over 36 group elements: the all-sources pass takes
+        # n·|W| steps per neighbour where one BFS per chamber took n²
+        system = product_building(
+            projective_plane_building(3), projective_plane_building(3, ("u", "v"))
+        )
+        report = verify_building(system)
+        assert report.passed and report.distance_note == "checked"
+
     def test_thin_all_pass(self):
         for mat in (A2, B2, mk("abc", [("a", "b", 3), ("b", "c", 3)])):
             assert verify_building(thin_building(mat)).passed
@@ -264,8 +277,9 @@ class TestDistanceFailures:
         assert report.distance_note.startswith("type is infinite")
 
     def test_bfs_reads_no_panel(self, monkeypatch):
-        # the distance check walks the per-system neighbour table, one
-        # gallery BFS per chamber, and looks up no panel per edge
+        # the distance check walks the per-system neighbour table, all
+        # sources in one pass, and looks up no panel per edge; one
+        # gallery BFS is left, for the inverse-symmetry scan
         from coxtop import chambers
 
         def refuse(self, s, i):
@@ -279,7 +293,124 @@ class TestDistanceFailures:
         )
         system = product_building(fano_building(), fano_building(("u", "v")))
         assert verify_building(system).passed
-        assert calls == list(range(441))
+        assert len(calls) <= 1
+
+
+def reference_distance_check(system):
+    """The W-distance check with one ``gallery_distances`` per chamber:
+    the first failing pair in discovery order, then inverse symmetry.
+    The reference for ``verify_building``'s all-sources pass."""
+    table = system.element_table()
+    back = []  # delta(i, 0) for every chamber i
+    for i in range(system.size):
+        order, dist, delta = gallery_distances(system, i)
+        if i == 0:
+            order0, delta0 = order, delta
+        if len(order) != system.size:
+            return False, "disconnected"
+        for j in order:
+            w = delta[j]
+            if w == AMBIGUOUS:
+                return False, f"ambiguous distance between {i} and {j}"
+            if table.elements[w].length != dist[j]:
+                return False, f"non-reduced gallery between {i} and {j}"
+        back.append(delta[0])
+    for j in order0:
+        if table.inverse(delta0[j]) != back[j]:
+            return False, f"distance not inverse-symmetric at {j}"
+    return True, "checked"
+
+
+def panel_swaps(system, rng, count):
+    """``system`` with ``count`` random exchanges of two chambers between
+    two panels of one generator; panel sizes stay."""
+    panels = {s: [set(b) for b in system.panels[s]] for s in system.matrix.labels}
+    for _ in range(count):
+        blocks = panels[rng.choice(system.matrix.labels)]
+        first, second = rng.sample(blocks, 2)
+        a, b = rng.choice(sorted(first)), rng.choice(sorted(second))
+        first.remove(a)
+        first.add(b)
+        second.remove(b)
+        second.add(a)
+    return ChamberSystem(
+        system.matrix, {s: tuple(map(frozenset, b)) for s, b in panels.items()}, system.size
+    )
+
+
+def random_rank2(rng):
+    """A random chamber system of type m(s, t) in {2, 3, 4}: each generator
+    cuts a shuffled chamber list into blocks of one to three chambers."""
+    size = rng.randint(2, 12)
+    m = rng.choice((2, 3, 4))
+    panels = {}
+    for s in "st":
+        order = rng.sample(range(size), size)
+        blocks = []
+        while order:
+            cut = rng.randint(1, 3)
+            blocks.append(frozenset(order[:cut]))
+            order = order[cut:]
+        panels[s] = tuple(blocks)
+    return ChamberSystem(mk("st", [("s", "t", m)] if m != 2 else []), panels, size)
+
+
+A3 = mk("abc", [("a", "b", 3), ("b", "c", 3)])
+BUILT_INS = {
+    "a1": lambda: thin_building(mk("u", [])),
+    "thin-A2": lambda: thin_building(A2),
+    "thin-B2": lambda: thin_building(B2),
+    "thin-G2": lambda: thin_building(mk("st", [("s", "t", 6)])),
+    "thin-A3": lambda: thin_building(A3),
+    "thin-B3": lambda: thin_building(mk("abc", [("a", "b", 3), ("b", "c", 4)])),
+    "thin-H3": lambda: thin_building(mk("abc", [("a", "b", 3), ("b", "c", 5)])),
+    "fano": fano_building,
+    "digon(2,3)": lambda: digon_building(2, 3),
+    "digon(3,3)": lambda: digon_building(3, 3),
+    "plane(3)": lambda: projective_plane_building(3),
+    "fanoxa1": lambda: product_building(fano_building(), thin_building(mk("u", []))),
+    "digon(3,3)xa1": lambda: product_building(digon_building(3, 3), thin_building(mk("u", []))),
+    "fanoxfano": lambda: product_building(fano_building(), fano_building(("u", "v"))),
+}
+
+
+class TestDistancePassAgainstReference:
+    @pytest.mark.parametrize("name", list(BUILT_INS))
+    def test_built_ins(self, name):
+        system = BUILT_INS[name]()
+        report = verify_building(system)
+        assert (report.distance_ok, report.distance_note) == reference_distance_check(system)
+        assert report.distance_ok
+
+    @pytest.mark.parametrize(
+        "system",
+        [cycle(6, 2), cycle(8, 2), cycle(8, 3), two_fanos()],
+        ids=["6-cycle-m2", "8-cycle-m2", "8-cycle-m3", "two-fanos"],
+    )
+    def test_pinned_failures(self, system):
+        report = verify_building(system)
+        assert (report.distance_ok, report.distance_note) == reference_distance_check(system)
+
+    def test_fuzz(self):
+        rng = random.Random(14)
+        swapped = [
+            fano_building(),
+            digon_building(3, 3),
+            projective_plane_building(3),
+            thin_building(A3),
+            BUILT_INS["fanoxa1"](),
+        ]
+        kinds = set()
+        for case in range(1200):
+            if case % 2:
+                system = random_rank2(rng)
+            else:
+                system = panel_swaps(rng.choice(swapped), rng, rng.randint(1, 3))
+            report = verify_building(system)
+            expected = reference_distance_check(system)
+            assert (report.distance_ok, report.distance_note) == expected, case
+            kinds.add(expected[1].split(" ")[0])
+        assert {"checked", "disconnected", "ambiguous", "non-reduced"} <= kinds
 
 
 def test_constructor_panels_are_regular():

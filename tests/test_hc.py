@@ -232,6 +232,19 @@ class TestHcReport:
         assert report.w_finite
         assert report.totals == GradedGroup({0: AbGroup(1)})
 
+    @pytest.mark.parametrize(
+        "matrix, thickness",
+        [
+            (digon_building(3, 3).matrix, digon_building(3, 3)),
+            (FREE3, ("regular", {"s": 3, "t": 3, "u": 3})),
+        ],
+        ids=["concrete", "regular"],
+    )
+    def test_growth_radius_needs_thin(self, matrix, thickness):
+        # a thick report has no descent-class series to attach
+        with pytest.raises(ValueError, match="growth_radius"):
+            hc_standard_realization(matrix, thickness, growth_radius=4)
+
     def test_regular_symbolic(self):
         report = hc_standard_realization(FREE3, ("regular", {"s": 2, "t": 2, "u": 2}))
         assert report.totals[1].free == OMEGA
