@@ -42,13 +42,11 @@ from .complexes import (
 from .chambers import (
     ChamberError,
     ChamberSystem,
-    Residue,
     digon_building,
     fano_building,
     parse_chamber_system,
     product_building,
     projective_plane_building,
-    residues,
     thin_building,
     verify_building,
     w_distance,

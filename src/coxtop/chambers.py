@@ -3,6 +3,9 @@
 A chamber system over the generators of a Coxeter matrix is a finite set
 of chambers with one partition (the s-panels) per generator.  Residues of
 type T are the connected components under the panels with types in T.
+Every residue is read off one index per system, the chamber ->
+(generator index, neighbour) table ``ChamberSystem.neighbours``, and
+numbered by its least chamber (``residue_partition_map``).
 
 Constructors provided: the thin building (the group itself, panels =
 cosets of the order-2 subgroups), rank-2 generalized digons (complete
@@ -36,12 +39,6 @@ class ChamberError(ValueError):
 
 
 @dataclass(frozen=True)
-class Residue:
-    type: frozenset
-    chambers: tuple  # sorted chamber indices
-
-
-@dataclass(frozen=True)
 class ChamberSystem:
     matrix: CoxeterMatrix
     panels: dict = field(compare=False)  # label -> tuple of frozensets of indices
@@ -49,36 +46,46 @@ class ChamberSystem:
     chamber_names: tuple = ()  # optional, for reports
 
     def __post_init__(self):
-        # chamber -> index of its s-panel in panels[s], one list per generator
-        panel_index = {}
         for s in self.matrix.labels:
             blocks = self.panels.get(s)
             if blocks is None:
                 raise ChamberError(f"missing panel partition for generator {s!r}")
-            owner = {}
-            for k, b in enumerate(blocks):
-                for c in b:
-                    if c in owner:
-                        raise ChamberError(f"{s}-panels overlap")
-                    owner[c] = k
-            if owner.keys() != set(range(self.size)):
+            covered = set()
+            for b in blocks:
+                if not b:
+                    raise ChamberError(f"empty panel block for generator {s!r}")
+                if not covered.isdisjoint(b):
+                    raise ChamberError(f"{s}-panels overlap")
+                covered.update(b)
+            if covered != set(range(self.size)):
                 raise ChamberError(f"{s}-panels do not cover the chambers")
-            panel_index[s] = [owner[c] for c in range(self.size)]
-        object.__setattr__(self, "_panel_index", panel_index)
+        # type -> (partition map, least chamber of each residue)
         object.__setattr__(self, "_partitions", {})
         # type -> hat(A)^T, filled by every BuildingDecomposition of this system
         object.__setattr__(self, "_splittings", {})
 
     def panel_of(self, s, i):
-        return self.panels[s][self._panel_index[s][i]]
+        return next(b for b in self.panels[s] if i in b)
 
     def partition_map(self, T):
         """``residue_partition_map`` of type T; cached per instance."""
+        return self._residue_index(T)[0]
+
+    def least_chambers(self, T):
+        """The least chamber of each T-residue, in residue order; its
+        length is the number of T-residues.  Cached with the partition map."""
+        return self._residue_index(T)[1]
+
+    def _residue_index(self, T):
         T = frozenset(T)
         cached = self._partitions.get(T)
         if cached is None:
-            cached = residue_partition_map(self, T)
-            self._partitions[T] = cached
+            pm = residue_partition_map(self, T)
+            least = []
+            for c, r in enumerate(pm):
+                if r == len(least):  # residues are numbered by least chamber
+                    least.append(c)
+            cached = self._partitions[T] = (pm, least)
         return cached
 
     def element_table(self):
@@ -175,36 +182,31 @@ def parse_chamber_system(text):
     return ChamberSystem(matrix, panels, size)
 
 
-def residues(system, T):
-    """Partition into T-connected components, sorted by smallest chamber."""
-    T = [s for s in system.matrix.labels if s in set(T)]
-    parent = list(range(system.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in T:
-        for block in system.panels[s]:
-            it = iter(sorted(block))
-            first = find(next(it))
-            for other in it:
-                parent[find(other)] = first
-    groups = {}
-    for i in range(system.size):
-        groups.setdefault(find(i), []).append(i)
-    comps = sorted(groups.values(), key=lambda g: g[0])
-    return [Residue(frozenset(T), tuple(sorted(g))) for g in comps]
-
-
 def residue_partition_map(system, T):
-    """chamber index -> residue index, residues ordered by smallest member."""
+    """chamber index -> residue index, residues numbered by least chamber.
+
+    Each chamber not yet placed, in increasing order, opens the next
+    residue, and a search over the T-edges of ``system.neighbours()``
+    places the rest of it.
+    """
+    labels = system.matrix.labels
+    for s in T:
+        if s not in labels:
+            raise ChamberError(f"residue type names unknown generator {s!r}")
+    kinds = {labels.index(s) for s in T}
+    neighbours = system.neighbours()
     out = [None] * system.size
-    for r_index, r in enumerate(residues(system, T)):
-        for c in r.chambers:
-            out[c] = r_index
+    count = 0
+    for c in range(system.size):
+        if out[c] is None:
+            out[c] = count
+            stack = [c]
+            while stack:
+                for k, j in neighbours[stack.pop()]:
+                    if out[j] is None and k in kinds:
+                        out[j] = count
+                        stack.append(j)
+            count += 1
     return out
 
 
@@ -546,10 +548,10 @@ def verify_building(system):
         m = system.matrix.m(s, t)
         if m is INF:
             continue
-        s_ids = system._panel_index[s]
-        t_ids = system._panel_index[t]
+        s_ids = system.partition_map((s,))
+        t_ids = system.partition_map((t,))
         pm = system.partition_map((s, t))
-        by_residue = [[] for _ in range(max(pm) + 1)]
+        by_residue = [[] for _ in system.least_chambers((s, t))]
         for c, r in enumerate(pm):
             by_residue[r].append(c)
         for chambers in by_residue:

@@ -43,7 +43,7 @@ from .hc import (
     vcd,
 )
 from .intlinalg import TorsionObstruction
-from .realization import realization_cohomology, realize
+from .realization import coxeter_complex, realization_cohomology, realize
 
 
 class InputError(ValueError):
@@ -246,15 +246,16 @@ def cmd_realize(args):
     human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
     _emit(args, payload, human)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(system.to_text())
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(system.to_text())
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
 def cmd_coxeter_complex(args):
-    mat = _read_matrix(args.matrix)
-    system = thin_building(mat)
-    realized = realize(system, model_chamber(mat, "delta"))
+    realized = coxeter_complex(_read_matrix(args.matrix))
     h = realization_cohomology(realized)
     payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
     human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))

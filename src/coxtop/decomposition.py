@@ -74,8 +74,7 @@ class BuildingDecomposition:
     # -------------------------------------------------------- residue data
 
     def residue_count(self, T):
-        pm = self.system.partition_map(T)
-        return max(pm) + 1 if pm else 0
+        return len(self.system.least_chambers(T))
 
     def _containing(self, fine, coarse):
         """For each fine residue, the index of the coarse residue holding it.
@@ -86,10 +85,8 @@ class BuildingDecomposition:
         coarse = frozenset(coarse)
         if not fine <= coarse:
             raise ValueError("inclusion needs fine <= coarse as types")
-        up = [None] * self.residue_count(fine)
-        for f, c in zip(self.system.partition_map(fine), self.system.partition_map(coarse)):
-            up[f] = c
-        return up
+        up = self.system.partition_map(coarse)
+        return [up[c] for c in self.system.least_chambers(fine)]
 
     def _covered(self, fine, coarse):
         """For each coarse residue, the fine residues it holds, in order."""

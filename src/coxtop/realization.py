@@ -28,28 +28,26 @@ def realize(system, X):
     offset(v) counts the residues of the model vertices before v, so the
     ids run in the ``vertex_key`` order of these labels.  The face of a
     glued cell at a model subcell c' is the copy of c' indexed by the
-    coarser S(c')-residue through the same chamber.
+    coarser S(c')-residue through the same chamber; each glued cell is
+    read at the least chamber of its residue.
     """
     model = X.complex
-    pm = {f: system.partition_map(X.face_label(f)) for f in model.faces}
-    table, offset = [], {}
+    least = {f: system.least_chambers(X.face_label(f)) for f in model.faces}
+    table, glued = [], {}  # model vertex v -> (offset(v), its partition map)
     for v, label in enumerate(model.vertices):
-        if (v,) in pm:
-            offset[v] = len(table)
-            table.extend((label, r) for r in range(max(pm[(v,)]) + 1))
+        if (v,) in least:
+            glued[v] = (len(table), system.partition_map(X.face_label((v,))))
+            table.extend((label, r) for r in range(len(least[(v,)])))
     faces = set()
     for f in model.faces:
-        vertex_pms = [(offset[v], pm[(v,)]) for v in f]
-        seen = set()
-        for chamber, r in enumerate(pm[f]):
-            if r not in seen:
-                seen.add(r)
-                faces.add(tuple(o + vpm[chamber] for o, vpm in vertex_pms))
+        vertex_pms = [glued[v] for v in f]
+        for chamber in least[f]:
+            faces.add(tuple(o + vpm[chamber] for o, vpm in vertex_pms))
     out = SimplicialComplex(tuple(table), frozenset(faces))
     # cell-count identity: one glued cell per (model cell, residue)
     expected = [0] * (model.dim + 1)
     for f in model.faces:
-        expected[len(f) - 1] += max(pm[f]) + 1
+        expected[len(f) - 1] += len(least[f])
     if out.f_vector() != tuple(expected):
         raise AssertionError(f"cell count mismatch: {out.f_vector()} != {tuple(expected)}")
     return out

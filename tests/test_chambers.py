@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,11 +14,12 @@ from coxtop.chambers import (
     parse_chamber_system,
     product_building,
     projective_plane_building,
-    residues,
+    residue_partition_map,
     thin_building,
     verify_building,
     w_distance,
 )
+from coxtop.decomposition import BuildingDecomposition
 
 
 def mk(labels, pairs):
@@ -87,8 +89,9 @@ class TestProjectivePlane:
 
     def test_s_residues_are_points(self):
         sys = fano_building()
-        rs = residues(sys, "s")
-        assert len(rs) == 7 and all(len(r.chambers) == 3 for r in rs)
+        pm = sys.partition_map("s")
+        assert len(sys.least_chambers("s")) == 7
+        assert all(pm.count(r) == 3 for r in range(7))
 
     def test_unsupported_order(self):
         with pytest.raises(ChamberError):
@@ -116,21 +119,28 @@ class TestProduct:
 class TestResidues:
     def test_empty_type_singletons(self):
         sys = thin_building(A2)
-        rs = residues(sys, ())
-        assert len(rs) == 6 and all(len(r.chambers) == 1 for r in rs)
+        assert sys.partition_map(()) == list(range(6))
+        assert sys.least_chambers(()) == list(range(6))
 
     def test_thin_a2_s(self):
         sys = thin_building(A2)
-        rs = residues(sys, "s")
-        assert len(rs) == 3 and all(len(r.chambers) == 2 for r in rs)
+        pm = sys.partition_map("s")
+        assert len(sys.least_chambers("s")) == 3
+        assert all(pm.count(r) == 2 for r in range(3))
 
     def test_refinement(self):
         sys = fano_building()
-        small = residues(sys, "s")
-        big = residues(sys, "st")
-        assert len(big) == 1
-        for r in small:
-            assert set(r.chambers) <= set(big[0].chambers)
+        small, big = sys.partition_map("s"), sys.partition_map("st")
+        assert sys.least_chambers("st") == [0]
+        # each s-residue lies in the st-residue of its least chamber
+        least = sys.least_chambers("s")
+        assert all(big[c] == big[least[r]] for c, r in enumerate(small))
+
+    def test_unknown_generator(self):
+        sys = fano_building()
+        for call in (residue_partition_map, ChamberSystem.partition_map):
+            with pytest.raises(ChamberError, match="'x'"):
+                call(sys, ("s", "x"))
 
 
 class TestWDistance:
@@ -216,6 +226,23 @@ class TestVerify:
         assert not report.residues_ok and not report.passed
         with pytest.raises(ChamberError):
             w_distance(sys_bad, 0, 3)
+
+    def test_empty_panel_block_is_refused(self):
+        mat = mk("st", [("s", "t", 3)])
+        with pytest.raises(ChamberError, match="'s'"):
+            ChamberSystem(
+                mat,
+                {
+                    "s": (frozenset({0, 1}), frozenset({2, 3}), frozenset()),
+                    "t": (frozenset({0, 3}), frozenset({1, 2})),
+                },
+                4,
+            )
+        with pytest.raises(ChamberError, match="'s'"):
+            parse_chamber_system(
+                "gens s t\ns t 3\nchambers 4\n"
+                "panel s: {0,1} {2,3} {}\npanel t: {0,3} {1,2}\n"
+            )
 
     def test_small_panel_fails(self):
         mat = mk("s", [])
@@ -338,13 +365,11 @@ def panel_swaps(system, rng, count):
     )
 
 
-def random_rank2(rng):
-    """A random chamber system of type m(s, t) in {2, 3, 4}: each generator
-    cuts a shuffled chamber list into blocks of one to three chambers."""
-    size = rng.randint(2, 12)
-    m = rng.choice((2, 3, 4))
+def random_panels(rng, labels, size):
+    """Per generator, a shuffled chamber list cut into blocks of one to
+    three chambers."""
     panels = {}
-    for s in "st":
+    for s in labels:
         order = rng.sample(range(size), size)
         blocks = []
         while order:
@@ -352,6 +377,15 @@ def random_rank2(rng):
             blocks.append(frozenset(order[:cut]))
             order = order[cut:]
         panels[s] = tuple(blocks)
+    return panels
+
+
+def random_rank2(rng):
+    """A random chamber system of type m(s, t) in {2, 3, 4}: each generator
+    cuts a shuffled chamber list into blocks of one to three chambers."""
+    size = rng.randint(2, 12)
+    m = rng.choice((2, 3, 4))
+    panels = random_panels(rng, "st", size)
     return ChamberSystem(mk("st", [("s", "t", m)] if m != 2 else []), panels, size)
 
 
@@ -411,6 +445,90 @@ class TestDistancePassAgainstReference:
             assert (report.distance_ok, report.distance_note) == expected, case
             kinds.add(expected[1].split(" ")[0])
         assert {"checked", "disconnected", "ambiguous", "non-reduced"} <= kinds
+
+
+def reference_residues(system, T):
+    """The T-residues by union-find over the raw panel blocks, each a
+    sorted chamber list, ordered by least chamber.  The reference for
+    ``residue_partition_map`` and the least chambers cached beside it."""
+    T = [s for s in system.matrix.labels if s in set(T)]
+    parent = list(range(system.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in T:
+        for block in system.panels[s]:
+            it = iter(sorted(block))
+            first = find(next(it))
+            for other in it:
+                parent[find(other)] = first
+    groups = {}
+    for i in range(system.size):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def renumbered(system, rng):
+    """``system`` with its chambers permuted and its panel blocks shuffled."""
+    perm = rng.sample(range(system.size), system.size)
+    panels = {
+        s: tuple(frozenset(perm[c] for c in b) for b in rng.sample(blocks, len(blocks)))
+        for s, blocks in system.panels.items()
+    }
+    return ChamberSystem(system.matrix, panels, system.size)
+
+
+def assert_residues_match_reference(system):
+    labels = system.matrix.labels
+    dec = BuildingDecomposition(system)
+    for r in range(len(labels) + 1):
+        for T in combinations(labels, r):
+            expected = reference_residues(system, T)
+            pm = [None] * system.size
+            for index, chambers in enumerate(expected):
+                for c in chambers:
+                    pm[c] = index
+            assert residue_partition_map(system, T) == pm, T
+            assert system.partition_map(T) == pm, T
+            assert system.least_chambers(T) == [g[0] for g in expected], T
+            assert dec.residue_count(T) == len(expected), T
+
+
+RESIDUE_SYSTEMS = ["a1", "fano", "plane(3)", "digon(2,3)", "digon(3,3)",
+                   "thin-A3", "thin-B3", "thin-H3", "fanoxa1", "fanoxfano"]
+
+
+class TestResiduesAgainstReference:
+    @pytest.mark.parametrize("name", RESIDUE_SYSTEMS)
+    def test_built_ins(self, name):
+        assert_residues_match_reference(BUILT_INS[name]())
+
+    @pytest.mark.parametrize("name", RESIDUE_SYSTEMS)
+    def test_renumbered(self, name):
+        rng = random.Random(15)
+        for _ in range(3):
+            assert_residues_match_reference(renumbered(BUILT_INS[name](), rng))
+
+    def test_disconnected(self):
+        assert_residues_match_reference(two_fanos())
+        assert_residues_match_reference(renumbered(two_fanos(), random.Random(15)))
+
+    def test_random_partitions(self):
+        # panels with singleton blocks, and systems in several pieces
+        rng = random.Random(15)
+        singletons = disconnected = 0
+        for _ in range(300):
+            size = rng.randint(1, 14)
+            labels = "stu"[: rng.randint(1, 3)]
+            system = ChamberSystem(mk(labels, []), random_panels(rng, labels, size), size)
+            assert_residues_match_reference(system)
+            singletons += any(len(b) == 1 for s in labels for b in system.panels[s])
+            disconnected += len(system.least_chambers(labels)) > 1
+        assert singletons and disconnected
 
 
 def test_constructor_panels_are_regular():

@@ -296,6 +296,24 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert "line 3" in captured.err and "chambers" in captured.err
 
+    @pytest.mark.parametrize("verb", ["verify-building", "realize"])
+    def test_empty_panel_block(self, capsys, a2_file, tmp_path, verb):
+        bad = tmp_path / "empty.bld"
+        bad.write_text(
+            "gens s t\ns t 3\nchambers 4\npanel s: {0,1} {2,3} {}\npanel t: {0,3} {1,2}\n"
+        )
+        code = main([verb, a2_file, "--chamber-file", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: empty panel block for generator 's'\n"
+
+    def test_realize_out_to_unwritable_path(self, capsys, a2_file, tmp_path):
+        out = tmp_path / "missing" / "fano.bld"
+        code = main(["realize", a2_file, "--building", "fano", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out}: ")
+
     @pytest.mark.parametrize(
         "text, line",
         [
