@@ -54,6 +54,12 @@ class ChamberSystem:
             for b in blocks:
                 if not b:
                     raise ChamberError(f"empty panel block for generator {s!r}")
+                stray = [c for c in b if not 0 <= c < self.size]
+                if stray:
+                    raise ChamberError(
+                        f"panel block for generator {s!r} names chamber {min(stray)}, "
+                        f"out of range [0, {self.size})"
+                    )
                 if not covered.isdisjoint(b):
                     raise ChamberError(f"{s}-panels overlap")
                 covered.update(b)

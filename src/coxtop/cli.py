@@ -13,6 +13,7 @@ torsion) - distinguishing broken invariants from broken invocations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import combinations
@@ -26,7 +27,7 @@ from .chambers import (
     thin_building,
     verify_building,
 )
-from .complexes import local_groups, metric_flag_check, model_chamber, nerve
+from .complexes import classical_chamber, local_groups, metric_flag_check, model_chamber, nerve
 from .complexes import davis_chamber as davis_chamber_of
 from .coxmatrix import CoxeterError, CoxeterMatrix, parse_coxeter_matrix, spherical_poset
 from .decomposition import (
@@ -43,7 +44,7 @@ from .hc import (
     vcd,
 )
 from .intlinalg import TorsionObstruction
-from .realization import coxeter_complex, realization_cohomology, realize
+from .realization import realization_cohomology, realize
 
 
 class InputError(ValueError):
@@ -234,31 +235,43 @@ def cmd_cohomology(args):
     return 0
 
 
+def _open_out(path):
+    """``path`` opened for writing, or a null context when there is none;
+    an unwritable path is bad input."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_realize(args):
     mat = _read_matrix(args.matrix)
     system = resolve_building(args, mat)
     X = model_chamber(system.matrix, args.model)
-    realized = realize(system, X)
-    h = realization_cohomology(realized)
-    payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
-    if args.json:
-        payload["faces"] = realized.to_json()
-    human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
-    _emit(args, payload, human)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(system.to_text())
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+    # opened once the inputs are read (a chamber file may be the same
+    # path) and before any work, so a refused --out leaves stdout empty
+    with _open_out(args.out) as out:
+        realized = realize(system, X)
+        h = realization_cohomology(system, X)
+        payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
+        if args.json:
+            payload["faces"] = realized.to_json()
+        human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
+        _emit(args, payload, human)
+        if out is not None:
+            out.write(system.to_text())
     return 0
 
 
 def cmd_coxeter_complex(args):
-    realized = coxeter_complex(_read_matrix(args.matrix))
-    h = realization_cohomology(realized)
-    payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
-    human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
+    mat = _read_matrix(args.matrix)
+    system, X = thin_building(mat), classical_chamber(mat)
+    f_vector = realize(system, X).f_vector()
+    h = realization_cohomology(system, X)
+    payload = {"f_vector": list(f_vector), "cohomology": h.to_json()}
+    human = f"f-vector: {f_vector}\n" + "\n".join(_graded_lines(h))
     _emit(args, payload, human)
     return 0
 

@@ -3,10 +3,16 @@
 The realization of a chamber system over a mirrored model complex X has
 one copy of each cell c of X per residue of type S(c): the copies of X
 indexed by chambers are glued so that chambers in a common S(c)-residue
-share the cell c.  For finite systems the result is an explicit
-simplicial complex whose cohomology can be compared, degree by degree,
-against the direct sum over spherical T of H(X, X^{S-T}) tensored with
-the chosen summand hat(A)^T.
+share the cell c.  Its cochain complex is read off the model without
+gluing: one free block Z^{S(c)-residues} per cell c of X, whatever the
+label (spherical or not), oriented by X's vertex order, with the block
+map from a cell to its face sending each residue to the coarser residue
+holding it (``realization_cochain_complex``).  That cohomology is
+compared, degree by degree, against the direct sum over spherical T of
+H(X, X^{S-T}) tensored with the chosen summand hat(A)^T.
+
+``realize`` builds the glued simplicial complex itself; it serves the
+f-vector and the face list of the ``realize`` verb, not the cohomology.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chambers import thin_building
-from .complexes import SimplicialComplex, classical_chamber, local_groups, relative_cohomology
+from .complexes import SimplicialComplex, classical_chamber, cochain_complex, local_groups
 from .decomposition import BuildingDecomposition
 from .intlinalg import GradedGroup
 
@@ -53,10 +59,41 @@ def realize(system, X):
     return out
 
 
-def realization_cohomology(realized):
-    """Integral cohomology of the glued complex (compact, so this is the
-    compactly supported cohomology as well)."""
-    return relative_cohomology(realized)
+def realization_cochain_complex(system, X):
+    """The cochain complex of ``realize(system, X)`` in residue blocks.
+
+    Over each cell c of X, in cell order, sits one basis element per
+    S(c)-residue, in residue order: the glued copies of c.  The glued
+    copies share c's orientation, since ``realize`` numbers glued
+    vertices in model-vertex order, so the coboundary entry between the
+    copy of g over a residue and its face at f, the copy of f over the
+    coarser S(f)-residue, is the model sign.  Block maps depend only on
+    the labels (S(g), S(f)) and are built once per pair.
+    """
+    model = X.complex
+    label = {f: X.face_label(f) for f in model.faces}
+    up = {}  # (S(g), S(f)) -> S(f)-residue of each S(g)-residue
+
+    def restrict(g, f):
+        key = (label[g], label[f])
+        rows = up.get(key)
+        if rows is None:
+            coarse = system.partition_map(key[1])
+            rows = up[key] = [coarse[c] for c in system.least_chambers(key[0])]
+        return rows
+
+    return cochain_complex(
+        {k: model.faces_of_dim(k) for k in range(model.dim + 1)},
+        lambda c: len(system.least_chambers(label[c])),
+        restrict,
+    )
+
+
+def realization_cohomology(system, X):
+    """Integral cohomology of the realization of ``system`` over X (compact
+    for a finite system, so this is the compactly supported cohomology as
+    well), read off ``realization_cochain_complex``."""
+    return realization_cochain_complex(system, X).cohomology()
 
 
 def coxeter_complex(matrix):
@@ -109,7 +146,7 @@ def formula_cross_check(system, X):
     """
     dec = BuildingDecomposition(system)
     matrix = system.matrix
-    realized = realization_cohomology(realize(system, X))
+    realized = realization_cohomology(system, X)
     assembled = GradedGroup({})
     entries = []
     for T, local in local_groups(X, dec.poset):

@@ -32,12 +32,7 @@ from coxtop.decomposition import (
 from coxtop.groups import enumerate_ball, enumerate_group
 from coxtop.hc import duality_check, thin_multiplicity_series, vcd
 from coxtop.intlinalg import AbGroup, GradedGroup
-from coxtop.realization import (
-    coxeter_complex,
-    formula_cross_check,
-    realization_cohomology,
-    realize,
-)
+from coxtop.realization import formula_cross_check, realization_cohomology
 
 
 def mk(labels, pairs):
@@ -146,7 +141,7 @@ def test_criterion_04_main_formula_cross_check():
             result = formula_cross_check(system, model)
             assert result.ok, (system.size, result.to_json())
     fano = fano_building()
-    r = realization_cohomology(realize(fano, classical_chamber(fano.matrix)))
+    r = realization_cohomology(fano, classical_chamber(fano.matrix))
     assert r == GradedGroup({0: AbGroup(1), 1: AbGroup(8)})
     report(4, "realized cohomology equals the assembled sum for all six "
               "(building, model) pairs; Fano over the simplex gives (Z, Z^8)")
@@ -171,9 +166,8 @@ def test_criterion_05_face_identities_exhaustive():
 def test_criterion_06_coxeter_complexes_are_spheres():
     circle = GradedGroup({0: AbGroup(1), 1: AbGroup(1)})
     sphere2 = GradedGroup({0: AbGroup(1), 2: AbGroup(1)})
-    assert realization_cohomology(coxeter_complex(A2)) == circle
-    assert realization_cohomology(coxeter_complex(B2)) == circle
-    assert realization_cohomology(coxeter_complex(A3)) == sphere2
+    for mat, sphere in ((A2, circle), (B2, circle), (A3, sphere2)):
+        assert realization_cohomology(thin_building(mat), classical_chamber(mat)) == sphere
     report(6, "Coxeter complexes: A2 and B2 realize circles, A3 realizes "
               "the 2-sphere, exactly")
 
@@ -261,9 +255,7 @@ def test_criterion_11_filtration_and_graded_modules():
         assert filt.matches, system.size
         assert sum(filt.graded_ranks()) == system.size
         graded = graded_module_report(system.matrix, system)
-        realized = realization_cohomology(
-            realize(system, davis_chamber(system.matrix))
-        )
+        realized = realization_cohomology(system, davis_chamber(system.matrix))
         assert graded.totals == realized, system.size
         assert graded.matches_hc
     report(11, "filtration gradeds sum to the chamber count and the graded "

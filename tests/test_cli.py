@@ -309,10 +309,20 @@ class TestErrors:
 
     def test_realize_out_to_unwritable_path(self, capsys, a2_file, tmp_path):
         out = tmp_path / "missing" / "fano.bld"
-        code = main(["realize", a2_file, "--building", "fano", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: cannot write {out}: ")
+        code = main(["realize", a2_file, "--building", "fano", "--out", str(out), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    def test_panel_block_names_chamber_out_of_range(self, capsys, tmp_path):
+        bad = tmp_path / "stray.bld"
+        bad.write_text("gens s t\nchambers 4\npanel s: {0,1} {2,3,7}\npanel t: {0,2} {1,3}\n")
+        code = main(["verify-building", "--chamber-file", str(bad), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: panel block for generator 's' names chamber 7, out of range [0, 4)\n"
+        )
 
     @pytest.mark.parametrize(
         "text, line",

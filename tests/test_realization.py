@@ -1,12 +1,23 @@
+import random
+
 import pytest
 
-from coxtop.chambers import digon_building, fano_building, thin_building
-from coxtop.complexes import classical_chamber, davis_chamber
+from coxtop.chambers import (
+    ChamberSystem,
+    digon_building,
+    fano_building,
+    parse_chamber_system,
+    product_building,
+    projective_plane_building,
+    thin_building,
+)
+from coxtop.complexes import classical_chamber, davis_chamber, relative_cohomology
 from coxtop.coxmatrix import CoxeterMatrix
 from coxtop.intlinalg import AbGroup, GradedGroup
 from coxtop.realization import (
     coxeter_complex,
     formula_cross_check,
+    realization_cochain_complex,
     realization_cohomology,
     realize,
 )
@@ -27,16 +38,15 @@ SPHERE2 = GradedGroup({0: AbGroup(1), 2: AbGroup(1)})
 
 class TestRealize:
     def test_thin_a2_hexagon(self):
-        r = realize(thin_building(A2), classical_chamber(A2))
-        assert r.f_vector() == (6, 6)
-        assert realization_cohomology(r) == CIRCLE
+        sys = thin_building(A2)
+        assert realize(sys, classical_chamber(A2)).f_vector() == (6, 6)
+        assert realization_cohomology(sys, classical_chamber(A2)) == CIRCLE
 
     def test_fano_heawood(self):
-        r = realize(fano_building(), classical_chamber(fano_building().matrix))
-        assert r.f_vector() == (14, 21)
-        assert realization_cohomology(r) == GradedGroup(
-            {0: AbGroup(1), 1: AbGroup(8)}
-        )
+        sys = fano_building()
+        X = classical_chamber(sys.matrix)
+        assert realize(sys, X).f_vector() == (14, 21)
+        assert realization_cohomology(sys, X) == GradedGroup({0: AbGroup(1), 1: AbGroup(8)})
 
     def test_single_point_model(self):
         from coxtop.complexes import MirroredComplex, SimplicialComplex
@@ -47,8 +57,8 @@ class TestRealize:
             SimplicialComplex.from_maximal([frozenset(["pt"])]),
             {},
         )
-        r = realize(sys, X)
-        assert r.f_vector() == (6,)
+        assert realize(sys, X).f_vector() == (6,)
+        assert realization_cohomology(sys, X) == GradedGroup({0: AbGroup(6)})
 
     def test_cell_count_identity(self):
         sys = digon_building(3, 3)
@@ -64,27 +74,94 @@ class TestRealize:
     def test_davis_realization_contractible(self):
         # the standard realization of a building is contractible
         for sys in (thin_building(A2), digon_building(3, 3), fano_building()):
-            r = realize(sys, davis_chamber(sys.matrix))
-            assert realization_cohomology(r) == GradedGroup({0: AbGroup(1)})
+            h = realization_cohomology(sys, davis_chamber(sys.matrix))
+            assert h == GradedGroup({0: AbGroup(1)})
+
+
+def coxeter_cohomology(mat):
+    return realization_cohomology(thin_building(mat), classical_chamber(mat))
 
 
 class TestCoxeterComplex:
     def test_a2_circle(self):
-        assert realization_cohomology(coxeter_complex(A2)) == CIRCLE
+        assert coxeter_cohomology(A2) == CIRCLE
 
     def test_b2_circle(self):
-        r = coxeter_complex(B2)
-        assert r.f_vector() == (8, 8)
-        assert realization_cohomology(r) == CIRCLE
+        assert coxeter_complex(B2).f_vector() == (8, 8)
+        assert coxeter_cohomology(B2) == CIRCLE
 
     def test_a3_sphere(self):
-        r = coxeter_complex(A3)
-        assert r.f_vector() == (14, 36, 24)
-        assert realization_cohomology(r) == SPHERE2
+        assert coxeter_complex(A3).f_vector() == (14, 36, 24)
+        assert coxeter_cohomology(A3) == SPHERE2
 
     def test_a1_two_points(self):
-        r = coxeter_complex(A1)
-        assert realization_cohomology(r) == GradedGroup({0: AbGroup(2)})
+        assert coxeter_cohomology(A1) == GradedGroup({0: AbGroup(2)})
+
+
+def renumbered(system, rng):
+    """``system`` with its chambers permuted and its panel blocks shuffled."""
+    perm = rng.sample(range(system.size), system.size)
+    panels = {
+        s: tuple(frozenset(perm[c] for c in b) for b in rng.sample(blocks, len(blocks)))
+        for s, blocks in system.panels.items()
+    }
+    return ChamberSystem(system.matrix, panels, system.size)
+
+
+# a 4-cycle of chambers of type s t inf: finite, so no building, but it
+# has a realization; times a1 it has a non-spherical label over the simplex
+DINF_CYCLE = "gens s t\ns t inf\nchambers 4\npanel s: {0,1} {2,3}\npanel t: {1,2} {3,0}\n"
+
+
+def dinf_cycle_x_a1():
+    return product_building(parse_chamber_system(DINF_CYCLE), thin_building(mk("u", [])))
+
+
+RESIDUE_BLOCK_SYSTEMS = {
+    "a1": lambda: thin_building(mk("u", [])),
+    "fano": fano_building,
+    "digon(2,3)": lambda: digon_building(2, 3),
+    "digon(3,3)": lambda: digon_building(3, 3),
+    "plane(3)": lambda: projective_plane_building(3),
+    "fanoxa1": lambda: product_building(fano_building(), thin_building(mk("u", []))),
+    "digon(3,3)xa1": lambda: product_building(digon_building(3, 3), thin_building(mk("u", []))),
+    "fanoxfano": lambda: product_building(fano_building(), fano_building(("u", "v"))),
+    "renumbered-fanoxa1": lambda: renumbered(
+        product_building(fano_building(), thin_building(mk("u", []))), random.Random(16)
+    ),
+    "thin-A2": lambda: thin_building(A2),
+    "thin-A3": lambda: thin_building(A3),
+    "thin-B3": lambda: thin_building(mk("abc", [("a", "b", 4), ("b", "c", 3)])),
+    "dinf-cycle": lambda: parse_chamber_system(DINF_CYCLE),
+    "dinf-cyclexa1": dinf_cycle_x_a1,
+}
+
+
+class TestResidueBlocksAgainstGluedComplex:
+    """The residue-block cochain complex against the glued complex that
+    ``realize`` builds, whose simplicial cohomology is the reference."""
+
+    @pytest.mark.parametrize("model", ["delta", "K"])
+    @pytest.mark.parametrize("name", list(RESIDUE_BLOCK_SYSTEMS))
+    def test_same_cells_and_cohomology(self, name, model):
+        system = RESIDUE_BLOCK_SYSTEMS[name]()
+        chamber = classical_chamber if model == "delta" else davis_chamber
+        X = chamber(system.matrix)
+        glued = realize(system, X)
+        blocks = realization_cochain_complex(system, X).validate()
+        assert blocks.dims == dict(enumerate(glued.f_vector()))
+        assert realization_cohomology(system, X) == relative_cohomology(glued)
+
+    def test_non_spherical_label_is_glued(self):
+        # over the simplex the vertex u has label {s, t}, whose two
+        # residues are the two 4-cycles: the realization is the cylinder
+        # over a circle with both ends coned off, a 2-sphere; dropping
+        # those two cells would leave the open cylinder, H^1 = H^2 = Z
+        system = dinf_cycle_x_a1()
+        X = classical_chamber(system.matrix)
+        assert len(system.least_chambers({"s", "t"})) == 2
+        assert realization_cochain_complex(system, X).dims == {0: 6, 1: 12, 2: 8}
+        assert realization_cohomology(system, X) == SPHERE2
 
 
 class TestCrossCheck:
@@ -125,8 +202,6 @@ class TestCrossCheck:
 
     def test_rank3_product_building(self):
         # 42 chambers of type A2 x A1: the largest cross-check in the suite
-        from coxtop.chambers import product_building
-
         prod = product_building(fano_building(), thin_building(mk("u", [])))
         for X in (classical_chamber(prod.matrix), davis_chamber(prod.matrix)):
             report = formula_cross_check(prod, X)
@@ -152,7 +227,6 @@ def test_cohomology_path_scans_no_dense_matrix(monkeypatch):
     # the splittings (the lattice path) are computed first; every
     # coboundary after that must reach the elimination as sparse rows
     from coxtop import intlinalg
-    from coxtop.chambers import product_building
     from coxtop.decomposition import BuildingDecomposition
 
     prod = product_building(fano_building(), thin_building(mk("u", [])))
