@@ -44,7 +44,7 @@ from .hc import (
     vcd,
 )
 from .intlinalg import TorsionObstruction
-from .realization import realization_cohomology, realize
+from .realization import realization_cochain_complex, realize
 
 
 class InputError(ValueError):
@@ -246,6 +246,19 @@ def _open_out(path):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _realization_report(system, X):
+    """The f-vector and cohomology of the realization of ``system`` over
+    X, as JSON payload and plain text, both read off its cochain complex:
+    the rank in degree k is the number of glued k-cells, as ``realize``
+    checks when it glues them."""
+    cc = realization_cochain_complex(system, X)
+    f_vector = tuple(cc.dims.get(k, 0) for k in range(X.complex.dim + 1))
+    h = cc.cohomology()
+    payload = {"f_vector": list(f_vector), "cohomology": h.to_json()}
+    human = f"f-vector: {f_vector}\n" + "\n".join(_graded_lines(h))
+    return payload, human
+
+
 def cmd_realize(args):
     mat = _read_matrix(args.matrix)
     system = resolve_building(args, mat)
@@ -253,12 +266,9 @@ def cmd_realize(args):
     # opened once the inputs are read (a chamber file may be the same
     # path) and before any work, so a refused --out leaves stdout empty
     with _open_out(args.out) as out:
-        realized = realize(system, X)
-        h = realization_cohomology(system, X)
-        payload = {"f_vector": list(realized.f_vector()), "cohomology": h.to_json()}
+        payload, human = _realization_report(system, X)
         if args.json:
-            payload["faces"] = realized.to_json()
-        human = f"f-vector: {realized.f_vector()}\n" + "\n".join(_graded_lines(h))
+            payload["faces"] = realize(system, X).to_json()
         _emit(args, payload, human)
         if out is not None:
             out.write(system.to_text())
@@ -267,12 +277,7 @@ def cmd_realize(args):
 
 def cmd_coxeter_complex(args):
     mat = _read_matrix(args.matrix)
-    system, X = thin_building(mat), classical_chamber(mat)
-    f_vector = realize(system, X).f_vector()
-    h = realization_cohomology(system, X)
-    payload = {"f_vector": list(f_vector), "cohomology": h.to_json()}
-    human = f"f-vector: {f_vector}\n" + "\n".join(_graded_lines(h))
-    _emit(args, payload, human)
+    _emit(args, *_realization_report(thin_building(mat), classical_chamber(mat)))
     return 0
 
 

@@ -15,8 +15,11 @@ straight off the residue partition maps; the kernels of ``intlinalg``
 take it in that form.
 
 A deterministic complementary summand hat(A)^T of A^{>T} inside A^T is
-chosen via the Smith complement, reduced to canonical representatives,
-as sparse columns over the T-residues.  D^T is read off that same
+chosen via the Smith complement, as sparse columns over the T-residues,
+each the canonical representative of its class modulo A^{>T}.  Most often
+the elimination already shows that the complement is a set of T-residue
+indicators outside the Hermite pivots, which are canonical as they are;
+otherwise they are reduced against an echelon basis of A^{>T}.  D^T is read off that same
 factorization: free of the rank of hat(A)^T, or the torsion quotient that
 the ``TorsionObstruction`` carries when A^{>T} is not a direct summand.
 The splittings are cached on the ``ChamberSystem`` beside its residue

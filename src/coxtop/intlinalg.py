@@ -8,9 +8,12 @@ residual block, which has no unit entry.  Cohomology and
 ``elementary_divisors`` finds that way; ``determinant`` expands along the
 unit pivots; ``direct_complement`` replays the pivot order of the
 transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
-complement is that of the dense form.  ``column_hermite`` works on sparse
-columns bucketed by leading index; the Hermite form is unique, so it is
-the same lattice basis the dense gcd algorithm gives.
+complement is that of the dense form, and it reduces that complement
+against an echelon basis only when the elimination has not already shown
+it canonical.  ``column_hermite`` back-reduces the echelon form that
+``_echelon`` finds on sparse columns bucketed by leading index; the
+Hermite form is unique, so it is the same lattice basis the dense gcd
+algorithm gives.
 
 There is one sparse format.  A coboundary is a list of rows and a module
 lattice in Z^n is a list of generators; either way each is a list of
@@ -353,19 +356,17 @@ def elementary_divisors(rows):
 # ------------------------------------------------------------ Hermite form
 
 
-def column_hermite(gens):
-    """Canonical column Hermite form of the lattice the generators span.
-
-    Returns the Hermite basis as sparse columns sorted by index: each
-    column's first pair is its pivot, a positive leading entry, and the
-    pivots increase from column to column; every column's entries at the
-    later pivots are reduced into [0, pivot).
+def _echelon(gens):
+    """Column echelon form of the lattice the generators span: a basis of
+    sparse columns sorted by index, each column's first pair its pivot, a
+    positive leading entry, with the pivots increasing from column to
+    column.  ``column_hermite`` without the back-reduction.
 
     The columns are {index: entry} dicts, bucketed by their leading index.
     Bucket by bucket, the columns leading there are reduced modulo the one
     with the smallest leading entry until one is left; the others move on
-    to the bucket of their new leading index.  The Hermite form of a
-    lattice is unique, so the order of these steps does not show in it.
+    to the bucket of their new leading index.  The pivot rows and pivot
+    entries of an echelon basis are those of the Hermite form.
     """
     buckets = {}
     for g in gens:
@@ -390,14 +391,24 @@ def column_hermite(gens):
         base = here[0]
         if base[r] < 0:
             base = {i: -x for i, x in base.items()}
-        H.append((r, base))
-    # reduce entries of earlier columns at later pivots
-    for j, (_, c) in enumerate(H):
-        for p, u in H[j + 1:]:
-            q = c.get(p, 0) // u[p]
-            if q:
-                _sub_multiple(c, q, u.items())
-    return [sorted(c.items()) for _, c in H]
+        H.append(sorted(base.items()))
+    return H
+
+
+def column_hermite(gens):
+    """Canonical column Hermite form of the lattice the generators span.
+
+    Returns the Hermite basis as sparse columns sorted by index: each
+    column's first pair is its pivot, a positive leading entry, and the
+    pivots increase from column to column; every column's entries at the
+    later pivots are reduced into [0, pivot).
+
+    Each column of ``_echelon`` is reduced modulo the echelon columns after
+    it.  The Hermite form of a lattice is unique, so the order of the
+    echelon steps does not show in it.
+    """
+    H = _echelon(gens)
+    return [hermite_reduce(H[j + 1:], c) for j, c in enumerate(H)]
 
 
 def _sub_multiple(c, q, u):
@@ -433,7 +444,16 @@ def hermite_coordinates(basis, v):
 
 def hermite_reduce(basis, v):
     """Canonical representative of the sparse vector v modulo the lattice
-    of the Hermite basis of ``column_hermite``, sorted by index."""
+    of ``basis``, sorted by index: its entry at every pivot p lies in
+    [0, pivot).
+
+    ``basis`` may be any echelon basis with positive pivots in increasing
+    order, such as ``_echelon`` or the Hermite basis of ``column_hermite``.
+    A later column is zero at every earlier pivot, so one pass in pivot
+    order leaves each reduced entry as it is; the pivot entries are those
+    of the Hermite form, and a lattice vector with every pivot entry in
+    (-pivot, pivot) is zero, so the representative does not depend on the
+    basis."""
     v = dict(v)
     for col in basis:
         p, pivot = col[0]
@@ -557,6 +577,24 @@ def direct_complement(n, gens):
     as columns supply the missing coordinate directions, and each one is
     reduced to its canonical representative modulo the lattice.
 
+    ``_complement_tails`` finds the tails, and most often they are
+    already canonical; then they are returned as they are.  Otherwise
+    each one is reduced against ``_echelon``: one pass over an echelon
+    basis gives the same representatives as one over the Hermite basis,
+    so the back-reduction of ``column_hermite`` is not needed.
+    """
+    _check_generators(n, gens)
+    tail, reduced = _complement_tails(n, gens)
+    if reduced:
+        return tail
+    basis = _echelon(gens)
+    return [hermite_reduce(basis, v) for v in tail]
+
+
+def _complement_tails(n, gens):
+    """The tails of ``direct_complement`` before reduction, and whether
+    they are already canonical representatives.
+
     The Smith form is replayed on sparse rows, one per coordinate of Z^n:
     while its pivot (the first +-1 in row-major order over the current
     positions) is a unit, the step only swaps positions and clears the
@@ -564,8 +602,18 @@ def direct_complement(n, gens):
     e_i of the rows at their positions.  At the first non-unit pivot the
     trailing block, in position order, goes to ``smith_normal_form``, and
     its tail columns are mapped back through the row positions.
+
+    The tails are canonical when every pivot was found in the first
+    nonzero row of its scan and no Smith form ran.  A zero row stays zero
+    and the swaps move only zero rows, so the nonzero rows keep their
+    index order.  Each pivot is then the first row outside the span of the
+    earlier pivots, so the pivot rows are the first independent rows of
+    the matrix.  Those are the pivot rows of its column Hermite form, so
+    no tail index is a Hermite pivot, and ``hermite_reduce`` leaves every
+    tail e_i as it is.
+
+    Raises ``TorsionObstruction`` when the quotient has torsion.
     """
-    _check_generators(n, gens)
     transpose = [[] for _ in range(n)]
     for j, g in enumerate(gens):
         for i, x in g:
@@ -577,13 +625,18 @@ def direct_complement(n, gens):
     col_pos = list(range(m))  # column -> position
     t = 0
     snf = None
+    in_order = True  # no nonzero row without a unit was passed over
     while t < min(n, m):
         found = None
         for i in range(t, n):
-            units = [col_pos[j] for j, x in rows[row_at[i]].items() if x == 1 or x == -1]
+            row = rows[row_at[i]]
+            if not row:
+                continue
+            units = [col_pos[j] for j, x in row.items() if x == 1 or x == -1]
             if units:
                 found = (i, min(units))
                 break
+            in_order = False
         if found is None:
             if any(rows[row_at[i]] for i in range(t, n)):
                 snf = smith_normal_form(
@@ -597,21 +650,19 @@ def direct_complement(n, gens):
         _unit_step(rows, where, row_at[t], col_at[t])
         t += 1
     if snf is None:
-        tail = [[(row_at[i], 1)] for i in range(t, n)]
-    else:
-        diag = [d for d in snf.diagonal() if d]
-        torsion = tuple(d for d in diag if d > 1)
-        if torsion:
-            raise TorsionObstruction(
-                f"quotient has invariant factors {list(torsion)}",
-                AbGroup(n - t - len(diag), torsion),
-            )
-        tail = [
-            sorted((row_at[t + i], x) for i, x in enumerate(col) if x)
-            for col in list(zip(*snf.uinv))[len(diag):]
-        ]
-    basis = column_hermite(gens)
-    return [hermite_reduce(basis, v) for v in tail]
+        return [[(row_at[i], 1)] for i in range(t, n)], in_order
+    diag = [d for d in snf.diagonal() if d]
+    torsion = tuple(d for d in diag if d > 1)
+    if torsion:
+        raise TorsionObstruction(
+            f"quotient has invariant factors {list(torsion)}",
+            AbGroup(n - t - len(diag), torsion),
+        )
+    tail = [
+        sorted((row_at[t + i], x) for i, x in enumerate(col) if x)
+        for col in list(zip(*snf.uinv))[len(diag):]
+    ]
+    return tail, False
 
 
 def hermite_basis(n, gens):

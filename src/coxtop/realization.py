@@ -11,8 +11,9 @@ holding it (``realization_cochain_complex``).  That cohomology is
 compared, degree by degree, against the direct sum over spherical T of
 H(X, X^{S-T}) tensored with the chosen summand hat(A)^T.
 
-``realize`` builds the glued simplicial complex itself; it serves the
-f-vector and the face list of the ``realize`` verb, not the cohomology.
+``realize`` builds the glued simplicial complex itself; on the command
+line it serves only the face list of ``realize --json``.  The f-vector is the block ranks of
+the cochain complex, one glued k-cell per basis element in degree k.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ is integer or boolean equality).
 """
 
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxtop.chambers import (
     digon_building,
     fano_building,
     product_building,
+    projective_plane_building,
     thin_building,
 )
 from coxtop.cli import main as cli_main
@@ -33,6 +35,7 @@ from coxtop.groups import enumerate_ball, enumerate_group
 from coxtop.hc import duality_check, thin_multiplicity_series, vcd
 from coxtop.intlinalg import AbGroup, GradedGroup
 from coxtop.realization import formula_cross_check, realization_cohomology
+from test_chambers import BUILT_INS
 
 
 def mk(labels, pairs):
@@ -303,3 +306,37 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         assert code == 0 and out == first, argv
     report(12, f"all {len(suite)} CLI invocations produce byte-identical "
                "JSON on repeated runs")
+
+
+def thickness_sums(system):
+    """Sum of q_w over the w of W with each descent set, where q_w is the
+    product of (panel size - 1) along a reduced word of w: the number of
+    chambers at W-distance w from a given one."""
+    mat = system.matrix
+    q = {}
+    for s in mat.labels:
+        sizes = {len(block) for block in system.panels[s]}
+        assert len(sizes) == 1, (s, sizes)
+        q[s] = sizes.pop() - 1
+    sums = {}
+    for e in enumerate_group(mat, mat.labels).elements:
+        sums[e.descents] = sums.get(e.descents, 0) + prod(q[s] for s in e.word)
+    return sums
+
+
+def test_criterion_13_summand_ranks_closed_form():
+    systems = {name: build() for name, build in BUILT_INS.items()}
+    systems["plane(3)xplane(3)"] = product_building(
+        projective_plane_building(3), projective_plane_building(3, ("u", "v"))
+    )
+    for name, system in systems.items():
+        dec = BuildingDecomposition(system)
+        S = frozenset(system.matrix.labels)
+        sums = thickness_sums(system)
+        for T in dec.poset:
+            assert dec.splitting_rank(T) == sums.get(S - T, 0), (name, sorted(T))
+    plane_squared = BuildingDecomposition(systems["plane(3)xplane(3)"])
+    assert plane_squared.splitting_rank(frozenset()) == 3**6
+    report(13, "every summand rank hat(A)^T equals the sum of q_w over the w "
+               f"with descent set S - T on all {len(systems)} buildings; "
+               "plane(3) x plane(3) has Steinberg rank 3^6 = 729")

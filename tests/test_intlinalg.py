@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from coxtop.intlinalg import (
     CochainComplex,
     GradedGroup,
     TorsionObstruction,
+    _complement_tails,
+    _echelon,
     column_hermite,
     determinant,
     direct_complement,
@@ -21,6 +25,7 @@ from coxtop.intlinalg import (
     smith_normal_form,
     submodule_quotient,
 )
+from test_chambers import BUILT_INS, renumbered
 
 
 # Dense conversions at the test boundary: the library keeps matrices sparse.
@@ -341,8 +346,6 @@ class TestSparseHermite:
         assert sparse_hermite(len(a), gens_of(a)) == dense_hermite(a)
 
     def test_matches_dense_on_seeded_matrices(self):
-        import random
-
         rng = random.Random(20081)
         for _ in range(400):
             r, c = rng.randint(1, 8), rng.randint(1, 8)
@@ -568,3 +571,119 @@ def test_determinant_bareiss():
 def test_determinant_refuses_a_non_square_input(a, n):
     with pytest.raises(ValueError):
         determinant(a, n)
+
+
+def reference_complement(n, gens):
+    """``direct_complement`` with every tail reduced against the full
+    ``column_hermite``, whether or not the elimination shows it canonical."""
+    tail, _ = _complement_tails(n, gens)
+    basis = column_hermite(gens)
+    return [hermite_reduce(basis, v) for v in tail]
+
+
+def shuffled(system, rng):
+    """``system`` with chamber i renumbered perm[i], perm shuffled by rng."""
+    from coxtop.chambers import ChamberSystem
+
+    perm = list(range(system.size))
+    rng.shuffle(perm)
+    panels = {
+        s: tuple(frozenset(perm[c] for c in b) for b in blocks)
+        for s, blocks in system.panels.items()
+    }
+    return ChamberSystem(system.matrix, panels, system.size)
+
+
+class TestComplementAgainstFullHermite:
+    """The unreduced tails come back only when the elimination proves them
+    canonical, and the others are reduced over the echelon form alone; both
+    must agree with reduction over the full Hermite form."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Every residual block that ``smith_normal_form`` factors."""
+        from coxtop import intlinalg
+
+        blocks = []
+        dense = intlinalg.smith_normal_form
+        monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: blocks.append(a) or dense(a))
+        return blocks
+
+    @staticmethod
+    def branches(n, gens, seen, factored):
+        """Compare with the reference; record which branches ran."""
+        before = len(factored)
+        try:
+            expected = reference_complement(n, gens)
+        except TorsionObstruction as exc:
+            with pytest.raises(TorsionObstruction) as got:
+                direct_complement(n, gens)
+            assert got.value.quotient == exc.quotient
+            seen.add("torsion")
+            return
+        assert direct_complement(n, gens) == expected
+        seen.add("certified" if _complement_tails(n, gens)[1] else "echelon")
+        if len(factored) > before:
+            seen.add("smith")
+
+    def check_system(self, system, seen, factored):
+        from coxtop.decomposition import BuildingDecomposition
+
+        dec = BuildingDecomposition(system)
+        for T in dec.poset:
+            self.branches(dec.residue_count(T), dec.above_in_coordinates(T), seen, factored)
+
+    def test_built_ins(self, factored):
+        seen = set()
+        for build in BUILT_INS.values():
+            self.check_system(build(), seen, factored)
+            self.check_system(renumbered(build(), random.Random(17)), seen, factored)
+        assert "certified" in seen
+
+    def test_renumbered_fano_x_fano_misses_the_certificate(self, factored):
+        # the chamber numbering of the thick-decomposition benchmark's input
+        # at seed 7, where T = {} and T = {u} take the echelon reduction
+        seen = set()
+        self.check_system(
+            shuffled(BUILT_INS["fanoxfano"](), random.Random("thick-decomposition:7")),
+            seen,
+            factored,
+        )
+        assert seen == {"certified", "echelon"}
+
+    def test_random_lattices(self, factored):
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(1500):
+            n, m = rng.randint(1, 7), rng.randint(0, 7)
+            entries = rng.choice([(0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -2, 3), (0, 0, 2, -2, 3, 4)])
+            gens = [
+                [(i, x) for i in range(n) if (x := rng.choice(entries))] for _ in range(m)
+            ]
+            self.branches(n, gens, seen, factored)
+        assert seen == {"certified", "echelon", "smith", "torsion"}
+
+    @pytest.mark.parametrize(
+        "n, gens, quotient",
+        [
+            (1, [[(0, 2)]], AbGroup(0, (2,))),
+            (3, [[(0, 1), (1, 1)], [(0, 1), (1, -1)]], AbGroup(1, (2,))),
+            (3, [[(1, 2), (2, 4)], [(0, 1)], [(1, 6)]], AbGroup(0, (2, 12))),
+        ],
+    )
+    def test_torsion(self, n, gens, quotient, factored):
+        seen = set()
+        self.branches(n, gens, seen, factored)
+        assert seen == {"torsion"}
+        with pytest.raises(TorsionObstruction) as got:
+            direct_complement(n, gens)
+        assert got.value.quotient == quotient == quotient_structure(n, gens)
+
+    @given(st.one_of(small_matrices, sparse_matrices), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_echelon_reduces_like_hermite(self, a, data):
+        gens = gens_of(a)
+        E, H = _echelon(gens), column_hermite(gens)
+        assert [c[0] for c in E] == [c[0] for c in H]
+        v = sparse_vector(data.draw(st.lists(st.integers(-30, 30), min_size=len(a), max_size=len(a))))
+        assert hermite_reduce(E, v) == hermite_reduce(H, v)
