@@ -27,7 +27,6 @@ from .intlinalg import (
 )
 from .complexes import (
     MirroredComplex,
-    ReducedCohomology,
     SimplicialComplex,
     classical_chamber,
     davis_chamber,
@@ -35,8 +34,6 @@ from .complexes import (
     local_groups,
     metric_flag_check,
     nerve,
-    punctured_nerve_homology,
-    reduced_cohomology,
     relative_cohomology,
 )
 from .chambers import (

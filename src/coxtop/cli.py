@@ -366,6 +366,7 @@ def cmd_hc(args):
                 "it does not apply with --building or --chamber-file"
             )
         thickness = resolve_verified_building(args, mat)
+        mat = thickness.matrix  # a built-in spec's own type
     else:
         thickness = "thin"
     report = hc_standard_realization(mat, thickness, growth_radius=args.N)

@@ -15,6 +15,12 @@ A mirror structure on a complex X is a family of subcomplexes X_s indexed
 by the generators.  The label of a cell c is S(c) = {s : c lies in X_s};
 unions of mirrors are written X^U and intersections X_T, with X^0 the
 empty complex and X_0 = X.
+
+All cohomology here is unreduced.  The local groups H(X, X^{S-T}) are
+the one relative route: on the Davis chamber K, a cone and so
+contractible, H^k(K, K^{S-T}) is the reduced group of K^{S-T} in degree
+k - 1, and for T = S, where K^{S-T} is empty, H^0(K) = Z stands for its
+reduced group in degree -1.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coxmatrix import cosine_gram_definite, is_spherical, spherical_poset
-from .intlinalg import AbGroup, CochainComplex, GradedGroup
+from .intlinalg import CochainComplex, GradedGroup
 
 
 def vertex_key(v):
@@ -264,41 +270,6 @@ def local_groups(X, types):
     return [(T, relative_cohomology(X.complex, X.mirror_union(S - set(T)))) for T in types]
 
 
-@dataclass(frozen=True)
-class ReducedCohomology:
-    """Reduced cohomology, with the empty complex kept as an explicit flag
-    instead of a degree -1 group."""
-
-    empty_complex: bool
-    groups: GradedGroup
-
-    def is_zero(self):
-        return not self.empty_complex and not self.groups
-
-    def concentrated_degree(self):
-        """The unique nonzero degree, or None; the empty complex reports -1."""
-        if self.empty_complex:
-            return -1
-        degs = self.groups.degrees()
-        if len(degs) == 1:
-            return degs[0]
-        return None
-
-    def to_json(self):
-        return {"empty_complex": self.empty_complex, "groups": self.groups.to_json()}
-
-
-def reduced_cohomology(X):
-    if X.is_empty():
-        return ReducedCohomology(True, GradedGroup({}))
-    plain = relative_cohomology(X)
-    groups = dict(plain.groups)
-    h0 = groups.get(0, AbGroup())
-    # degree 0 is free of rank = number of components; reduce by one Z
-    groups[0] = AbGroup(h0.free - 1, h0.torsion)
-    return ReducedCohomology(False, GradedGroup(groups))
-
-
 # ----------------------------------------------------------- constructions
 
 
@@ -341,18 +312,6 @@ def model_chamber(mat, name):
     if name == "K":
         return davis_chamber(mat)
     raise ValueError(f"unknown model chamber {name!r} (expected 'delta' or 'K')")
-
-
-def punctured_nerve_homology(mat):
-    """For each spherical T, the reduced cohomology of K^(S-T)."""
-    K = davis_chamber(mat)
-    poset = spherical_poset(mat)
-    S = set(mat.labels)
-    out = {}
-    for T in poset:
-        sub = K.mirror_union(S - set(T))
-        out[T] = reduced_cohomology(sub)
-    return out
 
 
 def metric_flag_check(mat):

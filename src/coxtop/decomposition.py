@@ -33,7 +33,11 @@ only for the report.
 
 Coefficient cochain complexes assign the module A^{S(c)} to each cell c
 of a mirrored complex, with coboundaries combining simplicial signs and
-the inclusions between the modules.  For faces of the classical chamber
+the inclusions between the modules.  ``residue_cochain_complex`` writes
+them over the residue-indicator bases, one block map per pair of labels;
+it is also the cochain complex of the realization, which keeps the
+cells of non-spherical label that the coefficient complexes drop
+(A^T = 0 there).  For faces of the classical chamber
 (the simplex with facet mirrors) the machinery runs *augmented*: the
 empty face participates as a (-1)-cell with label the full generator
 set.  Over a spherical (finite) type the full-set module is nonzero and
@@ -231,37 +235,54 @@ class DecompositionWitness:
 # ------------------------------------------------- coefficient cochain data
 
 
-def _block_cochain_complex(dec, cells_by_degree, labels_of):
-    """Cochain complex with one A^{label} block per cell.
+def residue_cochain_complex(system, cells_by_degree, label):
+    """Cochain complex with one block Z^{label(c)-residues} per cell c.
 
-    ``cells_by_degree`` maps degree -> ordered cells (id tuples of a model
-    complex, or label tuples of the chamber simplex); cells whose label is
-    not spherical contribute nothing.
+    ``cells_by_degree`` maps degree -> ordered cells, each a tuple of
+    vertices in orientation order (the id tuples of a model complex, or
+    label tuples of the chamber simplex); ``label(c)`` is the frozenset
+    type of cell c.  Over c sits one basis element per label(c)-residue,
+    in residue order: the residue indicators, a basis of A^{label(c)}.
+    The block map from a cell g to its face f sends each label(g)-residue
+    to the label(f)-residue holding it, with the simplicial sign; it
+    depends only on the two labels and is built once per pair.
+
+    This is the one residue-coefficient builder: over every cell of a
+    model complex it is the cochain complex of the realization, and over
+    the cells of spherical label it is the coefficient complex (A^T = 0
+    for a non-spherical T, so those cells carry nothing there).
     """
-    label = {c: frozenset(labels_of(c)) for cells in cells_by_degree.values() for c in cells}
+    labels = {c: label(c) for cells in cells_by_degree.values() for c in cells}
+    up = {}  # (label(g), label(f)) -> label(f)-residue of each label(g)-residue
+
+    def restrict(g, f):
+        key = (labels[g], labels[f])
+        rows = up.get(key)
+        if rows is None:
+            coarse = system.partition_map(key[1])
+            rows = up[key] = [coarse[c] for c in system.least_chambers(key[0])]
+        return rows
+
     return cochain_complex(
-        cells_by_degree,
-        lambda c: dec.residue_count(label[c]) if label[c] in dec.poset else 0,
-        # each label(g)-residue lies in exactly one label(f)-residue
-        lambda g, f: dec._containing(label[g], label[f]),
+        cells_by_degree, lambda c: len(system.least_chambers(labels[c])), restrict
     )
 
 
 def coefficient_cochain_complex(X, B, system):
     """Def-style coefficient complex on a mirrored complex, unaugmented.
 
-    Degree-k module: one copy of A^{S(c)} per k-cell c of X outside B.
+    Degree-k module: one copy of A^{S(c)} per k-cell c of X outside B
+    whose label S(c) is spherical.
     """
-    dec = BuildingDecomposition(system)
+    poset = spherical_poset(system.matrix)
     bfaces = X.complex.faces_from(B) if B is not None else frozenset()
     if bfaces is None:
         raise ValueError("relative subcomplex is not a subcomplex of X")
-    cells_by_degree = {}
-    for k in range(X.complex.dim + 1):
-        cells = [f for f in X.complex.faces_of_dim(k) if f not in bfaces]
-        if cells:
-            cells_by_degree[k] = cells
-    return _block_cochain_complex(dec, cells_by_degree, X.face_label)
+    cells_by_degree = {
+        k: [f for f in X.complex.faces_of_dim(k) if f not in bfaces and X.face_label(f) in poset]
+        for k in range(X.complex.dim + 1)
+    }
+    return residue_cochain_complex(system, cells_by_degree, X.face_label)
 
 
 def coefficient_cohomology(X, B, system):
@@ -287,12 +308,15 @@ def _mirror_up_faces(cells, U):
     return {f for f in cells if not U.issubset(f)}
 
 
-def _augmented_pair_cohomology(dec, S, T, total_cells, sub_cells):
+def _augmented_pair_cohomology(dec, total_cells, sub_cells):
+    """Coefficient cohomology of a pair of chamber-simplex face sets, the
+    empty face included: a face f has label S - f."""
+    S = frozenset(dec.matrix.labels)
     by_degree = {}
     for f in sorted(total_cells - sub_cells):
-        by_degree.setdefault(len(f) - 1, []).append(f)
-    Sset = frozenset(S)
-    return _block_cochain_complex(dec, by_degree, Sset.difference).validate().cohomology()
+        if S.difference(f) in dec.poset:
+            by_degree.setdefault(len(f) - 1, []).append(f)
+    return residue_cochain_complex(dec.system, by_degree, S.difference).validate().cohomology()
 
 
 def classical_chamber_cohomology(system):
@@ -303,9 +327,7 @@ def classical_chamber_cohomology(system):
     spherical (finite) type would otherwise leave in degree 0.
     """
     dec = BuildingDecomposition(system)
-    S = dec.matrix.labels
-    cells = _chamber_face_cells(S, ())
-    return _augmented_pair_cohomology(dec, S, (), cells, set())
+    return _augmented_pair_cohomology(dec, _chamber_face_cells(dec.matrix.labels, ()), set())
 
 
 # ------------------------------------------------------- the face identities
@@ -395,7 +417,7 @@ def sigma_formula_check(system, T, U):
     sigma_W = _mirror_up_faces(sigma, W)
 
     # relative pair (sigma, sigma^U)
-    direct_rel = _augmented_pair_cohomology(dec, S, T, sigma, sigma_U)
+    direct_rel = _augmented_pair_cohomology(dec, sigma, sigma_U)
     rT = dec.residue_count(T)
     quo_rel = quotient_structure(rT, dec.span_in_coordinates(T, [T | {s} for s in W]))
     sum_rel = AbGroup(
@@ -410,7 +432,7 @@ def sigma_formula_check(system, T, U):
     ]
 
     # pair (sigma^U, boundary of sigma^U)
-    direct_bnd = _augmented_pair_cohomology(dec, S, T, sigma_U, sigma_U & sigma_W)
+    direct_bnd = _augmented_pair_cohomology(dec, sigma_U, sigma_U & sigma_W)
     # one Hermite basis of the span of the A^{T+s}, s in U, for both routes
     basis_U = hermite_basis(rT, dec.span_in_coordinates(T, [T | {s} for s in U]))
     quo_bnd = AbGroup(len(basis_U))
@@ -424,7 +446,7 @@ def sigma_formula_check(system, T, U):
     entries.append(_sigma_entry("boundary", direct_bnd, m - 1, quo_bnd, sum_bnd))
 
     # absolute sigma^U
-    direct_abs = _augmented_pair_cohomology(dec, S, T, sigma_U, set())
+    direct_abs = _augmented_pair_cohomology(dec, sigma_U, set())
     pair_gens = dec.span_in_coordinates(T, [T | {s, t} for s in U for t in W])
     quo_abs = basis_quotient(rT, basis_U, pair_gens)
     sum_abs = AbGroup(

@@ -12,6 +12,12 @@ length-graded counts #{w : In(w) = T, l(w) = i} up to a truncation.
 Those counts are truncated power series in Z[[t]] built from Steinberg's
 formula and the Poincare polynomials of the spherical subgroups, so they
 take any label and any radius without enumerating group elements.
+
+The H_c report, ``vcd`` and ``duality_check`` all read the local groups
+off ``local_groups``; K is contractible, so the duality check's reduced
+groups of K^{S-T} are those groups one degree down.  The report and the
+realization's cross-check assemble the sum of local groups tensor
+multiplicities with one helper, ``formula_terms``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chambers import thin_building
-from .complexes import davis_chamber, local_groups, punctured_nerve_homology
+from .complexes import davis_chamber, local_groups
 from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
 from .intlinalg import OMEGA, GradedGroup, lattice_rank
@@ -101,14 +107,14 @@ def _divide(num, den):
 
 @dataclass
 class HcContribution:
+    """The term H(X, X^{S-T}) tensor Z^multiplicity of one spherical T."""
+
     type: tuple
-    local: GradedGroup  # H(K, K^{S-T})
+    local: GradedGroup  # H(X, X^{S-T})
     multiplicity: object  # int or OMEGA
     series: GrowthSeries | None = None
 
     def graded(self):
-        if self.multiplicity == 0:
-            return GradedGroup({})
         return self.local.tensor_free(self.multiplicity)
 
     def to_json(self):
@@ -159,6 +165,27 @@ class HcReport:
             "degrees": rows,
             "contributions": [c.to_json() for c in self.contributions],
         }
+
+
+def formula_terms(matrix, locals_, multiplicity, growth_radius=None):
+    """The right side of the main formula: one ``HcContribution`` per
+    (T, H(X, X^{S-T})) of ``locals_``, with ``multiplicity(T)`` the rank of
+    hat(A)^T (or ``OMEGA``), and their direct sum.  A ``growth_radius``
+    attaches to each term its thin descent-class series.
+
+    The tensor is rank multiplication plus torsion replication, valid
+    because every hat(A)^T is free.
+    """
+    terms = []
+    total = GradedGroup({})
+    for T, local in locals_:
+        series = None
+        if growth_radius is not None:
+            series = thin_multiplicity_series(matrix, T, growth_radius)
+        term = HcContribution(tuple(sorted(T, key=matrix.index)), local, multiplicity(T), series)
+        terms.append(term)
+        total = total.direct_sum(term.graded())
+    return terms, total
 
 
 def type_mismatch(system_matrix, matrix):
@@ -213,25 +240,15 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         if not concrete.matrix.same_type(matrix):
             raise ValueError(type_mismatch(concrete.matrix, matrix))
 
-    contributions = []
-    dec = BuildingDecomposition(concrete) if concrete is not None else None
-    for T, local in locals_:
-        if dec is not None:
-            mult = dec.splitting_rank(T)
-        elif label == "thin" and len(T) == 0:
-            mult = 1  # only the identity has empty descent set
-        else:
-            mult = OMEGA
-        series = None
-        if growth_radius is not None:
-            series = thin_multiplicity_series(matrix, T, growth_radius)
-        contributions.append(
-            HcContribution(tuple(sorted(T, key=matrix.index)), local, mult, series)
-        )
+    if concrete is not None:
+        multiplicity = BuildingDecomposition(concrete).splitting_rank
+    else:
 
-    totals = GradedGroup({})
-    for c in contributions:
-        totals = totals.direct_sum(c.graded())
+        def multiplicity(T):
+            # only the identity has empty descent set
+            return 1 if label == "thin" and not T else OMEGA
+
+    contributions, totals = formula_terms(matrix, locals_, multiplicity, growth_radius)
     return HcReport(matrix.labels, label, w_finite, contributions, totals)
 
 
@@ -292,24 +309,22 @@ def duality_check(matrix):
     """Free-and-concentrated test for the punctured nerve cohomology.
 
     Passes when every reduced group of K^{S-T} over spherical T is free
-    abelian and all the nonzero ones sit in one common degree n-1; the
-    empty subcomplex (T the full set, finite types) counts as degree -1.
-    Reports the offending types otherwise.
+    abelian and all the nonzero ones sit in one common degree n-1.  K is
+    a cone, so H^k(K, K^{S-T}) is the reduced group of K^{S-T} in degree
+    k - 1: the groups are read off ``local_groups`` shifted down by one.
+    The empty subcomplex (T the full set, finite types) has H^0(K) = Z
+    there, its reduced group in degree -1.  Reports the offending types
+    otherwise.
     """
-    punctured = punctured_nerve_homology(matrix)
+    S = frozenset(matrix.labels)
     details = []
     offending = []
     degrees_seen = set()
-    for T in spherical_poset(matrix):
-        r = punctured[T]
+    for T, local in local_groups(davis_chamber(matrix), spherical_poset(matrix)):
         T_sorted = sorted(T, key=matrix.index)
-        if r.empty_complex:
-            details.append({"T": T_sorted, "degrees": [-1], "empty_complex": True})
-            degrees_seen.add(-1)
-            continue
-        degs = r.groups.degrees()
-        details.append({"T": T_sorted, "degrees": degs, "empty_complex": False})
-        if not r.groups.is_free():
+        degs = [k - 1 for k in local.degrees()]
+        details.append({"T": T_sorted, "degrees": degs, "empty_complex": T == S})
+        if not local.is_free():
             offending.append([T_sorted, "torsion in the punctured cohomology"])
         if len(degs) > 1:
             offending.append([T_sorted, f"spread over degrees {degs}"])

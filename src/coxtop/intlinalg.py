@@ -19,11 +19,12 @@ There is one sparse format.  A coboundary is a list of rows and a module
 lattice in Z^n is a list of generators; either way each is a list of
 (index, entry) pairs, nonzero, no index twice, and the ambient rank n is
 passed alongside.  ``quotient_structure``, ``direct_complement``,
-``hermite_basis``, ``basis_quotient``, ``submodule_quotient`` and
-``determinant`` refuse an index outside [0, n).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
-it factors are dense lists of lists.  Everything is arbitrary precision;
-pivoting is deterministic (smallest nonzero absolute value, ties broken
-in row-major order) so witnesses are reproducible byte for byte.
+``hermite_basis``, ``basis_quotient`` and ``determinant`` refuse an
+index outside [0, n).  Only ``matmul``, ``smith_normal_form`` and the
+residual blocks it factors are dense lists of lists.  Everything is
+arbitrary precision; pivoting is deterministic (smallest nonzero
+absolute value, ties broken in row-major order) so witnesses are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -423,7 +424,9 @@ def _sub_multiple(c, q, u):
 
 
 def lattice_rank(gens):
-    return len(column_hermite(gens))
+    """Rank of the lattice the generators span: the length of an echelon
+    basis, which needs no back-reduction."""
+    return len(_echelon(gens))
 
 
 def hermite_coordinates(basis, v):
@@ -684,14 +687,6 @@ def basis_quotient(n, basis, small):
             raise ValueError("generator of the small module lies outside the big one")
         coords.append(c)
     return quotient_structure(len(basis), coords)
-
-
-def submodule_quotient(n, big, small):
-    """Structure of span(big) / span(small) for sparse generators in Z^n.
-
-    ``small`` must be contained in ``big``.
-    """
-    return basis_quotient(n, hermite_basis(n, big), small)
 
 
 # --------------------------------------------------------- cochain complexes

@@ -4,16 +4,21 @@ The realization of a chamber system over a mirrored model complex X has
 one copy of each cell c of X per residue of type S(c): the copies of X
 indexed by chambers are glued so that chambers in a common S(c)-residue
 share the cell c.  Its cochain complex is read off the model without
-gluing: one free block Z^{S(c)-residues} per cell c of X, whatever the
-label (spherical or not), oriented by X's vertex order, with the block
-map from a cell to its face sending each residue to the coarser residue
-holding it (``realization_cochain_complex``).  That cohomology is
-compared, degree by degree, against the direct sum over spherical T of
-H(X, X^{S-T}) tensored with the chosen summand hat(A)^T.
+gluing (``realization_cochain_complex``): one free block
+Z^{S(c)-residues} per cell c of X, whatever the label (spherical or
+not), oriented by X's vertex order, with the block map from a cell to
+its face sending each residue to the coarser residue holding it.  The
+builder is ``decomposition.residue_cochain_complex``, the one that also
+writes the coefficient complexes, which keep only the cells of
+spherical label.  That cohomology is compared, degree by degree, against
+the direct sum over spherical T of H(X, X^{S-T}) tensored with the
+chosen summand hat(A)^T, assembled by ``hc.formula_terms`` as the H_c
+report assembles it.
 
 ``realize`` builds the glued simplicial complex itself; on the command
-line it serves only the face list of ``realize --json``.  The f-vector is the block ranks of
-the cochain complex, one glued k-cell per basis element in degree k.
+line it serves only the face list of ``realize --json``.  The f-vector
+is the block ranks of the cochain complex, one glued k-cell per basis
+element in degree k.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chambers import thin_building
-from .complexes import SimplicialComplex, classical_chamber, cochain_complex, local_groups
-from .decomposition import BuildingDecomposition
+from .complexes import SimplicialComplex, classical_chamber, local_groups
+from .decomposition import BuildingDecomposition, residue_cochain_complex
+from .hc import formula_terms
 from .intlinalg import GradedGroup
 
 
@@ -61,33 +67,18 @@ def realize(system, X):
 
 
 def realization_cochain_complex(system, X):
-    """The cochain complex of ``realize(system, X)`` in residue blocks.
+    """The cochain complex of ``realize(system, X)`` in residue blocks:
+    ``residue_cochain_complex`` over every cell of X, whatever its label.
 
-    Over each cell c of X, in cell order, sits one basis element per
-    S(c)-residue, in residue order: the glued copies of c.  The glued
-    copies share c's orientation, since ``realize`` numbers glued
-    vertices in model-vertex order, so the coboundary entry between the
-    copy of g over a residue and its face at f, the copy of f over the
-    coarser S(f)-residue, is the model sign.  Block maps depend only on
-    the labels (S(g), S(f)) and are built once per pair.
+    The basis over a cell c of X is its glued copies, one per
+    S(c)-residue in residue order.  They share c's orientation, since
+    ``realize`` numbers glued vertices in model-vertex order, so the
+    coboundary entry between the copy of g over a residue and its face
+    at f, the copy of f over the coarser S(f)-residue, is the model sign.
     """
     model = X.complex
-    label = {f: X.face_label(f) for f in model.faces}
-    up = {}  # (S(g), S(f)) -> S(f)-residue of each S(g)-residue
-
-    def restrict(g, f):
-        key = (label[g], label[f])
-        rows = up.get(key)
-        if rows is None:
-            coarse = system.partition_map(key[1])
-            rows = up[key] = [coarse[c] for c in system.least_chambers(key[0])]
-        return rows
-
-    return cochain_complex(
-        {k: model.faces_of_dim(k) for k in range(model.dim + 1)},
-        lambda c: len(system.least_chambers(label[c])),
-        restrict,
-    )
+    cells = {k: model.faces_of_dim(k) for k in range(model.dim + 1)}
+    return residue_cochain_complex(system, cells, X.face_label)
 
 
 def realization_cohomology(system, X):
@@ -101,22 +92,6 @@ def coxeter_complex(matrix):
     """The realization of the thin building over the classical chamber."""
     system = thin_building(matrix)
     return realize(system, classical_chamber(matrix))
-
-
-@dataclass
-class CrossCheckEntry:
-    type: tuple
-    local: GradedGroup
-    multiplicity: int
-    contribution: GradedGroup
-
-    def to_json(self):
-        return {
-            "T": list(self.type),
-            "local": self.local.to_json(),
-            "multiplicity": self.multiplicity,
-            "contribution": self.contribution.to_json(),
-        }
 
 
 @dataclass
@@ -139,27 +114,15 @@ class CrossCheckReport:
 
 def formula_cross_check(system, X):
     """Graded comparison of the realization cohomology with the sum of
-    H(X, X^{S-T}) tensor hat(A)^T over spherical T.
+    H(X, X^{S-T}) tensor hat(A)^T over spherical T, assembled by
+    ``formula_terms`` as ``hc_standard_realization`` assembles it.
 
-    The tensor is rank multiplication plus torsion replication, valid
-    because every hat(A)^T is free.  Requires a finite system whose type
-    is spherical (so that the model complex has no cells at infinity).
+    Requires a finite system whose type is spherical (so that the model
+    complex has no cells at infinity).
     """
     dec = BuildingDecomposition(system)
-    matrix = system.matrix
     realized = realization_cohomology(system, X)
-    assembled = GradedGroup({})
-    entries = []
-    for T, local in local_groups(X, dec.poset):
-        mult = dec.splitting_rank(T)
-        contribution = local.tensor_free(mult)
-        assembled = assembled.direct_sum(contribution)
-        entries.append(
-            CrossCheckEntry(
-                tuple(sorted(T, key=matrix.index)), local, mult, contribution
-            )
-        )
+    locals_ = local_groups(X, dec.poset)
+    entries, assembled = formula_terms(system.matrix, locals_, dec.splitting_rank)
     euler_ok = realized.euler_characteristic() == assembled.euler_characteristic()
-    return CrossCheckReport(
-        realized, assembled, entries, realized == assembled, euler_ok
-    )
+    return CrossCheckReport(realized, assembled, entries, realized == assembled, euler_ok)

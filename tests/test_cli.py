@@ -18,7 +18,11 @@ FREE3 = "gens s t u\ns t inf\nt u inf\ns u inf\n"
 A2 = "gens s t\ns t 3\n"
 A3 = "gens a b c\na b 3\nb c 3\n"
 B3 = "gens a b c\na b 4\nb c 3\n"
-MATRICES = {"a2": A2, "a3": A3, "b3": B3, "triangle333": TRIANGLE, "freeprod3": FREE3}
+# the triangle group free product with one more involution: nerve = circle + point
+MIXED = "gens a b c d\na b 3\nb c 3\na c 3\na d inf\nb d inf\nc d inf\n"
+A2A1 = "gens s t u\ns t 3\n"
+MATRICES = {"a2": A2, "a3": A3, "b3": B3, "triangle333": TRIANGLE, "freeprod3": FREE3,
+            "mixed": MIXED, "a2a1": A2A1}
 
 
 @pytest.fixture
@@ -210,6 +214,16 @@ class TestBuildingVerbs:
         )
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_hc_takes_the_spec_type(self, capsys, a2_file, tmp_path):
+        # a1xa1 is of type u u1 whatever the matrix file says, as for the
+        # other building verbs
+        uu1 = tmp_path / "uu1.cox"
+        uu1.write_text("gens u u1\n")
+        code, out = run(capsys, ["hc", a2_file, "--building", "a1xa1", "--json"])
+        assert code == 0
+        assert run(capsys, ["hc", str(uu1), "--building", "a1xa1", "--json"]) == (0, out)
+        assert json.loads(out)["gens"] == ["u", "u1"]
+
     def test_realize_fano_delta(self, capsys, a2_file):
         code, out = run(
             capsys,
@@ -377,19 +391,26 @@ class TestErrors:
         assert "type does not match" in captured.err
         assert "chamber system generators s t, matrix generators s t u" in captured.err
 
-    def test_hc_names_the_generators_of_a_product(self, capsys, tmp_path):
+    def test_hc_names_the_generators_of_a_product(self, capsys, a2_file, tmp_path):
         # a repeated factor's generators take its position as a suffix, so
-        # the matrix for fano x fano must be written over s t s1 t1
+        # a chamber file of fano x fano is checked against a matrix over
+        # s t s1 t1; a --building spec brings its own type
+        fanos = tmp_path / "fanoxfano.bld"
+        assert main(["realize", a2_file, "--building", "fanoxfano", "--out", str(fanos)]) == 0
+        capsys.readouterr()
         wrong = tmp_path / "a2a2.cox"
         wrong.write_text("gens s t u v\ns t 3\nu v 3\n")
-        code = main(["hc", str(wrong), "--building", "fanoxfano", "--json"])
+        code = main(["hc", str(wrong), "--chamber-file", str(fanos), "--json"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "chamber system generators s t s1 t1, matrix generators s t u v" in captured.err
         right = tmp_path / "a2a2_suffixed.cox"
         right.write_text("gens s t s1 t1\ns t 3\ns1 t1 3\n")
-        assert main(["hc", str(right), "--building", "fanoxfano", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["gens"] == ["s", "t", "s1", "t1"]
+        assert main(["hc", str(right), "--chamber-file", str(fanos), "--json"]) == 0
+        from_file = capsys.readouterr().out
+        assert json.loads(from_file)["gens"] == ["s", "t", "s1", "t1"]
+        spec = ["hc", str(wrong), "--building", "fanoxfano", "--json"]
+        assert run(capsys, spec) == (0, from_file)
 
     @pytest.mark.parametrize(
         "matrix, chambers, failure",
@@ -736,6 +757,45 @@ class TestDeterminism:
         # recorded from the code that kept every vertex as its label and
         # sorted faces through vertex_key: cell order, signs and the
         # JSON face lists must not move when the labels are numbered
+        path = tmp_path / f"{matrix}.cox"
+        path.write_text(MATRICES[matrix])
+        code, out = run(capsys, [verb, str(path), *extra, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "verb, matrix, extra, digest",
+        [
+            pytest.param(verb, matrix, extra, digest, id="-".join([verb, matrix, *extra]))
+            for verb, matrix, extra, digest in [
+                ("duality", "freeprod3", [],
+                 "149621a60a6f1e0c48559172b5b6aba3f57933992290faa5f9133286ac0bde57"),
+                ("duality", "triangle333", [],
+                 "4ac32f87173cfe90fb23e75a3c8fc7f2ea9f0c794fd482c8f3dcdad78127f13c"),
+                ("duality", "mixed", [],
+                 "2e0b2912dfcd940776e626f13ba273f8d2b4061f5c6009e04a2adb8b04cc0f27"),
+                ("vcd", "freeprod3", [],
+                 "29a97344e50fc4ff4e06a3bfdb1fba236fe0ac072559f475df623dd0340ce0e8"),
+                ("vcd", "triangle333", [],
+                 "28891c28b510338a55f20f7414d13e2e0f5a3a823d7fea487c4dc5d9415360d8"),
+                ("vcd", "mixed", [],
+                 "a3b87a53f17d2b0d9ead9abe79c367505acd5254252f4e5acff2f08dc7984b99"),
+                ("hc", "a2", ["--building", "fano"],
+                 "e16673b4239fd57e7445daeaa5bff424e091588d8e4d603dbce5f9e1dbfe8f1d"),
+                ("hc", "a2a1", ["--building", "fanoxa1"],
+                 "1d787b84290b6c9d4f292412f0b67e9d83e1cd37639dc3eb096b6f3778af281d"),
+                ("cohomology", "mixed", ["--model", "delta"],
+                 "6eed9c6a87d8f8f2f30bb3cdd6cf62f7eaf73a6de4fc6e427e12ecbf2fe86b8b"),
+                ("realize", "a2", ["--building", "plane(3)", "--model", "delta"],
+                 "12bd89054e0718233741ceb82fbd936c14fd8a77b2e4be76cc067ea8f67ffc4d"),
+            ]
+        ],
+    )
+    def test_formula_sides_json_is_pinned(self, capsys, tmp_path, verb, matrix, extra, digest):
+        # recorded from the code that read the duality groups off the
+        # reduced cohomology of each K^{S-T}, wrote the coefficient and
+        # realization complexes with two block builders and assembled the
+        # cross-check with its own entry class
         path = tmp_path / f"{matrix}.cox"
         path.write_text(MATRICES[matrix])
         code, out = run(capsys, [verb, str(path), *extra, "--json"])

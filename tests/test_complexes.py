@@ -1,6 +1,10 @@
+import random
+from dataclasses import dataclass
+from itertools import combinations
+
 import pytest
 
-from coxtop.coxmatrix import INF, CoxeterMatrix
+from coxtop.coxmatrix import INF, CoxeterMatrix, spherical_poset
 from coxtop.complexes import (
     SimplicialComplex,
     classical_chamber,
@@ -8,13 +12,12 @@ from coxtop.complexes import (
     flag_complex,
     metric_flag_check,
     nerve,
-    punctured_nerve_homology,
-    reduced_cohomology,
     relative_cochain_complex,
     relative_cohomology,
     simplex_sign,
     vertex_key,
 )
+from coxtop.hc import duality_check
 from coxtop.intlinalg import AbGroup, GradedGroup
 
 
@@ -205,6 +208,88 @@ class TestRelativeCohomology:
                     assert row.get(j, 0) == expected
 
 
+# ------------------------------------------- the reduced-cohomology reference
+
+
+@dataclass(frozen=True)
+class ReducedCohomology:
+    """Reduced cohomology, with the empty complex kept as an explicit flag
+    instead of a degree -1 group."""
+
+    empty_complex: bool
+    groups: GradedGroup
+
+    def is_zero(self):
+        return not self.empty_complex and not self.groups
+
+    def concentrated_degree(self):
+        """The unique nonzero degree, or None; the empty complex reports -1."""
+        if self.empty_complex:
+            return -1
+        degs = self.groups.degrees()
+        if len(degs) == 1:
+            return degs[0]
+        return None
+
+
+def reduced_cohomology(X):
+    """The reduced cohomology of X, computed on X itself.  With
+    ``punctured_nerve_homology`` and ``reference_duality_check``, the
+    reference for ``duality_check``, which reads the same groups off
+    ``local_groups`` one degree up."""
+    if X.is_empty():
+        return ReducedCohomology(True, GradedGroup({}))
+    plain = relative_cohomology(X)
+    groups = dict(plain.groups)
+    h0 = groups.get(0, AbGroup())
+    # degree 0 is free of rank = number of components; reduce by one Z
+    groups[0] = AbGroup(h0.free - 1, h0.torsion)
+    return ReducedCohomology(False, GradedGroup(groups))
+
+
+def punctured_nerve_homology(mat):
+    """For each spherical T, the reduced cohomology of K^(S-T)."""
+    K = davis_chamber(mat)
+    S = set(mat.labels)
+    return {T: reduced_cohomology(K.mirror_union(S - set(T))) for T in spherical_poset(mat)}
+
+
+def reference_duality_check(matrix):
+    """The JSON of ``duality_check`` from the reduced groups of K^{S-T}."""
+    punctured = punctured_nerve_homology(matrix)
+    details = []
+    offending = []
+    degrees_seen = set()
+    for T in spherical_poset(matrix):
+        r = punctured[T]
+        T_sorted = sorted(T, key=matrix.index)
+        if r.empty_complex:
+            details.append({"T": T_sorted, "degrees": [-1], "empty_complex": True})
+            degrees_seen.add(-1)
+            continue
+        degs = r.groups.degrees()
+        details.append({"T": T_sorted, "degrees": degs, "empty_complex": False})
+        if not r.groups.is_free():
+            offending.append([T_sorted, "torsion in the punctured cohomology"])
+        if len(degs) > 1:
+            offending.append([T_sorted, f"spread over degrees {degs}"])
+        degrees_seen.update(degs)
+    if len(degrees_seen) > 1:
+        spread = sorted(degrees_seen)
+        for entry in details:
+            if entry["degrees"] and entry["degrees"] != [max(spread)]:
+                offending.append(
+                    [entry["T"], f"degree {entry['degrees']} below the top {max(spread)}"]
+                )
+    is_duality = not offending and bool(degrees_seen)
+    return {
+        "is_duality": is_duality,
+        "dimension": (max(degrees_seen) + 1) if is_duality else None,
+        "offending": offending,
+        "details": details,
+    }
+
+
 class TestReduced:
     def test_three_points(self):
         X = SimplicialComplex.from_maximal([frozenset("a"), frozenset("b"), frozenset("c")])
@@ -233,6 +318,35 @@ class TestPuncturedNerve:
     def test_finite_full_set_flagged(self):
         out = punctured_nerve_homology(A2)
         assert out[frozenset("st")].empty_complex
+
+
+def random_matrix(rng, rank):
+    labels = "abcde"[:rank]
+    entries = {}
+    for s, t in combinations(labels, 2):
+        m = rng.choice((2, 2, 3, 3, 4, 5, 6, INF, INF))
+        if m != 2:
+            entries[frozenset((s, t))] = m
+    return CoxeterMatrix(tuple(labels), entries)
+
+
+class TestDualityAgainstReducedReference:
+    @pytest.mark.parametrize("mat", [FREE3, TRIANGLE333, A2], ids=["free3", "triangle", "a2"])
+    def test_named(self, mat):
+        assert duality_check(mat).to_json() == reference_duality_check(mat)
+
+    def test_seeded_sweep(self):
+        # the local groups shifted down by one degree against the reduced
+        # groups of each K^{S-T}, over 30 matrices of each rank 1-5
+        rng = random.Random(18)
+        verdicts = set()
+        for rank in range(1, 6):
+            for _ in range(30):
+                mat = random_matrix(rng, rank)
+                got = duality_check(mat).to_json()
+                assert got == reference_duality_check(mat), mat.entries
+                verdicts.add(got["is_duality"])
+        assert verdicts == {True, False}
 
 
 class TestMetricFlag:

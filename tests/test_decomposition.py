@@ -4,6 +4,7 @@ from coxtop.chambers import (
     ChamberSystem,
     digon_building,
     fano_building,
+    parse_chamber_system,
     product_building,
     thin_building,
 )
@@ -11,13 +12,13 @@ from coxtop.complexes import classical_chamber, davis_chamber, simplex_sign
 from coxtop.coxmatrix import CoxeterMatrix
 from coxtop.decomposition import (
     BuildingDecomposition,
-    _block_cochain_complex,
     _chamber_face_cells,
     _mirror_up_faces,
     classical_chamber_cohomology,
     coefficient_cochain_complex,
     coefficient_cohomology,
     filtration_ranks,
+    residue_cochain_complex,
     sigma_formula_check,
 )
 from coxtop.groups import enumerate_group
@@ -29,6 +30,7 @@ from coxtop.intlinalg import (
     lattice_rank,
     quotient_structure,
 )
+from coxtop.realization import realization_cochain_complex
 
 
 def mk(labels, pairs):
@@ -36,6 +38,8 @@ def mk(labels, pairs):
 
 
 A2 = mk("st", [("s", "t", 3)])
+# four chambers of type s t inf: a finite chamber system of infinite type
+DINF_CYCLE = "gens s t\ns t inf\nchambers 4\npanel s: {0,1} {2,3}\npanel t: {1,2} {3,0}\n"
 
 
 @pytest.fixture(scope="module")
@@ -330,9 +334,39 @@ class TestCoboundariesMatchDense:
                                        (sigma_U, set())):
                         cells = {}
                         for f in sorted(total - sub, key=lambda f: (len(f), f)):
-                            cells.setdefault(len(f) - 1, []).append(f)
-                        cx = _block_cochain_complex(dec, cells, S.difference)
+                            if S.difference(f) in dec.poset:
+                                cells.setdefault(len(f) - 1, []).append(f)
+                        cx = residue_cochain_complex(dec.system, cells, S.difference)
                         assert_matches_dense(cx, dec, cells, S.difference)
+
+    def test_infinite_type_drops_only_non_spherical_cells(self):
+        # a 4-cycle of type s t inf times a1: finite, of infinite type.
+        # Over the simplex the vertex u has label {s, t}, whose A^T is 0:
+        # the coefficient complex drops it, the realization glues its two
+        # residues; both are the shared builder over their cells.  Every
+        # label of the Davis chamber is spherical, so there they agree.
+        system = product_building(parse_chamber_system(DINF_CYCLE), thin_building(mk("u", [])))
+        dec = BuildingDecomposition(system)
+        X = classical_chamber(system.matrix)
+        every = {k: X.complex.faces_of_dim(k) for k in range(X.complex.dim + 1)}
+        spherical = {k: [f for f in cells if X.face_label(f) in dec.poset]
+                     for k, cells in every.items()}
+        assert [X.complex.vertices[f[0]] for k in every for f in every[k]
+                if f not in spherical[k]] == ["u"]
+
+        coefficient = coefficient_cochain_complex(X, None, system)
+        assert coefficient == residue_cochain_complex(system, spherical, X.face_label)
+        assert_matches_dense(coefficient, dec, every, X.face_label)
+
+        realized = realization_cochain_complex(system, X).validate()
+        assert realized == residue_cochain_complex(system, every, X.face_label)
+        assert realized.dims == {0: 6, 1: 12, 2: 8}
+        assert coefficient.dims == {0: 4, 1: 12, 2: 8}
+
+        K = davis_chamber(system.matrix)
+        assert coefficient_cochain_complex(K, None, system) == realization_cochain_complex(
+            system, K
+        )
 
 
 class TestSigmaFormulas:

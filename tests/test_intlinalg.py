@@ -10,11 +10,13 @@ from coxtop.intlinalg import (
     GradedGroup,
     TorsionObstruction,
     _complement_tails,
+    basis_quotient,
     _echelon,
     column_hermite,
     determinant,
     direct_complement,
     elementary_divisors,
+    hermite_basis,
     hermite_coordinates,
     hermite_reduce,
     identity,
@@ -23,7 +25,6 @@ from coxtop.intlinalg import (
     quotient_structure,
     shape,
     smith_normal_form,
-    submodule_quotient,
 )
 from test_chambers import BUILT_INS, renumbered
 
@@ -283,6 +284,11 @@ class TestHermite:
 
     def test_rank(self):
         assert lattice_rank(gens_of([[1, 2], [2, 4]])) == 1
+        # the echelon basis it counts is as long as the Hermite basis
+        rng = random.Random(18)
+        for _ in range(50):
+            a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 5))]
+            assert lattice_rank(gens_of(a)) == len(column_hermite(gens_of(a)))
 
 
 def dense_hermite(a):
@@ -413,6 +419,13 @@ class TestComplement:
             return
         c = direct_complement(n, H)
         assert abs(determinant(H + c, n)) == 1
+
+
+def submodule_quotient(n, big, small):
+    """span(big) / span(small) by the path ``sigma-check`` and
+    ``filtration`` take: the Hermite basis of the big module, then the
+    quotient by the small one in its coordinates."""
+    return basis_quotient(n, hermite_basis(n, big), small)
 
 
 class TestSubmoduleQuotient:

@@ -13,6 +13,7 @@ from coxtop.chambers import (
 )
 from coxtop.complexes import classical_chamber, davis_chamber, relative_cohomology
 from coxtop.coxmatrix import CoxeterMatrix
+from coxtop.hc import hc_standard_realization
 from coxtop.intlinalg import AbGroup, GradedGroup
 from coxtop.realization import (
     coxeter_complex,
@@ -213,14 +214,25 @@ class TestCrossCheck:
         by_type = {e.type: e for e in report.entries}
         # full set contributes the constants in degree 0
         full = by_type[("s", "t")]
-        assert full.contribution == GradedGroup({0: AbGroup(1)})
+        assert full.graded() == GradedGroup({0: AbGroup(1)})
         # the empty type contributes rank 8 in the top degree
         empty = by_type[()]
-        assert empty.contribution == GradedGroup({1: AbGroup(8)})
+        assert empty.graded() == GradedGroup({1: AbGroup(8)})
         # singleton types contribute nothing
-        assert not by_type[("s",)].contribution
-        assert not by_type[("t",)].contribution
+        assert not by_type[("s",)].graded()
+        assert not by_type[("t",)].graded()
         assert report.realized == GradedGroup({0: AbGroup(1), 1: AbGroup(8)})
+
+
+    @pytest.mark.parametrize("name", ["fano", "fanoxa1", "digon(3,3)", "thin-A3", "thin-B3"])
+    def test_terms_are_the_hc_report_over_k(self, name):
+        # over the Davis chamber the assembled side is the H_c report of
+        # the same system, term by term
+        system = RESIDUE_BLOCK_SYSTEMS[name]()
+        report = formula_cross_check(system, davis_chamber(system.matrix))
+        hc = hc_standard_realization(system.matrix, system)
+        assert report.entries == hc.contributions
+        assert report.assembled == hc.totals == report.realized
 
 
 def test_cohomology_path_scans_no_dense_matrix(monkeypatch):
