@@ -253,8 +253,19 @@ def relative_cochain_complex(X, A=None):
     afaces = X.faces_from(A) if A is not None else frozenset()
     if afaces is None:
         raise ValueError("A is not a subcomplex of X")
-    cells = {k: [f for f in X.faces_of_dim(k) if f not in afaces] for k in range(X.dim + 1)}
-    return cochain_complex(cells, lambda c: 1, lambda g, f: (0,))
+    return _pair_cochain_complex(_cells(X), afaces)
+
+
+def _cells(X):
+    """degree -> the cells of X of that degree, in cell order."""
+    return {k: X.faces_of_dim(k) for k in range(X.dim + 1)}
+
+
+def _pair_cochain_complex(cells, afaces):
+    """The cochain complex of the pair on ``cells`` (``_cells``) less the
+    cells of ``afaces``."""
+    kept = {k: [f for f in fs if f not in afaces] for k, fs in cells.items()}
+    return cochain_complex(kept, lambda c: 1, lambda g, f: (0,))
 
 
 def relative_cohomology(X, A=None):
@@ -265,9 +276,15 @@ def relative_cohomology(X, A=None):
 
 
 def local_groups(X, types):
-    """(T, H(X, X^{S-T})) for each T of ``types``, in order."""
+    """(T, H(X, X^{S-T})) for each T of ``types``, in order.  X's cells are
+    sorted once; each pair drops the cells of its mirror union, which
+    lies on X's vertex table."""
     S = set(X.labels)
-    return [(T, relative_cohomology(X.complex, X.mirror_union(S - set(T)))) for T in types]
+    cells = _cells(X.complex)
+    return [
+        (T, _pair_cochain_complex(cells, X.mirror_union(S - set(T)).faces).cohomology())
+        for T in types
+    ]
 
 
 # ----------------------------------------------------------- constructions

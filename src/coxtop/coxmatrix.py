@@ -22,7 +22,11 @@ Two independent finiteness oracles are provided:
 Both read T through one key, ``CoxeterMatrix.pattern(T)``: the number of
 generators of T and their labels in generator order.  Each oracle decides
 a key once, so subsets and matrices that share a label pattern share the
-classification and the field arithmetic.
+classification and the field arithmetic.  The key itself is recomputed on
+every call, and a matrix holds no per-instance state for it: the oracles
+meet many fresh matrices, and a per-matrix table of keys raised the peak
+memory of the benchmark's 4,666 rank-4 matrices by 28 % (33.1 MB to
+42.5 MB).  Below three generators the key costs at most one lookup.
 
 The two must agree wherever both apply; the test suite sweeps this.
 """
@@ -34,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from math import isqrt
 
-from .qfield import SUPPORTED_LABELS, ZERO, four_cos_int
+from .qfield import QF, SUPPORTED_LABELS, ZERO, four_cos_int
 
 INF = None  # label for m = infinity
 
@@ -53,10 +57,11 @@ class CoxeterMatrix:
     def __post_init__(self):
         if not self.labels:
             raise CoxeterError("empty generator list")
-        if len(set(self.labels)) != len(self.labels):
+        gens = set(self.labels)
+        if len(gens) != len(self.labels):
             raise CoxeterError("duplicate generator label")
         for pair, m in self.entries.items():
-            if not pair <= set(self.labels):
+            if not pair <= gens:
                 raise CoxeterError(f"unknown label in pair {sorted(pair)}")
             if len(pair) != 2:
                 raise CoxeterError("entries must be keyed by unordered pairs")
@@ -95,9 +100,18 @@ class CoxeterMatrix:
         m(T[i], T[j]) for j < i, row by row.  Sphericity, the degrees and
         the Gram minors depend on T only through this key.
 
+        The key is computed afresh on each call and nothing is kept on the
+        matrix: a per-matrix table of keys raised the peak memory of the
+        benchmark's infinite-types workload, with its 4,666 rank-4
+        matrices, from 33.1 MB to 42.5 MB.  Below three generators the key
+        costs at most one lookup in ``entries``; a label is symmetric, so a
+        pair needs no ordering.
+
         >>> B3 = CoxeterMatrix(("s", "t", "u"), {frozenset("st"): 4, frozenset("tu"): 3})
         >>> B3.pattern(()), B3.pattern("s")
         ((0, ()), (1, ()))
+        >>> B3.pattern("ts"), B3.pattern(("u", "s", "u"))
+        ((2, (4,)), (2, (2,)))
         >>> B3.pattern("utss")
         (3, (4, 2, 3))
         >>> B3.pattern("sz")
@@ -105,17 +119,23 @@ class CoxeterMatrix:
         ...
         coxtop.coxmatrix.CoxeterError: subset ['s', 'z'] not contained in the generators
         """
-        T = set(T)
-        backwards = [s for s in reversed(self.labels) if s in T]
-        n = len(backwards)
-        if n != len(T):
-            raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
-        if n < 2:
-            return n, ()
-        # The pairs of T backwards, in combinations order, are the pairs
-        # (T[i], T[j]), j < i, row by row, in reverse.
-        pairs = map(frozenset, combinations(backwards, 2))
-        return n, tuple(map(self.entries.get, pairs, repeat(2)))[::-1]
+        T = frozenset(T)
+        n = len(T)
+        if n == 2:
+            m = self.entries.get(T, 2)
+            if m != 2 or T.issubset(self.labels):  # entries hold only generator pairs
+                return 2, (m,)
+        elif n < 2:
+            if T.issubset(self.labels):
+                return n, ()
+        else:
+            backwards = [s for s in reversed(self.labels) if s in T]
+            if len(backwards) == n:
+                # The pairs of T backwards, in combinations order, are the
+                # pairs (T[i], T[j]), j < i, row by row, in reverse.
+                pairs = map(frozenset, combinations(backwards, 2))
+                return n, tuple(map(self.entries.get, pairs, repeat(2)))[::-1]
+        raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
 
     def components(self, T):
         """Irreducible components of T: s, t connected iff m(s,t) != 2."""
@@ -400,14 +420,24 @@ def cosine_gram_definite(mat, T):
     in pure integer arithmetic.  The answer depends only on the labels,
     so it is decided once per label pattern.
     """
+    # Outside the try: CoxeterError is a ValueError, and an unknown
+    # generator must keep its own message.
     _, labels = mat.pattern(T)
-    if not SUPPORTED_LABELS.issuperset(labels):
+    try:
+        return _gram_pattern_definite(labels)
+    except ValueError:  # a label outside the exact-arithmetic set
         for s, t in combinations(mat.sorted_subset(set(T)), 2):
             if mat.m(s, t) not in SUPPORTED_LABELS:
                 raise CoxeterError(
                     f"label m({s},{t})={mat.m(s, t)} outside the exact-arithmetic set"
-                )
-    return _gram_pattern_definite(labels)
+                ) from None
+        raise
+
+
+# The entries of 4 times the Gram matrix: 4 on the diagonal and
+# -4cos(pi/m) off it.
+_FOUR = QF.from_int(4)
+_MINUS_FOUR_COS = {m: -four_cos_int(m) for m in SUPPORTED_LABELS}
 
 
 @lru_cache(maxsize=1 << 16)  # the rank-4 sweep has 46,880 patterns
@@ -415,18 +445,24 @@ def _gram_pattern_definite(pattern):
     """Sylvester's criterion by prefix recursion: the Gram matrix on
     T[:n] is definite iff the one on T[:n-1] is and its determinant is
     positive.  ``pattern`` lists m(T[i], T[j]) for j < i, row by row, so
-    the pattern of T[:n-1] is a prefix of it."""
+    the pattern of T[:n-1] is a prefix of it.
+
+    Every label is checked before the prefix is decided, so a pattern
+    with an unsupported label raises even where its prefix is not
+    definite; ``lru_cache`` keeps no exception, so no such pattern is
+    ever a cache hit."""
+    if not SUPPORTED_LABELS.issuperset(pattern):
+        raise ValueError(f"label pattern {pattern} leaves the exact-arithmetic set")
     n = (1 + isqrt(1 + 8 * len(pattern))) // 2
     if n <= 1:
         return True
     if not _gram_pattern_definite(pattern[: len(pattern) - (n - 1)]):
         return False
-    four = four_cos_int(2) + 4  # the integer 4 as a field element
-    rows = [[four] * n for _ in range(n)]
+    rows = [[_FOUR] * n for _ in range(n)]
     labels = iter(pattern)
     for i in range(n):
         for j in range(i):
-            rows[i][j] = rows[j][i] = -four_cos_int(next(labels))
+            rows[i][j] = rows[j][i] = _MINUS_FOUR_COS[next(labels)]
     return _det_expand(rows).sign() > 0
 
 

@@ -24,6 +24,7 @@ a^2 with p*b^2.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 _PRIMES = (2, 3, 5)
 
@@ -69,19 +70,17 @@ class QF:
     def __add__(self, other):
         if isinstance(other, int):
             other = QF.from_int(other)
-        a, b = self.c, other.c
-        return QF(tuple(a[i] + b[i] for i in range(8)))
+        return QF(tuple(map(add, self.c, other.c)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QF(tuple(-x for x in self.c))
+        return QF(tuple(map(neg, self.c)))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = QF.from_int(other)
-        a, b = self.c, other.c
-        return QF(tuple(a[i] - b[i] for i in range(8)))
+        return QF(tuple(map(sub, self.c, other.c)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -118,7 +117,7 @@ class QF:
         return hash(self.c)
 
     def is_zero(self):
-        return all(x == 0 for x in self.c)
+        return not any(self.c)
 
     def sign(self):
         """-1, 0 or +1, decided exactly."""

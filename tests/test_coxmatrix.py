@@ -1,4 +1,5 @@
-from itertools import combinations, permutations, product
+import random
+from itertools import combinations, permutations, product, repeat
 from math import prod
 
 import pytest
@@ -205,6 +206,19 @@ class TestGramOracle:
             cosine_gram_definite(m, "bc")
         assert cosine_gram_definite(m, "ab")
 
+    def test_unsupported_label_behind_a_non_definite_prefix(self):
+        # the prefix "ab" (m = inf) is not definite, so a check made only
+        # where labels become field elements would return False for "abc"
+        m = mk("abc", [("a", "b", INF), ("b", "c", 7)])
+        message = r"label m\(b,c\)=7 outside the exact-arithmetic set"
+        coxmatrix._gram_pattern_definite.cache_clear()
+        for _ in range(2):
+            with pytest.raises(CoxeterError, match=message):
+                cosine_gram_definite(m, "abc")
+        assert not cosine_gram_definite(m, "ab")
+        with pytest.raises(CoxeterError, match=message):
+            cosine_gram_definite(m, "abc")
+
     def test_label_positions_are_not_conflated(self):
         # the same labels {5, 3, 3} on a 4-chain: H4 when 5 ends the chain,
         # an infinite group when 5 sits in the middle
@@ -229,7 +243,51 @@ def reference_pattern(mat, T):
     return len(T), tuple(mat.m(T[i], T[j]) for i in range(len(T)) for j in range(i))
 
 
+def pattern_before_fast_paths(mat, T):
+    """``CoxeterMatrix.pattern`` as it was before its paths for fewer than
+    three generators: one frozenset and one lookup per pair."""
+    T = set(T)
+    backwards = [s for s in reversed(mat.labels) if s in T]
+    n = len(backwards)
+    if n != len(T):
+        raise CoxeterError(f"subset {sorted(T)} not contained in the generators")
+    if n < 2:
+        return n, ()
+    pairs = map(frozenset, combinations(backwards, 2))
+    return n, tuple(map(mat.entries.get, pairs, repeat(2)))[::-1]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoxeterError as exc:
+        return ("raised", str(exc))
+
+
 class TestPatternKey:
+    def test_matches_the_previous_pattern_on_random_matrices(self):
+        rng = random.Random(19)
+        values = [2, 3, 4, 5, 6, 7, 12, INF]
+        checked = 0
+        for rank in range(1, 7):
+            gens = "abcdef"[:rank]
+            for _ in range(12):
+                # some explicit label-2 entries: they must read like absent ones
+                pairs = [(s, t, rng.choice(values)) for s, t in combinations(gens, 2)]
+                pairs = [p for p in pairs if p[2] != 2 or rng.random() < 0.5]
+                mat = mk(rng.sample(gens, rank), pairs)
+                for r in range(rank + 1):
+                    for T in combinations(gens, r):
+                        # a tuple, a reversed duplicated tuple, a frozenset
+                        # and a str; then each with unknown generators
+                        forms = (T, T[::-1] + T, frozenset(T), "".join(T))
+                        unknown = (T + ("z",), forms[1] + ("z",), forms[2] | {"z"}, forms[3] + "zy")
+                        for form in forms + unknown:
+                            want = outcome(pattern_before_fast_paths, mat, form)
+                            assert outcome(mat.pattern, form) == want, (mat.labels, form)
+                            checked += 1
+        assert checked > 10_000
+
     @pytest.mark.parametrize("mat", [H4, F4, MIXED4], ids=["H4", "F4", "mixed"])
     def test_matches_reference_in_every_generator_order(self, mat):
         for order in permutations(mat.labels):

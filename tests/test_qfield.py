@@ -72,3 +72,28 @@ def test_hash_consistency():
 def test_unsupported_label():
     with pytest.raises(ValueError):
         two_cos(7)
+
+
+def test_additive_operations_match_per_coordinate_formulas():
+    import random
+
+    rng = random.Random(19)
+
+    def coords(kind):
+        if kind == "int":
+            return tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(8))
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8))
+
+    for _ in range(400):
+        a, b = coords(rng.choice(("int", "frac"))), coords(rng.choice(("int", "frac")))
+        x, y = QF(a), QF(b)
+        n = rng.randint(-9, 9)
+        assert (x + y).c == tuple(a[i] + b[i] for i in range(8))
+        assert (x - y).c == tuple(a[i] - b[i] for i in range(8))
+        assert (-x).c == tuple(-a[i] for i in range(8))
+        assert x.is_zero() == all(v == 0 for v in a)
+        assert (n + x).c == (x + n).c == (a[0] + n,) + a[1:]
+        assert (n - x).c == (n - a[0],) + tuple(-v for v in a[1:])
+        assert (x - n).c == (a[0] - n,) + a[1:]
+    assert QF((0,) * 8).is_zero() and QF((Fraction(0),) * 8).is_zero()
+    assert not QF((0, 0, 0, 0, 0, 0, 0, Fraction(1, 3))).is_zero()
