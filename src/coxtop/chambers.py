@@ -5,7 +5,12 @@ of chambers with one partition (the s-panels) per generator.  Residues of
 type T are the connected components under the panels with types in T.
 Every residue is read off one index per system, the chamber ->
 (generator index, neighbour) table ``ChamberSystem.neighbours``, and
-numbered by its least chamber (``residue_partition_map``).
+numbered by its least chamber (``residue_partition_map``).  The same
+index says which residue holds which: ``ChamberSystem.containing`` maps
+each residue of a type to the residue of a larger type holding it, and
+``ChamberSystem.covered`` inverts it; every map between residue modules
+(coboundary blocks, lattice generators, witness lifts, glued faces)
+reads it there.
 
 Constructors provided: the thin building (the group itself, panels =
 cosets of the order-2 subgroups), rank-2 generalized digons (complete
@@ -27,7 +32,7 @@ chambers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .coxmatrix import INF, CoxeterError, CoxeterMatrix, is_spherical, parse_coxeter_matrix
@@ -38,12 +43,11 @@ class ChamberError(ValueError):
     """Malformed chamber system input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity
 class ChamberSystem:
     matrix: CoxeterMatrix
-    panels: dict = field(compare=False)  # label -> tuple of frozensets of indices
+    panels: dict  # label -> tuple of frozensets of indices
     size: int = 0
-    chamber_names: tuple = ()  # optional, for reports
 
     def __post_init__(self):
         for s in self.matrix.labels:
@@ -67,6 +71,8 @@ class ChamberSystem:
                 raise ChamberError(f"{s}-panels do not cover the chambers")
         # type -> (partition map, least chamber of each residue)
         object.__setattr__(self, "_partitions", {})
+        # (fine type, coarse type) -> coarse residue holding each fine residue
+        object.__setattr__(self, "_inclusions", {})
         # type -> hat(A)^T, filled by every BuildingDecomposition of this system
         object.__setattr__(self, "_splittings", {})
 
@@ -81,6 +87,29 @@ class ChamberSystem:
         """The least chamber of each T-residue, in residue order; its
         length is the number of T-residues.  Cached with the partition map."""
         return self._residue_index(T)[1]
+
+    def containing(self, fine, coarse):
+        """For each ``fine``-residue, in residue order, the index of the
+        ``coarse``-residue holding it, read off ``least_chambers(fine)``
+        and ``partition_map(coarse)``.  ``coarse`` must contain ``fine``
+        as a type.  Cached per instance."""
+        key = (frozenset(fine), frozenset(coarse))
+        cached = self._inclusions.get(key)
+        if cached is None:
+            fine, coarse = key
+            if not fine <= coarse:
+                raise ValueError("inclusion needs fine <= coarse as types")
+            up = self.partition_map(coarse)
+            cached = self._inclusions[key] = [up[c] for c in self.least_chambers(fine)]
+        return cached
+
+    def covered(self, fine, coarse):
+        """For each ``coarse``-residue, the ``fine``-residues it holds, in
+        order: the inverse of ``containing``."""
+        held = [[] for _ in self.least_chambers(coarse)]
+        for f, c in enumerate(self.containing(fine, coarse)):
+            held[c].append(f)
+        return held
 
     def _residue_index(self, T):
         T = frozenset(T)
@@ -233,8 +262,7 @@ def thin_building(mat, T=None):
             j = table.mult[i][k]
             blocks.add(frozenset((i, j)))
         panels[s] = tuple(sorted(blocks, key=min))
-    names = tuple("".join(e.word) if e.word else "e" for e in table.elements)
-    system = ChamberSystem(sub, panels, len(table), names)
+    system = ChamberSystem(sub, panels, len(table))
     object.__setattr__(system, "_table", table)
     return system
 
@@ -254,8 +282,7 @@ def digon_building(p, q, labels=("s", "t")):
         s: tuple(frozenset(idx[(i, j)] for i in range(p)) for j in range(q)),
         t: tuple(frozenset(idx[(i, j)] for j in range(q)) for i in range(p)),
     }
-    names = tuple(f"{i},{j}" for i in range(p) for j in range(q))
-    return ChamberSystem(mat, panels, p * q, names)
+    return ChamberSystem(mat, panels, p * q)
 
 
 def _projective_plane(q):
@@ -295,10 +322,7 @@ def projective_plane_building(q, labels=("s", "t")):
     t_panels = []
     for ln in lines:
         t_panels.append(frozenset(idx[(pt, ln)] for pt in points if incidence[(pt, ln)]))
-    names = tuple(f"p{points.index(pt)}|l{lines.index(ln)}" for pt, ln in flags)
-    return ChamberSystem(
-        mat, {s: tuple(s_panels), t: tuple(t_panels)}, len(flags), names
-    )
+    return ChamberSystem(mat, {s: tuple(s_panels), t: tuple(t_panels)}, len(flags))
 
 
 def fano_building(labels=("s", "t")):
@@ -327,13 +351,7 @@ def product_building(a, b):
             for block in b.panels[s]:
                 blocks.append(frozenset(i * nb + j for j in block))
         panels[s] = tuple(blocks)
-    names = tuple(
-        f"{a.chamber_names[i] if a.chamber_names else i}*"
-        f"{b.chamber_names[j] if b.chamber_names else j}"
-        for i in range(a.size)
-        for j in range(nb)
-    )
-    return ChamberSystem(mat, panels, a.size * nb, names)
+    return ChamberSystem(mat, panels, a.size * nb)
 
 
 # ------------------------------------------------------------- W-distance
@@ -556,11 +574,7 @@ def verify_building(system):
             continue
         s_ids = system.partition_map((s,))
         t_ids = system.partition_map((t,))
-        pm = system.partition_map((s, t))
-        by_residue = [[] for _ in system.least_chambers((s, t))]
-        for c, r in enumerate(pm):
-            by_residue[r].append(c)
-        for chambers in by_residue:
+        for chambers in system.covered((), (s, t)):
             # vertices are the residue's panels, numbered in order of appearance
             left, right = {}, {}
             edges = [

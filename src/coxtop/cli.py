@@ -98,7 +98,7 @@ def _relabel(system, suffix):
         },
     )
     panels = {mapping[s]: system.panels[s] for s in system.matrix.labels}
-    return type(system)(mat, panels, system.size, system.chamber_names)
+    return type(system)(mat, panels, system.size)
 
 
 def resolve_building(args, matrix):

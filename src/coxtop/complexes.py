@@ -25,7 +25,7 @@ reduced group in degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .coxmatrix import cosine_gram_definite, is_spherical, spherical_poset
@@ -161,13 +161,13 @@ def flag_complex(elements):
     return SimplicialComplex(table, frozenset(faces))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity
 class MirroredComplex:
     """A complex with one mirror subcomplex per generator, on its table."""
 
     labels: tuple
     complex: SimplicialComplex
-    mirrors: dict = field(compare=False)  # label -> SimplicialComplex
+    mirrors: dict  # label -> SimplicialComplex
 
     def __post_init__(self):
         for s in self.labels:

@@ -33,7 +33,7 @@ The two must agree wherever both apply; the test suite sweeps this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import isqrt
@@ -47,12 +47,12 @@ class CoxeterError(ValueError):
     """Raised for malformed Coxeter matrix input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity; ``same_type`` compares values
 class CoxeterMatrix:
     """Symmetric matrix of labels m(s, t) over an ordered generator list."""
 
     labels: tuple
-    entries: dict = field(compare=False)  # frozenset({s,t}) -> int | None
+    entries: dict  # frozenset({s,t}) -> int | None
 
     def __post_init__(self):
         if not self.labels:

@@ -83,29 +83,10 @@ class BuildingDecomposition:
     def residue_count(self, T):
         return len(self.system.least_chambers(T))
 
-    def _containing(self, fine, coarse):
-        """For each fine residue, the index of the coarse residue holding it.
-
-        ``coarse`` must contain ``fine`` as a type.
-        """
-        fine = frozenset(fine)
-        coarse = frozenset(coarse)
-        if not fine <= coarse:
-            raise ValueError("inclusion needs fine <= coarse as types")
-        up = self.system.partition_map(coarse)
-        return [up[c] for c in self.system.least_chambers(fine)]
-
-    def _covered(self, fine, coarse):
-        """For each coarse residue, the fine residues it holds, in order."""
-        held = [[] for _ in range(self.residue_count(coarse))]
-        for f, c in enumerate(self._containing(fine, coarse)):
-            held[c].append(f)
-        return held
-
     def inclusion_matrix(self, fine, coarse):
         """Matrix of A^coarse -> A^fine in residue-indicator coordinates:
         a coarse indicator is the sum of the fine indicators it covers."""
-        up = self._containing(fine, coarse)
+        up = self.system.containing(fine, coarse)
         width = self.residue_count(coarse)
         mat = [[0] * width for _ in up]
         for i, j in enumerate(up):
@@ -126,7 +107,7 @@ class BuildingDecomposition:
         for V in types:
             V = frozenset(V)
             if V in self.poset:
-                gens.extend([(f, 1) for f in held] for held in self._covered(T, V))
+                gens.extend([(f, 1) for f in held] for held in self.system.covered(T, V))
         return gens
 
     def above_in_coordinates(self, T):
@@ -180,7 +161,7 @@ class BuildingDecomposition:
             hat = self.splitting(V)
             parts.append((V, len(hat)))
             # a T-residue takes the value of the V-residue holding it
-            held = self._covered(T, V)
+            held = self.system.covered(T, V)
             cols.extend([(f, x) for v, x in col for f in held[v]] for col in hat)
         matrix = [[0] * len(cols) for _ in range(rT)]
         for k, col in enumerate(cols):
@@ -244,8 +225,8 @@ def residue_cochain_complex(system, cells_by_degree, label):
     type of cell c.  Over c sits one basis element per label(c)-residue,
     in residue order: the residue indicators, a basis of A^{label(c)}.
     The block map from a cell g to its face f sends each label(g)-residue
-    to the label(f)-residue holding it, with the simplicial sign; it
-    depends only on the two labels and is built once per pair.
+    to the label(f)-residue holding it (``system.containing``), with the
+    simplicial sign.
 
     This is the one residue-coefficient builder: over every cell of a
     model complex it is the cochain complex of the realization, and over
@@ -253,18 +234,10 @@ def residue_cochain_complex(system, cells_by_degree, label):
     for a non-spherical T, so those cells carry nothing there).
     """
     labels = {c: label(c) for cells in cells_by_degree.values() for c in cells}
-    up = {}  # (label(g), label(f)) -> label(f)-residue of each label(g)-residue
-
-    def restrict(g, f):
-        key = (labels[g], labels[f])
-        rows = up.get(key)
-        if rows is None:
-            coarse = system.partition_map(key[1])
-            rows = up[key] = [coarse[c] for c in system.least_chambers(key[0])]
-        return rows
-
     return cochain_complex(
-        cells_by_degree, lambda c: len(system.least_chambers(labels[c])), restrict
+        cells_by_degree,
+        lambda c: len(system.least_chambers(labels[c])),
+        lambda g, f: system.containing(labels[g], labels[f]),
     )
 
 

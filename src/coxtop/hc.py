@@ -2,16 +2,19 @@
 realization, virtual cohomological dimension, duality status, filtration
 gradeds, and descent-class growth series.
 
-For a finite (spherical) type the report is assembled exactly from a
-concrete chamber system.  For an infinite type the local groups
-H(K, K^{S-T}) are exact while multiplicities are symbolic: the empty
-type always contributes multiplicity one in the thin case (only the
-identity has empty descent set), every other spherical type is reported
-as countably infinite (``omega``), optionally refined by the exact
-length-graded counts #{w : In(w) = T, l(w) = i} up to a truncation.
-Those counts are truncated power series in Z[[t]] built from Steinberg's
-formula and the Poincare polynomials of the spherical subgroups, so they
-take any label and any radius without enumerating group elements.
+For a finite (spherical) type the report is exact: the multiplicity of
+T is the rank of hat(A)^T of a concrete chamber system, or, thin, the
+count #{w : In(w) = T}, which is the descent-class series below summed
+up to the length of the longest element (no building is split).  For an
+infinite type the local groups H(K, K^{S-T}) are exact while
+multiplicities are symbolic: the empty type always contributes
+multiplicity one in the thin case (only the identity has empty descent
+set), every other spherical type is reported as countably infinite
+(``omega``), optionally refined by the exact length-graded counts
+#{w : In(w) = T, l(w) = i} up to a truncation.  Those counts are
+truncated power series in Z[[t]] built from Steinberg's formula and the
+Poincare polynomials of the spherical subgroups, so they take any label
+and any radius without enumerating group elements.
 
 The H_c report, ``vcd`` and ``duality_check`` all read the local groups
 off ``local_groups``; K is contractible, so the duality check's reduced
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chambers import thin_building
 from .complexes import davis_chamber, local_groups
 from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
@@ -217,12 +219,21 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
     w_finite = is_spherical(matrix, matrix.labels)
     locals_ = local_groups(davis_chamber(matrix), spherical_poset(matrix))
 
-    concrete = None
-    label = None
     if thickness == "thin":
         label = "thin"
         if w_finite:
-            concrete = thin_building(matrix)
+            # every w has length at most that of the longest element
+            longest = sum(d - 1 for d in coxeter_degrees(matrix, matrix.labels))
+
+            def multiplicity(T):
+                return sum(thin_multiplicity_series(matrix, T, longest).coefficients)
+
+        else:
+
+            def multiplicity(T):
+                # only the identity has empty descent set
+                return 1 if not T else OMEGA
+
     elif isinstance(thickness, tuple) and thickness and thickness[0] == "regular":
         label = "regular"
         if w_finite:
@@ -234,19 +245,15 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         for s in matrix.labels:
             if sizes.get(s, 2) < 2:
                 raise ValueError("regular panel sizes must be at least 2")
-    else:
-        label = "concrete"
-        concrete = thickness
-        if not concrete.matrix.same_type(matrix):
-            raise ValueError(type_mismatch(concrete.matrix, matrix))
-
-    if concrete is not None:
-        multiplicity = BuildingDecomposition(concrete).splitting_rank
-    else:
 
         def multiplicity(T):
-            # only the identity has empty descent set
-            return 1 if label == "thin" and not T else OMEGA
+            return OMEGA
+
+    else:
+        label = "concrete"
+        if not thickness.matrix.same_type(matrix):
+            raise ValueError(type_mismatch(thickness.matrix, matrix))
+        multiplicity = BuildingDecomposition(thickness).splitting_rank
 
     contributions, totals = formula_terms(matrix, locals_, multiplicity, growth_radius)
     return HcReport(matrix.labels, label, w_finite, contributions, totals)

@@ -39,28 +39,29 @@ def realize(system, X):
     The glued vertices over model vertex v are (label of v, r) for the
     S(v)-residues r = 0, 1, ...; their ids are offset(v) + r, where
     offset(v) counts the residues of the model vertices before v, so the
-    ids run in the ``vertex_key`` order of these labels.  The face of a
-    glued cell at a model subcell c' is the copy of c' indexed by the
-    coarser S(c')-residue through the same chamber; each glued cell is
-    read at the least chamber of its residue.
+    ids run in the ``vertex_key`` order of these labels.  The copy of a
+    model face f over its S(f)-residue r has the vertices
+    offset(v) + ``system.containing(S(f), S(v))[r]`` for v in f: the
+    S(v)-residues holding r.
     """
     model = X.complex
-    least = {f: system.least_chambers(X.face_label(f)) for f in model.faces}
-    table, glued = [], {}  # model vertex v -> (offset(v), its partition map)
-    for v, label in enumerate(model.vertices):
-        if (v,) in least:
-            glued[v] = (len(table), system.partition_map(X.face_label((v,))))
-            table.extend((label, r) for r in range(len(least[(v,)])))
+    label = {f: X.face_label(f) for f in model.faces}
+    count = {f: len(system.least_chambers(T)) for f, T in label.items()}
+    table, offset = [], {}
+    for v, name in enumerate(model.vertices):
+        if (v,) in count:
+            offset[v] = len(table)
+            table.extend((name, r) for r in range(count[(v,)]))
     faces = set()
     for f in model.faces:
-        vertex_pms = [glued[v] for v in f]
-        for chamber in least[f]:
-            faces.add(tuple(o + vpm[chamber] for o, vpm in vertex_pms))
+        ups = [(offset[v], system.containing(label[f], label[(v,)])) for v in f]
+        for r in range(count[f]):
+            faces.add(tuple(o + up[r] for o, up in ups))
     out = SimplicialComplex(tuple(table), frozenset(faces))
     # cell-count identity: one glued cell per (model cell, residue)
     expected = [0] * (model.dim + 1)
     for f in model.faces:
-        expected[len(f) - 1] += len(least[f])
+        expected[len(f) - 1] += count[f]
     if out.f_vector() != tuple(expected):
         raise AssertionError(f"cell count mismatch: {out.f_vector()} != {tuple(expected)}")
     return out

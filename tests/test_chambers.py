@@ -142,6 +142,17 @@ class TestResidues:
             with pytest.raises(ChamberError, match="'x'"):
                 call(sys, ("s", "x"))
 
+    def test_equality_is_identity(self):
+        # the panels define a chamber system: an equality that skipped them
+        # took fano for fano with its s- and t-panels exchanged
+        fano = fano_building()
+        plain = ChamberSystem(fano.matrix, fano.panels, fano.size)
+        swapped = ChamberSystem(
+            fano.matrix, {"s": fano.panels["t"], "t": fano.panels["s"]}, fano.size
+        )
+        assert plain != swapped
+        assert plain == plain
+
 
 class TestWDistance:
     def test_identity(self):
@@ -529,6 +540,69 @@ class TestResiduesAgainstReference:
             singletons += any(len(b) == 1 for s in labels for b in system.panels[s])
             disconnected += len(system.least_chambers(labels)) > 1
         assert singletons and disconnected
+
+
+def reference_containing(fine_residues, coarse_residues):
+    """The body of the ``_containing`` that ``BuildingDecomposition`` kept
+    before the system owned the inclusions, read off union-find residues:
+    for each fine residue, the coarse residue holding its least chamber."""
+    up = {c: index for index, chambers in enumerate(coarse_residues) for c in chambers}
+    return [up[chambers[0]] for chambers in fine_residues]
+
+
+def reference_covered(fine_residues, coarse_residues):
+    """The body of the old ``_covered``: for each coarse residue, the fine
+    residues it holds, in order."""
+    held = [[] for _ in coarse_residues]
+    for f, c in enumerate(reference_containing(fine_residues, coarse_residues)):
+        held[c].append(f)
+    return held
+
+
+def assert_inclusions_match_reference(system):
+    labels = system.matrix.labels
+    subsets = [frozenset(T) for r in range(len(labels) + 1) for T in combinations(labels, r)]
+    residues = {T: reference_residues(system, T) for T in subsets}
+    for fine in subsets:
+        for coarse in subsets:
+            if fine <= coarse:
+                pair = residues[fine], residues[coarse]
+                key = (fine, coarse)
+                assert system.containing(fine, coarse) == reference_containing(*pair), key
+                assert system.covered(fine, coarse) == reference_covered(*pair), key
+
+
+class TestInclusionsAgainstReference:
+    @pytest.mark.parametrize("name", list(BUILT_INS))
+    def test_built_ins(self, name):
+        assert_inclusions_match_reference(BUILT_INS[name]())
+        rng = random.Random(20)
+        for _ in range(3):
+            assert_inclusions_match_reference(renumbered(BUILT_INS[name](), rng))
+
+    def test_non_spherical_types(self):
+        # the index takes any type: random panels of a type with m(s, u)
+        # infinite, so that {s, u} and {s, t, u} are not spherical
+        rng = random.Random(20)
+        matrix = mk("stu", [("s", "t", 3), ("s", "u", INF)])
+        for _ in range(50):
+            size = rng.randint(1, 14)
+            assert_inclusions_match_reference(
+                ChamberSystem(matrix, random_panels(rng, "stu", size), size)
+            )
+
+    def test_fine_outside_coarse_raises(self):
+        sys = fano_building()
+        for call in (sys.containing, sys.covered):
+            with pytest.raises(ValueError, match="fine <= coarse"):
+                call("st", "s")
+            with pytest.raises(ValueError, match="fine <= coarse"):
+                call("s", "t")
+
+    def test_second_call_is_cached(self):
+        sys = fano_building()
+        first = sys.containing("s", "st")
+        assert sys.containing(("s",), frozenset("ts")) is first
 
 
 def test_constructor_panels_are_regular():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coxtop
+from coxtop.chambers import ChamberSystem, parse_chamber_system
 from coxtop.cli import main
 from coxtop.decomposition import BuildingDecomposition
 from coxtop.intlinalg import AbGroup, TorsionObstruction
@@ -627,6 +629,27 @@ class TestDeterminism:
         code, out = run(capsys, argv if T is None else argv + ["--T", *T])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_building_on_a_renumbered_product_is_pinned(self, capsys, a2_file, tmp_path):
+        # renumbering moves every residue's least chamber, which orders the
+        # rank-2 residue checks; the digest was recorded from the code that
+        # grouped each residue's chambers off its partition map
+        path = tmp_path / "fanoxfano.bld"
+        assert main(["realize", a2_file, "--building", "fanoxfano", "--out", str(path)]) == 0
+        capsys.readouterr()
+        system = parse_chamber_system(path.read_text())
+        rng = random.Random(20)
+        perm = rng.sample(range(system.size), system.size)
+        panels = {
+            s: tuple(frozenset(perm[c] for c in b) for b in rng.sample(blocks, len(blocks)))
+            for s, blocks in system.panels.items()
+        }
+        path.write_text(ChamberSystem(system.matrix, panels, system.size).to_text())
+        code, out = run(capsys, ["verify-building", "--chamber-file", str(path), "--json"])
+        assert code == 0 and json.loads(out)["passed"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "54aa43126d70c2fbf6a542a9fb57275e0c2a0715f07e51aa889eb645a332401a"
+        )
 
     def test_nerve_text_is_seed_independent(self, triangle_file):
         # the plain-text face list must not follow set iteration order

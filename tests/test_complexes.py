@@ -6,6 +6,7 @@ import pytest
 
 from coxtop.coxmatrix import INF, CoxeterMatrix, spherical_poset
 from coxtop.complexes import (
+    MirroredComplex,
     SimplicialComplex,
     classical_chamber,
     davis_chamber,
@@ -130,6 +131,13 @@ class TestClassicalChamber:
         D = classical_chamber(mk("s", []))
         assert D.complex.f_vector() == (1,)
         assert D.mirror("s").is_empty()
+
+    def test_equality_is_identity(self):
+        # the mirrors define a mirrored complex; an equality that skipped
+        # them took the chamber for the bare simplex
+        D = classical_chamber(A2)
+        assert D != MirroredComplex(D.labels, D.complex, {})
+        assert D == D
 
 
 class TestRelativeCohomology:

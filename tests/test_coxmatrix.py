@@ -62,6 +62,14 @@ class TestParsing:
         assert again.labels == TRIANGLE333.labels
         assert again.entries == TRIANGLE333.entries
 
+    def test_equality_is_identity(self):
+        # A2 and A1 x A1 share their generators: an equality that skipped
+        # the labels merged them as dict keys
+        a1a1 = mk("st", [])
+        assert A2 != a1a1
+        assert len({A2: "A2", a1a1: "A1xA1"}) == 2
+        assert A2 == A2 and not A2.same_type(a1a1)
+
 
 class TestSphericity:
     def test_empty_set(self):

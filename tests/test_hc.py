@@ -42,6 +42,27 @@ MIXED = mk(
     ],
 )
 
+# every finite type the tests use, H4 aside: its thin building splits in seconds
+FINITE_NAMES = ["A1", "A1xA1", "A2", "B2", "G2", "I2(7)", "I2(8)", "A3", "B3", "H3",
+                "A2xA1", "I2(7)xA1", "D4", "B4", "F4"]
+FINITE = [
+    mk("a", []),
+    mk("ab", []),
+    A2,
+    mk("st", [("s", "t", 4)]),
+    mk("st", [("s", "t", 6)]),
+    mk("ab", [("a", "b", 7)]),
+    mk("ab", [("a", "b", 8)]),
+    mk("abc", [("a", "b", 3), ("b", "c", 3)]),
+    mk("abc", [("a", "b", 4), ("b", "c", 3)]),
+    mk("abc", [("a", "b", 5), ("b", "c", 3)]),
+    mk("stu", [("s", "t", 3)]),
+    mk("abc", [("a", "b", 7)]),
+    mk("abcd", [("a", "b", 3), ("b", "c", 3), ("b", "d", 3)]),
+    mk("abcd", [("a", "b", 3), ("b", "c", 3), ("c", "d", 4)]),
+    mk("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)]),
+]
+
 
 class TestVcd:
     def test_free_product(self):
@@ -227,10 +248,22 @@ class TestHcReport:
         cross = formula_cross_check(sys, davis_chamber(sys.matrix))
         assert report.totals == cross.assembled == cross.realized
 
-    def test_finite_thin_builds_concrete(self):
+    def test_finite_thin(self):
         report = hc_standard_realization(A2, "thin")
         assert report.w_finite
         assert report.totals == GradedGroup({0: AbGroup(1)})
+
+    @pytest.mark.parametrize("mat", FINITE, ids=FINITE_NAMES)
+    def test_finite_thin_counts_match_the_thin_building(self, mat):
+        # a finite thin report sums descent series and splits no building;
+        # the thin building's summand ranks are the reference
+        counted = hc_standard_realization(mat)
+        building = thin_building(mat)
+        split = hc_standard_realization(mat, building)
+        ranks = [c.multiplicity for c in counted.contributions]
+        assert ranks == [c.multiplicity for c in split.contributions]
+        assert sum(ranks) == building.size
+        assert counted.totals == split.totals
 
     @pytest.mark.parametrize(
         "matrix, thickness",
