@@ -206,7 +206,7 @@ def simplex_sign(face, subface):
     return (-1) ** ordered.index(v)
 
 
-def cochain_complex(cells_by_degree, size, restrict):
+def cochain_complex(cells_by_degree, size=None, restrict=None):
     """Cochain complex with one free block of rank ``size(c)`` per cell c.
 
     ``cells_by_degree`` maps degree -> ordered cells, each a tuple of
@@ -216,17 +216,26 @@ def cochain_complex(cells_by_degree, size, restrict):
     ``restrict(g, f)[i]`` of f's block, and the coboundary entry between
     them is (-1)^p.  Rows are sparse: (column, entry) pairs, as
     ``CochainComplex`` stores.
+
+    Without ``size`` every cell has a block of rank one, which is the
+    simplicial cochain complex; ``restrict`` is then not called, and
+    each cell's row is written straight from its faces.
     """
-    blocks = {}  # degree -> {cell: (first basis index, size)}
+    blocks = {}  # degree -> {cell: first basis index}
+    sizes = {}  # cell -> block rank, with ``size`` only
     dims = {}
     for k, cells in cells_by_degree.items():
-        total = 0
-        blocks[k] = {}
-        for c in cells:
-            r = size(c)
-            if r:
-                blocks[k][c] = (total, r)
-                total += r
+        if size is None:
+            blocks[k] = dict(zip(cells, range(len(cells))))
+            total = len(cells)
+        else:
+            total = 0
+            blocks[k] = {}
+            for c in cells:
+                r = sizes[c] = size(c)
+                if r:
+                    blocks[k][c] = total
+                    total += r
         if total:
             dims[k] = total
     maps = {}
@@ -235,13 +244,21 @@ def cochain_complex(cells_by_degree, size, restrict):
             continue
         low = blocks[k]
         rows = []
-        for g, (_, r) in blocks[k + 1].items():
-            faces = []
+        for g in blocks[k + 1]:
+            # per face f of g in the complex: (first basis index, sign),
+            # and with ``size`` also restrict(g, f)
+            row = []
+            sign = 1
             for p in range(len(g)):
                 f = g[:p] + g[p + 1 :]
-                if f in low:
-                    faces.append((low[f][0], -1 if p % 2 else 1, restrict(g, f)))
-            rows.extend([(off + up[i], sign) for off, sign, up in faces] for i in range(r))
+                j = low.get(f)
+                if j is not None:
+                    row.append((j, sign) if size is None else (j, sign, restrict(g, f)))
+                sign = -sign
+            if size is None:
+                rows.append(row)
+            else:
+                rows.extend([(j + up[i], sign) for j, sign, up in row] for i in range(sizes[g]))
         maps[k] = rows
     return CochainComplex(dims, maps)
 
@@ -265,7 +282,7 @@ def _pair_cochain_complex(cells, afaces):
     """The cochain complex of the pair on ``cells`` (``_cells``) less the
     cells of ``afaces``."""
     kept = {k: [f for f in fs if f not in afaces] for k, fs in cells.items()}
-    return cochain_complex(kept, lambda c: 1, lambda g, f: (0,))
+    return cochain_complex(kept)
 
 
 def relative_cohomology(X, A=None):

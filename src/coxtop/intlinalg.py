@@ -5,7 +5,14 @@ The cohomology and lattice kernels eliminate +-1 pivots on sparse rows
 and run a dense Smith form (Bareiss, for the determinant) only on the
 residual block, which has no unit entry.  Cohomology and
 ``quotient_structure`` need only the invariant factors, which
-``elementary_divisors`` finds that way; ``determinant`` expands along the
+``elementary_divisors`` finds that way.  Cohomology factors the maps
+from the top degree down with clearing (Chen and Kerber's twist, over
+Z): if d^k has unit pivots in rows P and columns Q, then d^k[P, Q] is
+unimodular and d^k d^{k-1} = 0, so the rows Q of d^{k-1} lie in the
+Z-span of its other rows.  Dropping them changes neither the row lattice
+nor the nonzero invariant factors of d^{k-1}, whether or not it has a
+residual block, so each map is factored once, less the rows the map
+above cleared.  ``determinant`` expands along the
 unit pivots; ``direct_complement`` replays the pivot order of the
 transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
 complement is that of the dense form, and it reduces that complement
@@ -337,21 +344,28 @@ def _unit_pivots(rows, where):
 def elementary_divisors(rows):
     """Nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
 
+    >>> elementary_divisors([[(0, 1), (1, 1)], [(1, 2), (2, 2)], []])
+    [1, 2]
+    """
+    return _divisors_and_pivots(rows)[0]
+
+
+def _divisors_and_pivots(rows, cleared=frozenset()):
+    """Nonzero invariant factors of a sparse integer matrix less the rows
+    ``cleared``, and the columns of its unit pivots.
+
     A +-1 entry splits the matrix unimodularly as 1 + A', so unit pivots
     are eliminated first on sparse rows (``_unit_pivots``).  The residual
     block, which has no unit entry, is compacted and factored by
     ``smith_normal_form``.
-
-    >>> elementary_divisors([[(0, 1), (1, 1)], [(1, 2), (2, 2)], []])
-    [1, 2]
     """
-    rows, where = _indexed(rows)
-    units = len(_unit_pivots(rows, where))
+    rows, where = _indexed([() if i in cleared else row for i, row in enumerate(rows)])
+    pivots = _unit_pivots(rows, where)
     live = [row for row in rows if row]
     cols = sorted({j for row in live for j in row})
     residual = [[row.get(j, 0) for j in cols] for row in live]
     rest = smith_normal_form(residual).diagonal() if residual else []
-    return [1] * units + [d for d in rest if d]
+    return [1] * len(pivots) + [d for d in rest if d], {q for _, q, _ in pivots}
 
 
 # ------------------------------------------------------------ Hermite form
@@ -730,14 +744,20 @@ class CochainComplex:
     def cohomology(self):
         """Kernel modulo image in every degree, as a GradedGroup.
 
-        Each map is factored once; its nonzero invariant factors give the
-        rank leaving degree k and the rank and torsion entering k + 1.
+        The maps are factored from the top degree down, each map less the
+        rows the map above cleared: the unit-pivot columns of d^k are rows
+        of d^{k-1}, and since d^k d^{k-1} = 0 with d^k unimodular on its
+        pivot block, those rows lie in the span of the others.  The
+        nonzero invariant factors of d^k give the rank leaving degree k
+        and the rank and torsion entering k + 1.
         """
-        nonzero = {
-            k: elementary_divisors(m)
-            for k, m in self.maps.items()
-            if self.dims.get(k, 0) > 0 and self.dims.get(k + 1, 0) > 0
-        }
+        nonzero = {}
+        pivots = {}
+        for k in sorted(self.maps, reverse=True):
+            if self.dims.get(k, 0) > 0 and self.dims.get(k + 1, 0) > 0:
+                nonzero[k], pivots[k] = _divisors_and_pivots(
+                    self.maps[k], pivots.get(k + 1, frozenset())
+                )
         out = {}
         for k in sorted(self.dims):
             n = self.dims[k]

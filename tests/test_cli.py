@@ -251,6 +251,25 @@ class TestErrors:
         out = json.loads(capsys.readouterr().out)
         assert code == 2 and not out["passed"]
 
+    def test_python_m_coxtop_exit_codes(self, a2_file, tmp_path):
+        # the package runs as a module: 0 on a good file, 1 on a missing
+        # one, 2 on a failed verification
+        bad = tmp_path / "bad.bld"
+        bad.write_text("gens s\nchambers 3\npanel s: {0,1} {2}\n")
+        src = str(Path(coxtop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, code in [
+            (["vcd", a2_file], 0),
+            (["vcd", str(tmp_path / "missing.cox")], 1),
+            (["verify-building", "--chamber-file", str(bad)], 2),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coxtop", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert bool(proc.stdout) == (code != 1), argv
+
     def test_bad_matrix(self, capsys, tmp_path):
         p = tmp_path / "bad.cox"
         p.write_text("gens a b\na b 1\n")

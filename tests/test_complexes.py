@@ -9,6 +9,7 @@ from coxtop.complexes import (
     MirroredComplex,
     SimplicialComplex,
     classical_chamber,
+    cochain_complex,
     davis_chamber,
     flag_complex,
     metric_flag_check,
@@ -20,6 +21,7 @@ from coxtop.complexes import (
 )
 from coxtop.hc import duality_check
 from coxtop.intlinalg import AbGroup, GradedGroup
+from test_intlinalg import RP2_TRIANGLES
 
 
 def mk(labels, pairs):
@@ -214,6 +216,34 @@ class TestRelativeCohomology:
                 for j, f in enumerate(cells[k]):
                     expected = simplex_sign(g, f) if f < g else 0
                     assert row.get(j, 0) == expected
+
+
+def rp2():
+    return SimplicialComplex.from_maximal(RP2_TRIANGLES), None
+
+
+def k_of_a3_rel_mirrors():
+    K = davis_chamber(mk("abc", [("a", "b", 3), ("b", "c", 3)]))
+    return K.complex, K.mirror_union("ab")
+
+
+def fano_x_a1_realization():
+    from coxtop.chambers import fano_building, product_building, thin_building
+    from coxtop.realization import realize
+
+    system = product_building(fano_building(), thin_building(mk("u", [])))
+    return realize(system, davis_chamber(system.matrix)), None
+
+
+@pytest.mark.parametrize("pair", [rp2, k_of_a3_rel_mirrors, fano_x_a1_realization])
+def test_size_one_cochains_match_the_block_path(pair):
+    # the simplicial cochains, written without blocks, equal the general
+    # block path with one basis element per cell
+    X, A = pair()
+    afaces = A.faces if A is not None else frozenset()
+    kept = {k: [f for f in X.faces_of_dim(k) if f not in afaces] for k in range(X.dim + 1)}
+    blocks = cochain_complex(kept, lambda c: 1, lambda g, f: (0,))
+    assert relative_cochain_complex(X, A) == cochain_complex(kept) == blocks.validate()
 
 
 # ------------------------------------------- the reduced-cohomology reference

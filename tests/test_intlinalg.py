@@ -509,10 +509,7 @@ class TestCochain:
     def test_rp2_has_z2(self):
         from coxtop.complexes import SimplicialComplex, relative_cohomology
 
-        rp2 = SimplicialComplex.from_maximal(
-            [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
-             (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
-        )
+        rp2 = SimplicialComplex.from_maximal(RP2_TRIANGLES)
         assert relative_cohomology(rp2) == GradedGroup({0: AbGroup(1), 2: AbGroup(0, (2,))})
 
     def test_euler(self):
@@ -520,6 +517,144 @@ class TestCochain:
         cx = CochainComplex({0: 3, 1: 3}, {0: d0})
         h = cx.cohomology()
         assert cx.euler_characteristic() == h.euler_characteristic() == 0
+
+
+def uncleared_cohomology(cx):
+    """Cohomology with every map factored on its own by
+    ``elementary_divisors``, no rows dropped: the reference for the
+    top-down clearing in ``CochainComplex.cohomology``."""
+    divisors = {k: elementary_divisors(m) for k, m in cx.maps.items()}
+    out = {}
+    for k, n in cx.dims.items():
+        incoming = divisors.get(k - 1, [])
+        free = n - len(divisors.get(k, [])) - len(incoming)
+        out[k] = AbGroup(free, tuple(d for d in incoming if d > 1))
+    return GradedGroup(out)
+
+
+def unimodular_pair(n, rng, steps):
+    """A random n x n unimodular matrix and its inverse: a product of
+    row additions with multipliers in {-2, -1, 1, 2} and row swaps."""
+    a, inv = identity(n), identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            a[i], a[j] = a[j], a[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            c = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+    return a, inv
+
+
+def smith_form_complex(rng):
+    """A random cochain complex with a known answer, and that answer.
+
+    In Smith form, degree k is Z^{r_{k-1}} + Z^{h_k} + Z^{r_k}: d^k maps
+    the last block of degree k diagonally onto the first block of degree
+    k + 1, with the divisors drawn for it (units and torsion 2, 3, 4 and
+    6, in no particular order), so H^k is Z^{h_k} plus the torsion of
+    d^{k-1}.  Every degree is then conjugated by a random unimodular
+    matrix, which changes no group.
+    """
+    top = rng.randint(1, 4)
+    divisors = [
+        [1] * rng.randint(0, 3) + rng.sample([2, 3, 4, 6], rng.randint(0, 2)) for _ in range(top)
+    ]
+    for ds in divisors:
+        rng.shuffle(ds)
+    divisors.append([])
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    dims = [len(divisors[k - 1]) * (k > 0) + free[k] + len(divisors[k]) for k in range(top + 1)]
+    pairs = [unimodular_pair(n, rng, 2 * n) for n in dims]
+    maps = {}
+    for k in range(top):
+        d = [[0] * dims[k] for _ in range(dims[k + 1])]
+        start = dims[k] - len(divisors[k])
+        for i, x in enumerate(divisors[k]):
+            d[i][start + i] = x
+        if dims[k] and dims[k + 1]:
+            d = matmul(matmul(pairs[k + 1][0], d), pairs[k][1])
+        maps[k] = sparse_rows(d)
+    answer = {}
+    for k in range(top + 1):
+        group = AbGroup(free[k])
+        for x in divisors[k - 1] if k else []:
+            group = group.direct_sum(AbGroup(0, (x,) if x > 1 else ()))
+        answer[k] = group
+    cx = CochainComplex({k: n for k, n in enumerate(dims) if n}, maps)
+    return cx.validate(), GradedGroup(answer)
+
+
+RP2_TRIANGLES = [
+    (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+    (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6),
+]
+
+
+def moore_space_z3():
+    """A disc whose boundary wraps three times around a triangle: vertex 0
+    in the middle, a ring 1..9, and the boundary vertices i, i + 3, i + 6
+    of a 9-gon glued to 10 + i.  H^2 = Z/3."""
+    ring = list(range(1, 10))
+    rim = [10 + i % 3 for i in range(9)]
+    triangles = []
+    for i in range(9):
+        r, r1, a, a1 = ring[i], ring[(i + 1) % 9], rim[i], rim[(i + 1) % 9]
+        triangles += [(0, r, r1), (r, r1, a), (r1, a, a1)]
+    return triangles
+
+
+class TestClearing:
+    """``CochainComplex.cohomology`` factors from the top down, each map
+    less the rows the map above cleared, against ``uncleared_cohomology``."""
+
+    def test_random_smith_form_complexes(self):
+        rng = random.Random(2011)
+        seen = set()  # (torsion, degree)
+        for _ in range(240):
+            cx, answer = smith_form_complex(rng)
+            assert cx.cohomology() == uncleared_cohomology(cx) == answer
+            for k, group in answer.groups.items():
+                seen.update((d, k) for d in group.torsion)
+        for d in (2, 3, 4, 6):
+            assert len({k for t, k in seen if t % d == 0}) >= 2, d
+
+    @pytest.mark.parametrize(
+        "triangles, expected",
+        [
+            (RP2_TRIANGLES, {0: AbGroup(1), 2: AbGroup(0, (2,))}),
+            (moore_space_z3(), {0: AbGroup(1), 2: AbGroup(0, (3,))}),
+        ],
+        ids=["RP2", "moore-z3"],
+    )
+    def test_torsion_surfaces(self, triangles, expected):
+        from coxtop.complexes import SimplicialComplex, relative_cochain_complex
+
+        cx = relative_cochain_complex(SimplicialComplex.from_maximal(triangles)).validate()
+        assert cx.cohomology() == uncleared_cohomology(cx) == GradedGroup(expected)
+
+    def test_cleared_rows_meet_a_non_unit_block(self, monkeypatch):
+        # d^0 = (2, 2)^T and d^1 = (1, -1): the unit pivot of d^1 clears
+        # one row of d^0, whose residual block without it is [2]
+        from coxtop import intlinalg
+
+        seen = []
+        dense = intlinalg.smith_normal_form
+
+        def recording(a):
+            seen.append(a)
+            return dense(a)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+        cx = CochainComplex(
+            {0: 1, 1: 2, 2: 1}, {0: [[(0, 2)], [(0, 2)]], 1: [[(0, 1), (1, -1)]]}
+        ).validate()
+        assert cx.cohomology() == uncleared_cohomology(cx) == GradedGroup({1: AbGroup(0, (2,))})
+        assert seen == [[[2]], [[2], [2]]]
 
 
 class TestAbGroup:

@@ -11,8 +11,14 @@ from coxtop.chambers import (
     projective_plane_building,
     thin_building,
 )
-from coxtop.complexes import classical_chamber, davis_chamber, relative_cohomology
-from coxtop.coxmatrix import CoxeterMatrix
+from coxtop.complexes import (
+    classical_chamber,
+    davis_chamber,
+    local_groups,
+    relative_cochain_complex,
+    relative_cohomology,
+)
+from coxtop.coxmatrix import CoxeterMatrix, spherical_poset
 from coxtop.hc import hc_standard_realization
 from coxtop.intlinalg import AbGroup, GradedGroup
 from coxtop.realization import (
@@ -22,6 +28,7 @@ from coxtop.realization import (
     realization_cohomology,
     realize,
 )
+from test_intlinalg import uncleared_cohomology
 
 
 def mk(labels, pairs):
@@ -165,6 +172,33 @@ class TestResidueBlocksAgainstGluedComplex:
         assert realization_cohomology(system, X) == SPHERE2
 
 
+CLEARING_SYSTEMS = [
+    "fano", "fanoxa1", "plane(3)", "digon(3,3)", "thin-A2", "thin-A3", "thin-B3", "fanoxfano"
+]
+
+
+class TestClearingAgainstUncleared:
+    """Top-down clearing in ``CochainComplex.cohomology`` against every
+    map factored on its own, on both sides of the main formula."""
+
+    @pytest.mark.parametrize("model", ["delta", "K"])
+    @pytest.mark.parametrize("name", CLEARING_SYSTEMS)
+    def test_realized(self, name, model):
+        system = RESIDUE_BLOCK_SYSTEMS[name]()
+        chamber = classical_chamber if model == "delta" else davis_chamber
+        cx = realization_cochain_complex(system, chamber(system.matrix))
+        assert cx.cohomology() == uncleared_cohomology(cx)
+
+    @pytest.mark.parametrize("name", CLEARING_SYSTEMS)
+    def test_local_groups_of_k(self, name):
+        matrix = RESIDUE_BLOCK_SYSTEMS[name]().matrix
+        K = davis_chamber(matrix)
+        S = set(matrix.labels)
+        for T, h in local_groups(K, spherical_poset(matrix)):
+            cx = relative_cochain_complex(K.complex, K.mirror_union(S - set(T)))
+            assert h == uncleared_cohomology(cx), T
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("target", ["delta", "K"])
     def test_thin_a2(self, target):
@@ -246,15 +280,15 @@ def test_cohomology_path_scans_no_dense_matrix(monkeypatch):
     for T in dec.poset:
         dec.splitting(T)
 
-    factor = intlinalg.elementary_divisors
+    factor = intlinalg._divisors_and_pivots
     factored = []
 
-    def sparse_only(rows):
+    def sparse_only(rows, cleared):
         for row in rows:
             assert all(isinstance(e, tuple) and len(e) == 2 and e[1] for e in row), row
         factored.append(len(rows))
-        return factor(rows)
+        return factor(rows, cleared)
 
-    monkeypatch.setattr(intlinalg, "elementary_divisors", sparse_only)
+    monkeypatch.setattr(intlinalg, "_divisors_and_pivots", sparse_only)
     report = formula_cross_check(prod, davis_chamber(prod.matrix))
     assert report.ok and report.euler_ok and factored
