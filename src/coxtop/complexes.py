@@ -26,6 +26,7 @@ reduced group in degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .coxmatrix import cosine_gram_definite, is_spherical, spherical_poset
@@ -82,12 +83,21 @@ class SimplicialComplex:
             if not f or f[0] < 0 or f[-1] >= n or any(a >= b for a, b in zip(f, f[1:])):
                 raise ValueError(f"face {f!r} is not a nonempty increasing tuple of ids below {n}")
 
+    def _subcomplex(self, faces):
+        """The complex on this table with ``faces``, which must be faces of
+        this complex: they passed the per-face check of ``__post_init__``
+        here, so it is not run again."""
+        sub = object.__new__(SimplicialComplex)
+        object.__setattr__(sub, "vertices", self.vertices)
+        object.__setattr__(sub, "faces", faces)
+        return sub
+
     def is_empty(self):
         return not self.faces
 
-    @property
+    @cached_property
     def dim(self):
-        return max((len(f) - 1 for f in self.faces), default=-1)
+        return max(map(len, self.faces), default=0) - 1
 
     def faces_of_dim(self, k):
         """The k-faces in cell order: lexicographic in their id tuples."""
@@ -105,7 +115,7 @@ class SimplicialComplex:
     def sub(self, keep):
         """The faces that pass ``keep``, on this table; ``keep`` must hold
         on every face of a face it holds on."""
-        return SimplicialComplex(self.vertices, frozenset(filter(keep, self.faces)))
+        return self._subcomplex(frozenset(filter(keep, self.faces)))
 
     def faces_from(self, other):
         """The faces of ``other`` as id tuples of this table, or None when
@@ -186,14 +196,14 @@ class MirroredComplex:
     def mirror_union(self, U):
         """X^U; the empty union is the empty complex."""
         faces = frozenset().union(*(self.mirror(s).faces for s in U))
-        return SimplicialComplex(self.complex.vertices, faces)
+        return self.complex._subcomplex(faces)
 
     def mirror_intersection(self, T):
         """X_T; the empty intersection is the whole complex."""
         faces = self.complex.faces
         for s in T:
             faces &= self.mirror(s).faces
-        return SimplicialComplex(self.complex.vertices, faces)
+        return self.complex._subcomplex(faces)
 
 
 def simplex_sign(face, subface):

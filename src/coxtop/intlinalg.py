@@ -3,7 +3,9 @@ complements, and cohomology of cochain complexes of free abelian groups.
 
 The cohomology and lattice kernels eliminate +-1 pivots on sparse rows
 and run a dense Smith form (Bareiss, for the determinant) only on the
-residual block, which has no unit entry.  Cohomology and
+residual block, which has no unit entry.  A +-1 alone in its column is
+peeled first, with no row operation (``_peel``); only the rows left over
+are indexed for the elimination.  Cohomology and
 ``quotient_structure`` need only the invariant factors, which
 ``elementary_divisors`` finds that way.  Cohomology factors the maps
 from the top degree down with clearing (Chen and Kerber's twist, over
@@ -27,8 +29,10 @@ lattice in Z^n is a list of generators; either way each is a list of
 (index, entry) pairs, nonzero, no index twice, and the ambient rank n is
 passed alongside.  ``quotient_structure``, ``direct_complement``,
 ``hermite_basis``, ``basis_quotient`` and ``determinant`` refuse an
-index outside [0, n).  Only ``matmul``, ``smith_normal_form`` and the
-residual blocks it factors are dense lists of lists.  Everything is
+index outside [0, n), and they and ``elementary_divisors`` refuse a row
+that names one index twice (``CochainComplex.validate`` checks the
+maps).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
+it factors are dense lists of lists.  Everything is
 arbitrary precision; pivoting is deterministic (smallest nonzero
 absolute value, ties broken in row-major order) so witnesses are
 reproducible byte for byte.
@@ -38,6 +42,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 
 class TorsionObstruction(Exception):
@@ -81,11 +87,22 @@ def matmul(a, b):
 
 def _check_generators(n, gens):
     """Refuse a generator index outside [0, n): list indexing would wrap a
-    negative one silently."""
+    negative one silently; or one index twice (``_check_distinct``)."""
     for g in gens:
         for i, _ in g:
             if not 0 <= i < n:
                 raise ValueError(f"generator index {i} outside [0, {n})")
+    _check_distinct(gens)
+
+
+def _check_distinct(rows, what="row"):
+    """Refuse a sparse row that names one index twice: a dict of it would
+    keep the last entry silently, and ``_peel`` counts entries."""
+    for k, row in enumerate(rows):
+        if len(dict(row)) < len(row):
+            ids = [j for j, _ in row]
+            j = next(j for j in ids if ids.count(j) > 1)
+            raise ValueError(f"{what} {k} names index {j} twice")
 
 
 # ------------------------------------------------------------- determinant
@@ -99,6 +116,8 @@ def determinant(a, n):
     their columns; the square block of the rows and columns they leave, in
     their original order, goes to Bareiss.  The sign is that of the
     permutation matching every row to its pivot column or residual column.
+    No ``_peel`` runs first: a renumbered witness has almost no unit alone
+    in its column, so the pass would only add a sweep.
 
     >>> determinant([[(0, 1), (1, 3)], [(0, 2), (1, 4)]], 2)
     -2
@@ -281,6 +300,58 @@ def smith_normal_form(a):
     return SNFResult(U, D, V, uinv)
 
 
+def _peel(rows, cleared=frozenset()):
+    """Peel the +-1 entries that are alone in their column: the free-face
+    reduction of Kaczynski, Mrozek and Slusarek.
+
+    Returns the pivots as (row, column, unit) and the indices of the rows
+    left over (the core), in increasing order.  The rows ``cleared`` and
+    the empty rows are in neither.  For each column the pass keeps the
+    number of live rows with an entry there and the xor of their indices,
+    so a column with one entry names its row.  A lone unit splits the
+    matrix as (+-1) + M' without a row operation; dropping its row may
+    leave other columns lone, and they are taken in turn.  A row peeled
+    later was live when an earlier column was lone, so the peeled block,
+    in peel order, is triangular with a unit diagonal, and the core rows
+    are zero in every peeled column.  Dropping a row only leaves more
+    columns lone, so the core does not depend on the order of the peeling.
+
+    >>> _peel([[(0, 1), (1, 2)], [(1, 2), (2, -1)], [(1, 3)], []])
+    ([(0, 0, 1), (1, 2, -1)], [2])
+    """
+    live = list(map(bool, rows))
+    for i in cleared:
+        live[i] = False
+    width = 1 + max(map(itemgetter(0), chain.from_iterable(rows)), default=-1)
+    count = [0] * width
+    xor = [0] * width
+    for i, row in enumerate(rows):
+        if live[i]:
+            for j, _ in row:
+                count[j] += 1
+                xor[j] ^= i
+    pivots = []
+    lone = [j for j, c in enumerate(count) if c == 1]
+    for q in lone:  # appended to while it is read: a queue
+        if count[q] != 1:
+            continue  # its row was peeled from another column
+        p = xor[q]
+        row = rows[p]
+        for j, u in row:
+            if j == q:
+                break
+        if u != 1 and u != -1:
+            continue
+        pivots.append((p, q, u))
+        live[p] = False
+        for j, _ in row:
+            count[j] -= 1
+            xor[j] ^= p
+            if count[j] == 1:
+                lone.append(j)
+    return pivots, [i for i, alive in enumerate(live) if alive]
+
+
 def _indexed(rows):
     """Sparse rows as {column: entry} dicts, and for every column the set
     of rows with a nonzero entry there."""
@@ -347,6 +418,7 @@ def elementary_divisors(rows):
     >>> elementary_divisors([[(0, 1), (1, 1)], [(1, 2), (2, 2)], []])
     [1, 2]
     """
+    _check_distinct(rows)
     return _divisors_and_pivots(rows)[0]
 
 
@@ -354,13 +426,16 @@ def _divisors_and_pivots(rows, cleared=frozenset()):
     """Nonzero invariant factors of a sparse integer matrix less the rows
     ``cleared``, and the columns of its unit pivots.
 
-    A +-1 entry splits the matrix unimodularly as 1 + A', so unit pivots
-    are eliminated first on sparse rows (``_unit_pivots``).  The residual
-    block, which has no unit entry, is compacted and factored by
+    A +-1 entry splits the matrix unimodularly as 1 + A'.  The ones alone
+    in their column are peeled first (``_peel``), with no row operation;
+    only the core they leave is copied into dict rows, where the other
+    unit pivots are eliminated (``_unit_pivots``).  The residual block,
+    which has no unit entry, is compacted and factored by
     ``smith_normal_form``.
     """
-    rows, where = _indexed([() if i in cleared else row for i, row in enumerate(rows)])
-    pivots = _unit_pivots(rows, where)
+    peeled, core = _peel(rows, cleared)
+    rows, where = _indexed([rows[i] for i in core])
+    pivots = peeled + _unit_pivots(rows, where)
     live = [row for row in rows if row]
     cols = sorted({j for row in live for j in row})
     residual = [[row.get(j, 0) for j in cols] for row in live]
@@ -581,7 +656,7 @@ def quotient_structure(n, gens):
     as columns, which has the same invariant factors.
     """
     _check_generators(n, gens)
-    diag = elementary_divisors(gens)
+    diag = _divisors_and_pivots(gens)[0]
     return AbGroup(n - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -725,8 +800,9 @@ class CochainComplex:
             if len(m) != self.dims.get(k + 1, 0):
                 raise ValueError(f"map at degree {k} has {len(m)} rows")
             for row in m:
-                if len(dict(row)) < len(row) or not all(0 <= j < n and x for j, x in row):
-                    raise ValueError(f"map at degree {k} has a zero, repeated or stray entry")
+                if not all(0 <= j < n and x for j, x in row):
+                    raise ValueError(f"map at degree {k} has a zero or stray entry")
+            _check_distinct(m, f"map at degree {k}, row")
         # d^{k+1} d^k = 0, summed over the stored entries of each row
         for k, inner in self.maps.items():
             for row in self.maps.get(k + 1, ()):
@@ -747,9 +823,12 @@ class CochainComplex:
         The maps are factored from the top degree down, each map less the
         rows the map above cleared: the unit-pivot columns of d^k are rows
         of d^{k-1}, and since d^k d^{k-1} = 0 with d^k unimodular on its
-        pivot block, those rows lie in the span of the others.  The
-        nonzero invariant factors of d^k give the rank leaving degree k
-        and the rank and torsion entering k + 1.
+        pivot block, those rows lie in the span of the others.  The pivots
+        ``_peel`` finds count among them: its block is triangular with a
+        unit diagonal and the core rows are zero in its columns, so the
+        pivot block stays unimodular.  The nonzero invariant factors of
+        d^k give the rank leaving degree k and the rank and torsion
+        entering k + 1.
         """
         nonzero = {}
         pivots = {}

@@ -119,6 +119,37 @@ class TestMirrorOps:
         K = davis_chamber(TRIANGLE333)
         assert K.mirror_intersection("ab").is_subcomplex_of(K.mirror_intersection("a"))
 
+    def test_subcomplexes_skip_the_per_face_check(self, monkeypatch):
+        # their faces are faces of a checked complex, and the result is
+        # the complex a checked construction gives
+        K = davis_chamber(TRIANGLE333)
+        checked = {
+            U: SimplicialComplex(K.complex.vertices, K.mirror_union(U).faces)
+            for U in ("", "a", "ab", "abc")
+        }
+
+        def per_face_check(self):
+            raise AssertionError("a subcomplex ran the per-face check")
+
+        monkeypatch.setattr(SimplicialComplex, "__post_init__", per_face_check)
+        for U, X in checked.items():
+            union = K.mirror_union(U)
+            assert union == X and union.dim == X.dim
+        assert K.mirror_intersection("ab").faces == K.mirror("a").faces & K.mirror("b").faces
+        assert K.complex.sub(lambda f: 0 not in f).dim == 1
+
+
+class TestFaceCheck:
+    @pytest.mark.parametrize("face", [(), (1, 0), (0, 0), (-1,), (2,)])
+    def test_refused(self, face):
+        with pytest.raises(ValueError):
+            SimplicialComplex(("a", "b"), frozenset({face}))
+
+    def test_dim(self):
+        assert SimplicialComplex.empty().dim == -1
+        X = SimplicialComplex.from_maximal([("a", "b", "c"), ("d",)])
+        assert X.dim == 2 and X.sub(lambda f: len(f) < 3).dim == 1
+
 
 class TestClassicalChamber:
     def test_rank3(self):

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxtop import intlinalg
 from coxtop.intlinalg import (
     AbGroup,
     CochainComplex,
     GradedGroup,
     TorsionObstruction,
+    _bareiss,
     _complement_tails,
+    _divisors_and_pivots,
+    _peel,
     basis_quotient,
     _echelon,
     column_hermite,
@@ -126,13 +130,28 @@ def nonzero_smith_diagonal(a):
     return [d for d in smith_normal_form(a).diagonal() if d]
 
 
+def heap_divisors(rows):
+    """Nonzero invariant factors with no peeling: every row indexed by
+    ``_indexed`` and eliminated by ``_unit_pivots``, the residual block
+    factored by ``smith_normal_form`` (looked up on the module, so a test
+    may record it).  The reference for ``_peel``."""
+    rows, where = intlinalg._indexed(rows)
+    pivots = intlinalg._unit_pivots(rows, where)
+    live = [row for row in rows if row]
+    cols = sorted({j for row in live for j in row})
+    residual = [[row.get(j, 0) for j in cols] for row in live]
+    rest = intlinalg.smith_normal_form(residual).diagonal() if residual else []
+    return [1] * len(pivots) + [d for d in rest if d]
+
+
 class TestElementaryDivisors:
     @given(sparse_matrices, st.sampled_from([1, 2, 3]))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_smith(self, a, scale):
         # scale 2 and 3 leave no unit entry, so the residual path runs
         a = [[scale * x for x in row] for row in a]
-        assert elementary_divisors(sparse_rows(a)) == nonzero_smith_diagonal(a)
+        rows = sparse_rows(a)
+        assert elementary_divisors(rows) == heap_divisors(rows) == nonzero_smith_diagonal(a)
 
     @pytest.mark.parametrize(
         "a, expected",
@@ -147,7 +166,9 @@ class TestElementaryDivisors:
         ],
     )
     def test_fixed(self, a, expected):
-        assert elementary_divisors(sparse_rows(a)) == expected == nonzero_smith_diagonal(a)
+        rows = sparse_rows(a)
+        assert elementary_divisors(rows) == heap_divisors(rows) == expected
+        assert expected == nonzero_smith_diagonal(a)
 
     def test_only_the_residual_is_factored(self, monkeypatch):
         from coxtop import intlinalg
@@ -164,6 +185,97 @@ class TestElementaryDivisors:
         assert seen == [[[-2]]]
         assert elementary_divisors(sparse_rows(identity(4))) == [1] * 4
         assert len(seen) == 1
+
+    @pytest.mark.parametrize(
+        "rows, repeated",
+        [
+            ([[(0, 2), (0, 1)], [(1, 3)]], "row 0 names index 0 twice"),
+            ([[(1, 3)], [(0, 1), (2, 1), (0, 1)]], "row 1 names index 0 twice"),
+        ],
+    )
+    def test_repeated_index_refused(self, rows, repeated):
+        # a dict of the row would keep its last entry: [1, 3] for the first
+        with pytest.raises(ValueError, match=repeated):
+            elementary_divisors(rows)
+
+
+def random_peelable(rng):
+    """Sparse rows, with no index twice in a row, that exercise ``_peel``:
+    entries in {1, -1, 2, -2, 3}, some rows given a column of their own
+    (a lone entry, unit or not), some rows empty, and a random set of rows
+    to clear."""
+    width = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        cols = rng.sample(range(width), rng.randint(0, min(3, width)))
+        row = [(j, rng.choice([1, -1, 1, -1, 2, -2, 3])) for j in cols]
+        if rng.random() < 0.5:
+            row.append((width, rng.choice([1, -1, 2, 3])))
+            width += 1
+        rng.shuffle(row)
+        rows.append(row)
+    cleared = {i for i in range(len(rows)) if rng.random() < 0.2}
+    return rows, cleared
+
+
+class TestPeel:
+    """``_peel`` in front of the heap, against the heap alone."""
+
+    def test_random_matrices_against_the_heap(self):
+        rng = random.Random(22)
+        peeled = lone_non_units = cored = 0
+        for _ in range(600):
+            rows, cleared = random_peelable(rng)
+            kept = [row for i, row in enumerate(rows) if i not in cleared]
+            width = 1 + max((j for row in rows for j, _ in row), default=-1)
+            a = [[dict(row).get(j, 0) for j in range(width)] for row in kept]
+            divisors, pivot_columns = _divisors_and_pivots(rows, cleared)
+            assert divisors == heap_divisors(kept) == nonzero_smith_diagonal(a)
+            pivots, core = _peel(rows, cleared)
+            assert {q for _, q, _ in pivots} <= pivot_columns
+            peeled += len(pivots)
+            cored += len(core)
+            count = {}
+            for i in core:
+                for j, _ in rows[i]:
+                    count[j] = count.get(j, 0) + 1
+            lone_non_units += sum(
+                1 for i in core for j, x in rows[i] if count[j] == 1 and x not in (1, -1)
+            )
+        assert peeled > 500 and cored > 500 and lone_non_units > 100
+
+    def test_peeled_block_is_unit_triangular(self):
+        rng = random.Random(2022)
+        for _ in range(600):
+            rows, cleared = random_peelable(rng)
+            pivots, core = _peel(rows, cleared)
+            peeled = [p for p, _, _ in pivots]
+            assert len(set(peeled)) == len(peeled)
+            assert not set(peeled) & set(core) and not (set(peeled) | set(core)) & cleared
+            assert all(rows[i] for i in core)
+            assert sorted(peeled + core) == [
+                i for i, row in enumerate(rows) if row and i not in cleared
+            ]
+            assert core == sorted(core)
+            for k, (p, q, u) in enumerate(pivots):
+                assert u in (1, -1) and dict(rows[p])[q] == u
+                # every row live when q was peeled, other than p, is zero at q
+                later = peeled[k + 1:] + core
+                assert all(q not in dict(rows[i]) for i in later)
+
+    def test_core_is_left_for_the_heap(self, monkeypatch):
+        # the peel leaves the 2 x 2 block [[1, 1], [1, -1]], which has no
+        # lone column, to the heap
+        seen = []
+        heap = intlinalg._unit_pivots
+        monkeypatch.setattr(
+            intlinalg,
+            "_unit_pivots",
+            lambda rows, where: seen.append([dict(row) for row in rows]) or heap(rows, where),
+        )
+        rows = [[(0, 1), (1, 1), (2, 1)], [(1, 1), (2, -1)], [(1, 1), (2, 1)], [(3, 1), (2, 2)]]
+        assert elementary_divisors(rows) == [1, 1, 1, 2]
+        assert seen == [[{1: 1, 2: -1}, {1: 1, 2: 1}]]
 
 
 def dense_complement(n, b):
@@ -520,10 +632,10 @@ class TestCochain:
 
 
 def uncleared_cohomology(cx):
-    """Cohomology with every map factored on its own by
-    ``elementary_divisors``, no rows dropped: the reference for the
-    top-down clearing in ``CochainComplex.cohomology``."""
-    divisors = {k: elementary_divisors(m) for k, m in cx.maps.items()}
+    """Cohomology with every map factored on its own by ``heap_divisors``,
+    no rows dropped and none peeled: the reference for the top-down
+    clearing and the peeling in ``CochainComplex.cohomology``."""
+    divisors = {k: heap_divisors(m) for k, m in cx.maps.items()}
     out = {}
     for k, n in cx.dims.items():
         incoming = divisors.get(k - 1, [])
@@ -618,6 +730,8 @@ class TestClearing:
         for _ in range(240):
             cx, answer = smith_form_complex(rng)
             assert cx.cohomology() == uncleared_cohomology(cx) == answer
+            for m in cx.maps.values():
+                assert _divisors_and_pivots(m)[0] == heap_divisors(m)
             for k, group in answer.groups.items():
                 seen.update((d, k) for d in group.torsion)
         for d in (2, 3, 4, 6):
@@ -636,6 +750,8 @@ class TestClearing:
 
         cx = relative_cochain_complex(SimplicialComplex.from_maximal(triangles)).validate()
         assert cx.cohomology() == uncleared_cohomology(cx) == GradedGroup(expected)
+        for m in cx.maps.values():
+            assert _divisors_and_pivots(m)[0] == heap_divisors(m)
 
     def test_cleared_rows_meet_a_non_unit_block(self, monkeypatch):
         # d^0 = (2, 2)^T and d^1 = (1, -1): the unit pivot of d^1 clears
@@ -719,6 +835,43 @@ def test_determinant_bareiss():
 def test_determinant_refuses_a_non_square_input(a, n):
     with pytest.raises(ValueError):
         determinant(a, n)
+
+
+def test_repeated_index_refused_at_the_lattice_entry_points():
+    # a dict of column 0 would keep its last entry, and the determinant 1
+    with pytest.raises(ValueError, match="row 0 names index 0 twice"):
+        determinant([[(0, 1), (0, 1)], [(1, 1)]], 2)
+    gens = [[(1, 3)], [(2, 1), (0, 2), (2, -1)]]
+    for check in (quotient_structure, direct_complement, hermite_basis):
+        with pytest.raises(ValueError, match="row 1 names index 2 twice"):
+            check(3, gens)
+    with pytest.raises(ValueError, match="row 1 names index 2 twice"):
+        basis_quotient(3, hermite_basis(3, [[(0, 1)], [(1, 1)], [(2, 1)]]), gens)
+    with pytest.raises(ValueError, match="map at degree 0, row 1 names index 1 twice"):
+        CochainComplex({0: 2, 1: 2}, {0: [[(0, 1)], [(1, 1), (1, -1)]]}).validate()
+
+
+def with_lone_units(rng, n):
+    """A random n x n matrix in which about half the rows have one nonzero
+    entry, a unit or 2: the transpose that ``determinant`` eliminates has
+    lone entries there, unit or not."""
+    a = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)]
+    for i in rng.sample(range(n), n // 2):
+        a[i] = [0] * n
+        a[i][rng.randrange(n)] = rng.choice([1, -1, 1, -1, 2])
+    return a
+
+
+def test_determinant_with_lone_units_matches_bareiss():
+    rng = random.Random(441)
+    nonzero = lone = 0
+    for _ in range(300):
+        a = with_lone_units(rng, rng.randint(1, 8))
+        d = det(a)
+        assert d == _bareiss(a)
+        nonzero += d != 0
+        lone += len(_peel(gens_of(a))[0])  # lone units of the transpose
+    assert nonzero > 50 and lone > 300
 
 
 def reference_complement(n, gens):

@@ -198,6 +198,12 @@ class TestClearingAgainstUncleared:
             cx = relative_cochain_complex(K.complex, K.mirror_union(S - set(T)))
             assert h == uncleared_cohomology(cx), T
 
+    def test_realized_plane3_x_fano_over_k(self):
+        # 689,280 coboundary nonzeros, every pivot of which the peel finds
+        system = product_building(projective_plane_building(3), fano_building(("u", "v")))
+        cx = realization_cochain_complex(system, davis_chamber(system.matrix))
+        assert cx.cohomology() == uncleared_cohomology(cx) == GradedGroup({0: AbGroup(1)})
+
 
 class TestCrossCheck:
     @pytest.mark.parametrize("target", ["delta", "K"])
