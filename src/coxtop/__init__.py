@@ -58,7 +58,6 @@ from .decomposition import (
     sigma_formula_check,
 )
 from .realization import (
-    coxeter_complex,
     formula_cross_check,
     realization_cohomology,
     realize,

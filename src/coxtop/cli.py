@@ -216,7 +216,7 @@ def cmd_davis_chamber(args):
 def cmd_cohomology(args):
     mat = _read_matrix(args.matrix)
     _check_labels(args, mat.labels)
-    X = model_chamber(mat, args.model)
+    L = model_chamber(mat, args.model).nerve()
     poset = spherical_poset(mat)
     if args.T is not None:
         types = [frozenset(args.T)]
@@ -226,7 +226,7 @@ def cmd_cohomology(args):
         types = list(poset)
     payload = []
     lines = []
-    for T, h in local_groups(X, types):
+    for T, h in local_groups(L, types):
         name = "{" + ",".join(sorted(T, key=mat.index)) + "}"
         payload.append({"T": sorted(T, key=mat.index), "groups": h.to_json()})
         lines.append(f"H(X, X^(S-{name})):")

@@ -17,9 +17,10 @@ unions of mirrors are written X^U and intersections X_T, with X^0 the
 empty complex and X_0 = X.
 
 All cohomology here is unreduced.  The local groups H(X, X^{S-T}) are
-the one relative route: on the Davis chamber K, a cone and so
-contractible, H^k(K, K^{S-T}) is the reduced group of K^{S-T} in degree
-k - 1, and for T = S, where K^{S-T} is empty, H^0(K) = Z stands for its
+read off the nerve L of the mirror cover (``local_groups``), not off X:
+on both model chambers X and every nonempty X_U are acyclic, so
+H^k(X, X^{S-T}) is the reduced group of L restricted to S-T in degree
+k - 1, and for T = S, where X^{S-T} is empty, H^0(X) = Z stands for its
 reduced group in degree -1.
 """
 
@@ -130,9 +131,6 @@ class SimplicialComplex:
             faces = {tuple(sorted(ids[i] for i in f)) for f in other.faces}
         return faces if faces <= self.faces else None
 
-    def is_subcomplex_of(self, other):
-        return other.faces_from(self) is not None
-
     def to_json(self):
         return [
             [_label_json(self.vertices[i]) for i in f]
@@ -198,12 +196,17 @@ class MirroredComplex:
         faces = frozenset().union(*(self.mirror(s).faces for s in U))
         return self.complex._subcomplex(faces)
 
-    def mirror_intersection(self, T):
-        """X_T; the empty intersection is the whole complex."""
-        faces = self.complex.faces
-        for s in T:
-            faces &= self.mirror(s).faces
-        return self.complex._subcomplex(faces)
+    def nerve(self):
+        """The nerve of the mirror cover: U is a face when some vertex's
+        label holds U, so that the mirrors of U meet.
+
+        >>> from coxtop.coxmatrix import CoxeterMatrix
+        >>> A2 = CoxeterMatrix(("s", "t"), {frozenset("st"): 3})
+        >>> classical_chamber(A2).nerve().to_json()
+        [['s'], ['t']]
+        """
+        labels = (self.face_label((v,)) for v in range(len(self.complex.vertices)))
+        return SimplicialComplex.from_maximal(U for U in labels if U)
 
 
 def simplex_sign(face, subface):
@@ -280,19 +283,9 @@ def relative_cochain_complex(X, A=None):
     afaces = X.faces_from(A) if A is not None else frozenset()
     if afaces is None:
         raise ValueError("A is not a subcomplex of X")
-    return _pair_cochain_complex(_cells(X), afaces)
-
-
-def _cells(X):
-    """degree -> the cells of X of that degree, in cell order."""
-    return {k: X.faces_of_dim(k) for k in range(X.dim + 1)}
-
-
-def _pair_cochain_complex(cells, afaces):
-    """The cochain complex of the pair on ``cells`` (``_cells``) less the
-    cells of ``afaces``."""
-    kept = {k: [f for f in fs if f not in afaces] for k, fs in cells.items()}
-    return cochain_complex(kept)
+    return cochain_complex(
+        {k: [f for f in X.faces_of_dim(k) if f not in afaces] for k in range(X.dim + 1)}
+    )
 
 
 def relative_cohomology(X, A=None):
@@ -302,16 +295,27 @@ def relative_cohomology(X, A=None):
     return relative_cochain_complex(X, A).cohomology()
 
 
-def local_groups(X, types):
-    """(T, H(X, X^{S-T})) for each T of ``types``, in order.  X's cells are
-    sorted once; each pair drops the cells of its mirror union, which
-    lies on X's vertex table."""
-    S = set(X.labels)
-    cells = _cells(X.complex)
-    return [
-        (T, _pair_cochain_complex(cells, X.mirror_union(S - set(T)).faces).cohomology())
-        for T in types
-    ]
+def local_groups(L, types):
+    """(T, H(X, X^{S-T})) for each T of ``types``, in order, read off L,
+    the nerve of X's mirror cover (``MirroredComplex.nerve``), whose
+    vertices are generator labels.  On both model chambers X and every
+    nonempty mirror intersection are acyclic, so by the nerve lemma these
+    are the groups of the augmented cochain complex of the faces of L
+    that avoid T: () in degree 0, a face of k vertices in degree k.  For
+    T = S only () is left, and H^0 = Z.
+
+    >>> from coxtop.coxmatrix import CoxeterMatrix, spherical_poset
+    >>> m = CoxeterMatrix(tuple("abc"), {frozenset(p): 3 for p in ("ab", "bc", "ac")})
+    >>> [(sorted(T), str(h)) for T, h in local_groups(nerve(m), spherical_poset(m)) if h]
+    [([], 'H^2 = Z')]
+    """
+    cells = {k + 1: L.faces_of_dim(k) for k in range(L.dim + 1)}
+    out = []
+    for T in types:
+        avoid = {i for i, s in enumerate(L.vertices) if s in T}
+        kept = {k: [f for f in fs if avoid.isdisjoint(f)] for k, fs in cells.items()}
+        out.append((T, cochain_complex({0: [()], **kept}).cohomology()))
+    return out
 
 
 # ----------------------------------------------------------- constructions

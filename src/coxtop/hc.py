@@ -4,10 +4,10 @@ gradeds, and descent-class growth series.
 
 For a finite (spherical) type the report is exact: the multiplicity of
 T is the rank of hat(A)^T of a concrete chamber system, or, thin, the
-count #{w : In(w) = T}, which is the descent-class series below summed
-up to the length of the longest element (no building is split).  For an
-infinite type the local groups H(K, K^{S-T}) are exact while
-multiplicities are symbolic: the empty type always contributes
+count #{w : In(w) = T}, which is Solomon's alternating sum of the
+indices |W|/|W_U| over U >= T (no building is split, and no element is
+enumerated).  For an infinite type the local groups H(K, K^{S-T}) are
+exact while multiplicities are symbolic: the empty type always contributes
 multiplicity one in the thin case (only the identity has empty descent
 set), every other spherical type is reported as countably infinite
 (``omega``), optionally refined by the exact length-graded counts
@@ -17,17 +17,18 @@ Poincare polynomials of the spherical subgroups, so they take any label
 and any radius without enumerating group elements.
 
 The H_c report, ``vcd`` and ``duality_check`` all read the local groups
-off ``local_groups``; K is contractible, so the duality check's reduced
-groups of K^{S-T} are those groups one degree down.  The report and the
-realization's cross-check assemble the sum of local groups tensor
-multiplicities with one helper, ``formula_terms``.
+off ``local_groups`` of the nerve, so no Davis chamber is built; the
+duality check's reduced groups are those groups one degree down.  The
+report and the realization's cross-check assemble the sum of local
+groups tensor multiplicities with one helper, ``formula_terms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .complexes import davis_chamber, local_groups
+from .complexes import local_groups, nerve
 from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
 from .intlinalg import OMEGA, GradedGroup, lattice_rank
@@ -217,16 +218,19 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
             "it does not apply to a concrete or regular thickness"
         )
     w_finite = is_spherical(matrix, matrix.labels)
-    locals_ = local_groups(davis_chamber(matrix), spherical_poset(matrix))
+    poset = spherical_poset(matrix)
+    locals_ = local_groups(nerve(matrix), poset)
 
     if thickness == "thin":
         label = "thin"
         if w_finite:
-            # every w has length at most that of the longest element
-            longest = sum(d - 1 for d in coxeter_degrees(matrix, matrix.labels))
+            # Solomon: #{w : In(w) = T} is the sum over U >= T of
+            # (-1)^|U-T| |W|/|W_U|, with |W_U| the product of its degrees
+            orders = {U: prod(coxeter_degrees(matrix, U)) for U in poset}
+            order = orders[frozenset(matrix.labels)]
 
             def multiplicity(T):
-                return sum(thin_multiplicity_series(matrix, T, longest).coefficients)
+                return sum((-1) ** len(U - T) * (order // n) for U, n in orders.items() if T <= U)
 
         else:
 
@@ -284,7 +288,7 @@ def vcd(matrix):
         return VcdReport(0, True, [])
     best = 0
     witnesses = []
-    for T, local in local_groups(davis_chamber(matrix), spherical_poset(matrix)):
+    for T, local in local_groups(nerve(matrix), spherical_poset(matrix)):
         top = local.top_degree()
         if top is None:
             continue
@@ -315,19 +319,19 @@ class DualityReport:
 def duality_check(matrix):
     """Free-and-concentrated test for the punctured nerve cohomology.
 
-    Passes when every reduced group of K^{S-T} over spherical T is free
-    abelian and all the nonzero ones sit in one common degree n-1.  K is
-    a cone, so H^k(K, K^{S-T}) is the reduced group of K^{S-T} in degree
-    k - 1: the groups are read off ``local_groups`` shifted down by one.
-    The empty subcomplex (T the full set, finite types) has H^0(K) = Z
-    there, its reduced group in degree -1.  Reports the offending types
-    otherwise.
+    Passes when every reduced group of K^{S-T}, which is that of the nerve
+    restricted to S-T, over spherical T is free abelian and all the
+    nonzero ones sit in one common degree n-1.  ``local_groups`` of the
+    nerve holds the reduced group in degree k - 1 in its degree k, so the
+    groups are read off it shifted down by one.  The empty subcomplex (T
+    the full set, finite types) has H^0 = Z there, its reduced group in
+    degree -1.  Reports the offending types otherwise.
     """
     S = frozenset(matrix.labels)
     details = []
     offending = []
     degrees_seen = set()
-    for T, local in local_groups(davis_chamber(matrix), spherical_poset(matrix)):
+    for T, local in local_groups(nerve(matrix), spherical_poset(matrix)):
         T_sorted = sorted(T, key=matrix.index)
         degs = [k - 1 for k in local.degrees()]
         details.append({"T": T_sorted, "degrees": degs, "empty_complex": T == S})

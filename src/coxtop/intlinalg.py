@@ -882,12 +882,6 @@ class GradedGroup:
     def is_free(self):
         return all(g.is_free() for g in self.groups.values())
 
-    def total_free_rank(self):
-        ranks = [g.free for g in self.groups.values()]
-        if OMEGA in ranks:
-            return OMEGA
-        return sum(ranks)
-
     def direct_sum(self, other):
         out = dict(self.groups)
         for k, g in other.groups.items():

@@ -63,10 +63,6 @@ class QF:
     def from_int(cls, n):
         return cls((n, 0, 0, 0, 0, 0, 0, 0))
 
-    @classmethod
-    def from_rational(cls, q):
-        return cls((Fraction(q), 0, 0, 0, 0, 0, 0, 0))
-
     def __add__(self, other):
         if isinstance(other, int):
             other = QF.from_int(other)

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chambers import thin_building
-from .complexes import SimplicialComplex, classical_chamber, local_groups
+from .complexes import SimplicialComplex, local_groups
 from .decomposition import BuildingDecomposition, residue_cochain_complex
 from .hc import formula_terms
 from .intlinalg import GradedGroup
@@ -89,12 +88,6 @@ def realization_cohomology(system, X):
     return realization_cochain_complex(system, X).cohomology()
 
 
-def coxeter_complex(matrix):
-    """The realization of the thin building over the classical chamber."""
-    system = thin_building(matrix)
-    return realize(system, classical_chamber(matrix))
-
-
 @dataclass
 class CrossCheckReport:
     realized: GradedGroup
@@ -118,12 +111,16 @@ def formula_cross_check(system, X):
     H(X, X^{S-T}) tensor hat(A)^T over spherical T, assembled by
     ``formula_terms`` as ``hc_standard_realization`` assembles it.
 
+    The local groups are read off ``X.nerve()``, the nerve of X's mirror
+    cover: X and every nonempty X_U are acyclic on both model chambers
+    (K_U is a cone on the vertex U, a face of the simplex is a simplex).
+
     Requires a finite system whose type is spherical (so that the model
     complex has no cells at infinity).
     """
     dec = BuildingDecomposition(system)
     realized = realization_cohomology(system, X)
-    locals_ = local_groups(X, dec.poset)
+    locals_ = local_groups(X.nerve(), dec.poset)
     entries, assembled = formula_terms(system.matrix, locals_, dec.splitting_rank)
     euler_ok = realized.euler_characteristic() == assembled.euler_characteristic()
     return CrossCheckReport(realized, assembled, entries, realized == assembled, euler_ok)

@@ -139,6 +139,23 @@ class TestBasicVerbs:
         for c in json.loads(out)["contributions"]:
             assert sum(c["series"]["coefficients"]) == c["multiplicity"], c["T"]
 
+    def test_hc_on_thin_e8(self, capsys, tmp_path):
+        # 256 types: the local groups come off the nerve (a simplex) and
+        # the multiplicities off Solomon's closed form, so no element of
+        # the 696,729,600 is enumerated and no Davis chamber is built
+        p = tmp_path / "e8.cox"
+        p.write_text("gens a b c d e f g h\na b 3\nb c 3\nc d 3\nd e 3\ne f 3\nf g 3\nc h 3\n")
+        start = time.perf_counter()
+        code, out = run(capsys, ["hc", str(p), "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["w_finite"] and len(payload["contributions"]) == 256
+        assert sum(c["multiplicity"] for c in payload["contributions"]) == 696729600
+        (row,) = payload["degrees"]
+        assert row["degree"] == 0 and row["total"]["free_rank"] == 1
+        assert elapsed < 30.0
+
     def test_growth_at_a_large_radius(self, capsys, free3_file):
         start = time.perf_counter()
         code, out = run(capsys, ["growth", free3_file, "--T", "s", "--N", "40", "--json"])

@@ -12,6 +12,7 @@ from coxtop.complexes import (
     cochain_complex,
     davis_chamber,
     flag_complex,
+    local_groups,
     metric_flag_check,
     nerve,
     relative_cochain_complex,
@@ -107,17 +108,18 @@ class TestMirrorOps:
     def test_empty_union_and_intersection(self):
         K = davis_chamber(FREE3)
         assert K.mirror_union(()).is_empty()
-        assert K.mirror_intersection(()) == K.complex
 
     def test_union_monotone(self):
         K = davis_chamber(TRIANGLE333)
         small = K.mirror_union("a")
         big = K.mirror_union("ab")
-        assert small.is_subcomplex_of(big)
+        assert big.faces_from(small) is not None
 
     def test_intersection_antitone(self):
         K = davis_chamber(TRIANGLE333)
-        assert K.mirror_intersection("ab").is_subcomplex_of(K.mirror_intersection("a"))
+        ab = K.complex.sub(lambda f: f in K.mirror("a").faces and f in K.mirror("b").faces)
+        assert K.mirror("a").faces_from(ab) is not None
+        assert ab.f_vector() == (1,)  # the cone point {a, b}
 
     def test_subcomplexes_skip_the_per_face_check(self, monkeypatch):
         # their faces are faces of a checked complex, and the result is
@@ -135,7 +137,6 @@ class TestMirrorOps:
         for U, X in checked.items():
             union = K.mirror_union(U)
             assert union == X and union.dim == X.dim
-        assert K.mirror_intersection("ab").faces == K.mirror("a").faces & K.mirror("b").faces
         assert K.complex.sub(lambda f: 0 not in f).dim == 1
 
 
@@ -201,7 +202,7 @@ class TestRelativeCohomology:
         bc = SimplicialComplex.from_maximal([frozenset("bc")])
         ac = SimplicialComplex.from_maximal([frozenset("ac")])
         assert bc.vertices == ("b", "c") and X.faces_from(bc) == {(1,), (2,), (1, 2)}
-        assert bc.is_subcomplex_of(X) and not ac.is_subcomplex_of(X)
+        assert X.faces_from(bc) is not None and X.faces_from(ac) is None
         same_table = X.sub(lambda f: f[0] > 0)
         assert relative_cohomology(X, bc) == relative_cohomology(X, same_table)
         with pytest.raises(ValueError):
@@ -389,11 +390,11 @@ class TestPuncturedNerve:
         assert out[frozenset("st")].empty_complex
 
 
-def random_matrix(rng, rank):
-    labels = "abcde"[:rank]
+def random_matrix(rng, rank, values=(2, 2, 3, 3, 4, 5, 6, INF, INF)):
+    labels = "abcdef"[:rank]
     entries = {}
     for s, t in combinations(labels, 2):
-        m = rng.choice((2, 2, 3, 3, 4, 5, 6, INF, INF))
+        m = rng.choice(values)
         if m != 2:
             entries[frozenset((s, t))] = m
     return CoxeterMatrix(tuple(labels), entries)
@@ -416,6 +417,39 @@ class TestDualityAgainstReducedReference:
                 assert got == reference_duality_check(mat), mat.entries
                 verdicts.add(got["is_duality"])
         assert verdicts == {True, False}
+
+
+def relative_pairs(X, types):
+    """(T, H(X, X^{S-T})) computed on X itself: the reference for
+    ``local_groups`` of X's nerve."""
+    S = set(X.labels)
+    return [
+        (T, relative_cochain_complex(X.complex, X.mirror_union(S - set(T))).cohomology())
+        for T in types
+    ]
+
+
+class TestNerveRouteAgainstRelativePairs:
+    def test_nerve_of_the_models(self):
+        # K's vertex labels are the spherical subsets; the simplex's are
+        # the complements of single generators
+        for mat in (FREE3, TRIANGLE333, A2, mk("abcd", [("a", "b", 3), ("c", "d", 5)])):
+            assert davis_chamber(mat).nerve() == nerve(mat)
+            proper = [U for r in range(1, len(mat.labels)) for U in combinations(mat.labels, r)]
+            assert classical_chamber(mat).nerve() == SimplicialComplex.from_maximal(proper)
+
+    def test_seeded_sweep(self):
+        # 20 matrices of each rank 1-6 with labels 2-7 and infinity, on
+        # both model chambers
+        rng = random.Random(23)
+        for rank in range(1, 7):
+            for _ in range(20):
+                mat = random_matrix(rng, rank, (2, 3, 4, 5, 6, 7, INF))
+                poset = spherical_poset(mat)
+                K = davis_chamber(mat)
+                assert K.nerve() == nerve(mat)
+                for X in (K, classical_chamber(mat)):
+                    assert local_groups(X.nerve(), poset) == relative_pairs(X, poset), mat.entries
 
 
 class TestMetricFlag:

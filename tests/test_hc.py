@@ -1,10 +1,11 @@
 import random
 from itertools import combinations, combinations_with_replacement, permutations
+from math import prod
 
 import pytest
 
 from coxtop.chambers import digon_building, fano_building, thin_building
-from coxtop.coxmatrix import INF, CoxeterMatrix, is_spherical
+from coxtop.coxmatrix import INF, CoxeterMatrix, coxeter_degrees, is_spherical
 from coxtop.groups import enumerate_ball, enumerate_group
 from coxtop.hc import (
     duality_check,
@@ -62,6 +63,40 @@ FINITE = [
     mk("abcd", [("a", "b", 3), ("b", "c", 3), ("c", "d", 4)]),
     mk("abcd", [("a", "b", 3), ("b", "c", 4), ("c", "d", 3)]),
 ]
+
+
+H4 = mk("abcd", [("a", "b", 5), ("b", "c", 3), ("c", "d", 3)])
+# E_n: a chain of n - 1 nodes with one more node on the third
+E6 = mk("abcdef", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("c", "f", 3)])
+E7 = mk("abcdefg", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("e", "f", 3),
+                    ("c", "g", 3)])
+E8 = mk("abcdefgh", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("d", "e", 3), ("e", "f", 3),
+                     ("f", "g", 3), ("c", "h", 3)])
+
+
+class TestSolomonMultiplicities:
+    """A finite thin report counts #{w : In(w) = T} by Solomon's
+    alternating sum of indices; the descent-class series summed up to the
+    longest length is the reference."""
+
+    @pytest.mark.parametrize("mat", FINITE + [H4, E6, E7], ids=FINITE_NAMES + ["H4", "E6", "E7"])
+    def test_closed_form_equals_the_summed_series(self, mat):
+        longest = sum(d - 1 for d in coxeter_degrees(mat, mat.labels))
+        for c in hc_standard_realization(mat).contributions:
+            series = thin_multiplicity_series(mat, c.type, longest)
+            assert c.multiplicity == sum(series.coefficients), c.type
+
+    @pytest.mark.parametrize(
+        "mat, order",
+        [(A2, 6), (H4, 14400), (E6, 51840), (E7, 2903040), (E8, 696729600)],
+        ids=["A2", "H4", "E6", "E7", "E8"],
+    )
+    def test_multiplicities_sum_to_the_order(self, mat, order):
+        assert prod(coxeter_degrees(mat, mat.labels)) == order
+        terms = hc_standard_realization(mat).contributions
+        assert sum(c.multiplicity for c in terms) == order
+        # only the identity has no descent, only the longest element all
+        assert terms[0].multiplicity == terms[-1].multiplicity == 1
 
 
 class TestVcd:
@@ -318,8 +353,8 @@ class TestGradedModules:
         sys = fano_building()
         report = graded_module_report(sys.matrix, sys)
         assert report.matches_hc
-        ranks = {p: g.total_free_rank() for p, g in report.rows}
-        assert sum(r for r in ranks.values()) == report.totals.total_free_rank()
+        ranks = {p: sum(g[k].free for k in g.degrees()) for p, g in report.rows}
+        assert sum(ranks.values()) == sum(report.totals[k].free for k in report.totals.degrees())
 
     def test_thin_a2(self):
         sys = thin_building(A2)

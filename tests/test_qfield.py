@@ -65,8 +65,8 @@ def test_int_coordinates_stay_int():
 
 
 def test_hash_consistency():
-    assert hash(QF.from_int(2)) == hash(QF.from_rational(Fraction(2)))
-    assert QF.from_int(2) == QF.from_rational(Fraction(2))
+    assert hash(QF.from_int(2)) == hash(QF.from_int(Fraction(2)))
+    assert QF.from_int(2) == QF.from_int(Fraction(2))
 
 
 def test_unsupported_label():
