@@ -248,21 +248,17 @@ def residue_partition_map(system, T):
 # ------------------------------------------------------------ constructors
 
 
-def thin_building(mat, T=None):
-    """The group W_T as a building: panels are the cosets {w, ws}."""
-    if T is None:
-        T = mat.labels
-    T = mat.sorted_subset(T)
-    table = enumerate_group(mat, T)
-    sub = mat.restrict(T)
+def thin_building(mat):
+    """The group W as a building: panels are the cosets {w, ws}."""
+    table = enumerate_group(mat, mat.labels)
     panels = {}
-    for k, s in enumerate(T):
+    for k, s in enumerate(mat.labels):
         blocks = set()
         for i in range(len(table)):
             j = table.mult[i][k]
             blocks.add(frozenset((i, j)))
         panels[s] = tuple(sorted(blocks, key=min))
-    system = ChamberSystem(sub, panels, len(table))
+    system = ChamberSystem(mat, panels, len(table))
     object.__setattr__(system, "_table", table)
     return system
 

@@ -216,7 +216,7 @@ def cmd_davis_chamber(args):
 def cmd_cohomology(args):
     mat = _read_matrix(args.matrix)
     _check_labels(args, mat.labels)
-    L = model_chamber(mat, args.model).nerve()
+    L = nerve(mat) if args.model == "K" else classical_chamber(mat).nerve()
     poset = spherical_poset(mat)
     if args.T is not None:
         types = [frozenset(args.T)]

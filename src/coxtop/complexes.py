@@ -11,10 +11,13 @@ lexicographic order of their id tuples, and labels appear again only in
 complex on another table is translated once, label by label, where it
 meets one (``faces_from``).
 
-A mirror structure on a complex X is a family of subcomplexes X_s indexed
-by the generators.  The label of a cell c is S(c) = {s : c lies in X_s};
-unions of mirrors are written X^U and intersections X_T, with X^0 the
-empty complex and X_0 = X.
+A mirror structure on a complex X is one table of vertex labels: for each
+vertex, the generators whose mirrors hold it.  In both model chambers, K
+and the simplex, every mirror X_s is a full subcomplex, so the label of a
+cell c is S(c) = S meet the labels of its vertices, and X_s is the cells
+whose label holds s.  The empty face gets label S, the augmentation's
+convention.  Unions of mirrors are written X^U and intersections X_T,
+with X^0 the empty complex and X_0 = X.
 
 All cohomology here is unreduced.  The local groups H(X, X^{S-T}) are
 read off the nerve L of the mirror cover (``local_groups``), not off X:
@@ -84,15 +87,6 @@ class SimplicialComplex:
             if not f or f[0] < 0 or f[-1] >= n or any(a >= b for a, b in zip(f, f[1:])):
                 raise ValueError(f"face {f!r} is not a nonempty increasing tuple of ids below {n}")
 
-    def _subcomplex(self, faces):
-        """The complex on this table with ``faces``, which must be faces of
-        this complex: they passed the per-face check of ``__post_init__``
-        here, so it is not run again."""
-        sub = object.__new__(SimplicialComplex)
-        object.__setattr__(sub, "vertices", self.vertices)
-        object.__setattr__(sub, "faces", faces)
-        return sub
-
     def is_empty(self):
         return not self.faces
 
@@ -115,8 +109,12 @@ class SimplicialComplex:
 
     def sub(self, keep):
         """The faces that pass ``keep``, on this table; ``keep`` must hold
-        on every face of a face it holds on."""
-        return self._subcomplex(frozenset(filter(keep, self.faces)))
+        on every face of a face it holds on.  They passed the per-face
+        check of ``__post_init__`` here, so it is not run again."""
+        out = object.__new__(SimplicialComplex)
+        object.__setattr__(out, "vertices", self.vertices)
+        object.__setattr__(out, "faces", frozenset(filter(keep, self.faces)))
+        return out
 
     def faces_from(self, other):
         """The faces of ``other`` as id tuples of this table, or None when
@@ -171,30 +169,37 @@ def flag_complex(elements):
 
 @dataclass(frozen=True, eq=False)  # compared by identity
 class MirroredComplex:
-    """A complex with one mirror subcomplex per generator, on its table."""
+    """A complex with one label per vertex: the generators whose mirrors
+    hold that vertex.  Every mirror is the full subcomplex on the vertices
+    whose label holds its generator."""
 
     labels: tuple
     complex: SimplicialComplex
-    mirrors: dict  # label -> SimplicialComplex
+    vertex_labels: tuple  # frozenset of generators per vertex, in vertex order
 
     def __post_init__(self):
-        for s in self.labels:
-            m = self.mirror(s)
-            if m.vertices != self.complex.vertices or not m.faces <= self.complex.faces:
-                raise ValueError(f"mirror {s} is not a subcomplex on the complex's vertex table")
-
-    def mirror(self, s):
-        m = self.mirrors.get(s)
-        return m if m is not None else SimplicialComplex(self.complex.vertices, frozenset())
+        V, table = self.complex.vertices, self.vertex_labels
+        if len(table) < len(V):
+            raise ValueError(f"vertex {V[len(table)]!r} has no label")
+        if len(table) > len(V):
+            raise ValueError(f"{len(table)} labels for the {len(V)} vertices")
+        S = frozenset(self.labels)
+        for v, U in zip(V, table):
+            if not U <= S:
+                raise ValueError(f"vertex {v!r} names unknown generators {sorted(U - S, key=str)}")
 
     def face_label(self, f):
-        """S(c) = the generators whose mirror contains the cell (an id tuple)."""
-        return frozenset(s for s in self.labels if f in self.mirror(s).faces)
+        """S(c) = S meet the labels of the cell's vertices (an id tuple);
+        the empty face gets S, the augmentation's label."""
+        return frozenset(self.labels).intersection(*map(self.vertex_labels.__getitem__, f))
+
+    def mirror(self, s):
+        """X_s, the cells whose label holds s."""
+        return self.complex.sub(lambda f: s in self.face_label(f))
 
     def mirror_union(self, U):
         """X^U; the empty union is the empty complex."""
-        faces = frozenset().union(*(self.mirror(s).faces for s in U))
-        return self.complex._subcomplex(faces)
+        return self.complex.sub(lambda f: not self.face_label(f).isdisjoint(U))
 
     def nerve(self):
         """The nerve of the mirror cover: U is a face when some vertex's
@@ -205,8 +210,7 @@ class MirroredComplex:
         >>> classical_chamber(A2).nerve().to_json()
         [['s'], ['t']]
         """
-        labels = (self.face_label((v,)) for v in range(len(self.complex.vertices)))
-        return SimplicialComplex.from_maximal(U for U in labels if U)
+        return SimplicialComplex.from_maximal(U for U in self.vertex_labels if U)
 
 
 def simplex_sign(face, subface):
@@ -330,28 +334,24 @@ def davis_chamber(mat):
     """The flag complex of the spherical subsets, with its mirror structure.
 
     The vertex for the empty subset makes the chamber a cone over the
-    barycentric subdivision of the nerve.  The mirror for s consists of
-    the chains whose members all contain s.
+    barycentric subdivision of the nerve.  Each vertex, a spherical
+    subset, is its own label, so the mirror for s consists of the chains
+    whose members all contain s.
     """
     K = flag_complex(spherical_poset(mat))
-    mirrors = {}
-    for s in mat.labels:
-        up = {i for i, T in enumerate(K.vertices) if s in T}
-        mirrors[s] = K.sub(up.issuperset)
-    return MirroredComplex(mat.labels, K, mirrors)
+    return MirroredComplex(mat.labels, K, K.vertices)
 
 
 def classical_chamber(mat):
     """The simplex with codimension-one faces indexed by the generators.
 
-    Vertices are the generator labels; the mirror for s is the facet
-    spanned by the other labels, so a face f has label S minus f.
+    Vertices are the generator labels, and vertex v has label S - {v}:
+    the mirror for s is the facet spanned by the other labels, so a face
+    f has label S minus f.
     """
     simplex = SimplicialComplex.from_maximal([mat.labels])
-    mirrors = {}
-    for p, s in enumerate(simplex.vertices):
-        mirrors[s] = simplex.sub(lambda f, p=p: p not in f)
-    return MirroredComplex(mat.labels, simplex, mirrors)
+    S = frozenset(mat.labels)
+    return MirroredComplex(mat.labels, simplex, tuple(S - {v} for v in simplex.vertices))
 
 
 def model_chamber(mat, name):

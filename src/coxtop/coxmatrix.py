@@ -143,16 +143,6 @@ class CoxeterMatrix:
         gens = self.sorted_subset(set(T))
         return [tuple(gens[i] for i in comp) for comp in _components(table)]
 
-    def restrict(self, T):
-        """The Coxeter matrix induced on a subset of the generators."""
-        T = self.sorted_subset(T)
-        sub = {}
-        for s, t in combinations(T, 2):
-            m = self.m(s, t)
-            if m != 2:
-                sub[frozenset((s, t))] = m
-        return CoxeterMatrix(T, sub)
-
     def to_text(self):
         lines = ["gens " + " ".join(self.labels)]
         for s, t in combinations(self.labels, 2):

@@ -37,22 +37,26 @@ the inclusions between the modules.  ``residue_cochain_complex`` writes
 them over the residue-indicator bases, one block map per pair of labels;
 it is also the cochain complex of the realization, which keeps the
 cells of non-spherical label that the coefficient complexes drop
-(A^T = 0 there).  For faces of the classical chamber
-(the simplex with facet mirrors) the machinery runs *augmented*: the
-empty face participates as a (-1)-cell with label the full generator
-set.  Over a spherical (finite) type the full-set module is nonzero and
-the augmentation removes the constant functions, which is exactly what
-makes the top-degree concentration statements and the quotient/sum
-formulas hold verbatim on finite buildings; over an infinite type the
-full-set module vanishes and augmentation changes nothing.
+(A^T = 0 there).
+
+For faces of the classical chamber (the simplex with facet mirrors) the
+machinery runs *augmented*: the empty face () participates as a
+(-1)-cell.  Its label, read off the chamber's vertex-label table like
+every other face's, is the full generator set S; each mirror there is the
+full subcomplex that table gives.  The face sigma fixed by T is the faces
+of ``classical_chamber`` whose label holds T, and sigma^U those of sigma
+whose label meets U.  Over a spherical (finite) type the full-set module
+is nonzero and the augmentation removes the constant functions, which is
+exactly what makes the top-degree concentration statements and the
+quotient/sum formulas hold verbatim on finite buildings; over an infinite
+type the full-set module vanishes and augmentation changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import cochain_complex
+from .complexes import classical_chamber, cochain_complex
 from .coxmatrix import spherical_poset
 from .intlinalg import (
     AbGroup,
@@ -220,10 +224,11 @@ def residue_cochain_complex(system, cells_by_degree, label):
     """Cochain complex with one block Z^{label(c)-residues} per cell c.
 
     ``cells_by_degree`` maps degree -> ordered cells, each a tuple of
-    vertices in orientation order (the id tuples of a model complex, or
-    label tuples of the chamber simplex); ``label(c)`` is the frozenset
-    type of cell c.  Over c sits one basis element per label(c)-residue,
-    in residue order: the residue indicators, a basis of A^{label(c)}.
+    vertices in orientation order (the id tuples of a model complex, the
+    empty face () included when the complex runs augmented); ``label(c)``
+    is the frozenset type of cell c.  Over c sits one basis element per
+    label(c)-residue, in residue order: the residue indicators, a basis
+    of A^{label(c)}.
     The block map from a cell g to its face f sends each label(g)-residue
     to the label(f)-residue holding it (``system.containing``), with the
     simplicial sign.
@@ -262,34 +267,18 @@ def coefficient_cohomology(X, B, system):
     return coefficient_cochain_complex(X, B, system).validate().cohomology()
 
 
-# --------------------------------------------- classical chamber face sets
+# ------------------------------------------- augmented chamber simplex pairs
 
 
-def _chamber_face_cells(S, T):
-    """All faces of the T-fixed face of the chamber simplex, as sorted
-    tuples of the free vertices S - T, including the empty face."""
-    free = sorted(set(S) - set(T))
-    return {c for k in range(len(free) + 1) for c in combinations(free, k)}
-
-
-def _mirror_up_faces(cells, U):
-    """Faces lying in at least one mirror indexed by U: those not
-    containing all of U (a face is in mirror s exactly when s avoids it)."""
-    U = set(U)
-    if not U:
-        return set()
-    return {f for f in cells if not U.issubset(f)}
-
-
-def _augmented_pair_cohomology(dec, total_cells, sub_cells):
-    """Coefficient cohomology of a pair of chamber-simplex face sets, the
-    empty face included: a face f has label S - f."""
-    S = frozenset(dec.matrix.labels)
+def _augmented_pair_cohomology(dec, X, total_cells, sub_cells):
+    """Coefficient cohomology of a pair of face sets of the chamber
+    simplex X, the empty face () included: its label S is the
+    augmentation."""
     by_degree = {}
     for f in sorted(total_cells - sub_cells):
-        if S.difference(f) in dec.poset:
+        if X.face_label(f) in dec.poset:
             by_degree.setdefault(len(f) - 1, []).append(f)
-    return residue_cochain_complex(dec.system, by_degree, S.difference).validate().cohomology()
+    return residue_cochain_complex(dec.system, by_degree, X.face_label).validate().cohomology()
 
 
 def classical_chamber_cohomology(system):
@@ -300,7 +289,8 @@ def classical_chamber_cohomology(system):
     spherical (finite) type would otherwise leave in degree 0.
     """
     dec = BuildingDecomposition(system)
-    return _augmented_pair_cohomology(dec, _chamber_face_cells(dec.matrix.labels, ()), set())
+    X = classical_chamber(dec.matrix)
+    return _augmented_pair_cohomology(dec, X, X.complex.faces | {()}, set())
 
 
 # ------------------------------------------------------- the face identities
@@ -385,12 +375,14 @@ def sigma_formula_check(system, T, U):
         raise ValueError("mirror set U must avoid the base type")
     W = frozenset(set(S) - T - U)
     m = len(S) - 1 - len(T)
-    sigma = _chamber_face_cells(S, T)
-    sigma_U = _mirror_up_faces(sigma, U)
-    sigma_W = _mirror_up_faces(sigma, W)
+    # sigma: the faces whose label holds T; sigma^V: those whose label meets V
+    X = classical_chamber(dec.matrix)
+    sigma = {f for f in X.complex.faces | {()} if T <= X.face_label(f)}
+    sigma_U = {f for f in sigma if not X.face_label(f).isdisjoint(U)}
+    sigma_W = {f for f in sigma if not X.face_label(f).isdisjoint(W)}
 
     # relative pair (sigma, sigma^U)
-    direct_rel = _augmented_pair_cohomology(dec, sigma, sigma_U)
+    direct_rel = _augmented_pair_cohomology(dec, X, sigma, sigma_U)
     rT = dec.residue_count(T)
     quo_rel = quotient_structure(rT, dec.span_in_coordinates(T, [T | {s} for s in W]))
     sum_rel = AbGroup(
@@ -405,7 +397,7 @@ def sigma_formula_check(system, T, U):
     ]
 
     # pair (sigma^U, boundary of sigma^U)
-    direct_bnd = _augmented_pair_cohomology(dec, sigma_U, sigma_U & sigma_W)
+    direct_bnd = _augmented_pair_cohomology(dec, X, sigma_U, sigma_U & sigma_W)
     # one Hermite basis of the span of the A^{T+s}, s in U, for both routes
     basis_U = hermite_basis(rT, dec.span_in_coordinates(T, [T | {s} for s in U]))
     quo_bnd = AbGroup(len(basis_U))
@@ -419,7 +411,7 @@ def sigma_formula_check(system, T, U):
     entries.append(_sigma_entry("boundary", direct_bnd, m - 1, quo_bnd, sum_bnd))
 
     # absolute sigma^U
-    direct_abs = _augmented_pair_cohomology(dec, sigma_U, set())
+    direct_abs = _augmented_pair_cohomology(dec, X, sigma_U, set())
     pair_gens = dec.span_in_coordinates(T, [T | {s, t} for s in U for t in W])
     quo_abs = basis_quotient(rT, basis_U, pair_gens)
     sum_abs = AbGroup(

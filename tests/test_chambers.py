@@ -47,9 +47,9 @@ class TestThin:
         assert thin_building(B2).size == 8
 
     def test_subset(self):
-        mat = mk("abc", [("a", "b", 3), ("b", "c", 3)])
-        sys = thin_building(mat, "ab")
-        assert sys.size == 6
+        # the system keeps the matrix it was given
+        sys = thin_building(A2)
+        assert sys.size == 6 and sys.matrix is A2
 
 
 class TestDigon:

@@ -860,3 +860,23 @@ class TestDeterminism:
         code, out = run(capsys, [verb, str(path), *extra, "--json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("matrix", sorted(MATRICES))
+    def test_cohomology_over_k_builds_no_davis_chamber(self, capsys, tmp_path, monkeypatch,
+                                                       matrix):
+        # K's nerve is the nerve of the matrix, so the verb needs no chamber
+        import coxtop.cli
+        import coxtop.complexes
+
+        path = tmp_path / f"{matrix}.cox"
+        path.write_text(MATRICES[matrix])
+        argv = ["cohomology", str(path), "--model", "K", "--json"]
+        expected = run(capsys, argv)
+
+        def refused(*args):
+            raise AssertionError("the Davis chamber was built")
+
+        monkeypatch.setattr(coxtop.complexes, "flag_complex", refused)
+        monkeypatch.setattr(coxtop.complexes, "davis_chamber", refused)
+        monkeypatch.setattr(coxtop.cli, "davis_chamber_of", refused)
+        assert run(capsys, argv) == expected

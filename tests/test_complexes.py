@@ -167,11 +167,29 @@ class TestClassicalChamber:
         assert D.mirror("s").is_empty()
 
     def test_equality_is_identity(self):
-        # the mirrors define a mirrored complex; an equality that skipped
-        # them took the chamber for the bare simplex
+        # the vertex labels define a mirrored complex; an equality that
+        # skipped them took the chamber for the bare simplex
         D = classical_chamber(A2)
-        assert D != MirroredComplex(D.labels, D.complex, {})
+        assert D != MirroredComplex(D.labels, D.complex, (frozenset(),) * 2)
         assert D == D
+
+
+class TestVertexLabelTable:
+    def test_wrong_length_names_the_vertex(self):
+        D = classical_chamber(A2)
+        with pytest.raises(ValueError, match="vertex 't' has no label"):
+            MirroredComplex(D.labels, D.complex, (frozenset("t"),))
+        with pytest.raises(ValueError, match="3 labels for the 2 vertices"):
+            MirroredComplex(D.labels, D.complex, (frozenset(),) * 3)
+
+    def test_unknown_generator_names_the_vertex(self):
+        D = classical_chamber(A2)
+        with pytest.raises(ValueError, match=r"vertex 't' names unknown generators \['u'\]"):
+            MirroredComplex(D.labels, D.complex, (frozenset("t"), frozenset("su")))
+
+    def test_empty_face_is_the_augmentation(self):
+        for X in (classical_chamber(TRIANGLE333), davis_chamber(TRIANGLE333)):
+            assert X.face_label(()) == frozenset("abc")
 
 
 class TestRelativeCohomology:
@@ -450,6 +468,33 @@ class TestNerveRouteAgainstRelativePairs:
                 assert K.nerve() == nerve(mat)
                 for X in (K, classical_chamber(mat)):
                     assert local_groups(X.nerve(), poset) == relative_pairs(X, poset), mat.entries
+
+
+def models_with_reference_mirrors(mat):
+    """Each model chamber with its per-generator mirrors built as
+    subcomplexes: in K the chains of spherical subsets that all contain
+    s, in the simplex the faces that avoid the vertex s."""
+    K = davis_chamber(mat)
+    up = {s: {i for i, T in enumerate(K.complex.vertices) if s in T} for s in mat.labels}
+    yield K, {s: K.complex.sub(up[s].issuperset) for s in mat.labels}
+    D = classical_chamber(mat)
+    at = D.complex.vertices.index
+    yield D, {s: D.complex.sub(lambda f, p=at(s): p not in f) for s in mat.labels}
+
+
+class TestLabelTableAgainstMirrors:
+    def test_seeded_sweep(self):
+        # the matrices of TestNerveRouteAgainstRelativePairs.test_seeded_sweep
+        rng = random.Random(23)
+        for rank in range(1, 7):
+            for _ in range(20):
+                mat = random_matrix(rng, rank, (2, 3, 4, 5, 6, 7, INF))
+                for X, mirrors in models_with_reference_mirrors(mat):
+                    for s, m in mirrors.items():
+                        assert X.mirror(s) == m, (mat.entries, s)
+                    for f in X.complex.faces:
+                        label = frozenset(s for s, m in mirrors.items() if f in m.faces)
+                        assert X.face_label(f) == label, (mat.entries, f)
 
 
 class TestMetricFlag:

@@ -12,8 +12,6 @@ from coxtop.complexes import classical_chamber, davis_chamber, simplex_sign
 from coxtop.coxmatrix import CoxeterMatrix
 from coxtop.decomposition import (
     BuildingDecomposition,
-    _chamber_face_cells,
-    _mirror_up_faces,
     classical_chamber_cohomology,
     coefficient_cochain_complex,
     coefficient_cohomology,
@@ -218,7 +216,7 @@ class TestCoefficientCohomology:
         X = MirroredComplex(
             fano.matrix.labels,
             SimplicialComplex.from_maximal([frozenset([0])]),
-            {},
+            (frozenset(),),
         )
         h = coefficient_cohomology(X, None, fano.system)
         assert h == GradedGroup({0: AbGroup(21)})
@@ -319,25 +317,43 @@ class TestCoboundariesMatchDense:
 
     @pytest.mark.parametrize("build", ["fano", "thin_a2", "digon33"])
     def test_augmented_chamber_faces(self, request, build):
-        # every complex sigma_formula_check builds, the (-1)-cell included
+        # the reference: the faces of sigma as tuples of the free generators
+        # S - T, the (-1)-cell () included, labelled S - f, a face lying in
+        # the mirror s when s avoids it.  Their coboundaries match the
+        # dense blocks, and their groups are the ones sigma_formula_check
+        # and classical_chamber_cohomology read off the chamber simplex.
         from itertools import combinations
 
         dec = request.getfixturevalue(build)
         S = frozenset(dec.matrix.labels)
+
+        def faces_of(free):
+            free = sorted(free)
+            return {c for k in range(len(free) + 1) for c in combinations(free, k)}
+
+        def meeting(cells, U):
+            return {f for f in cells if not U.issubset(f)} if U else set()
+
+        def groups(total, sub):
+            cells = {}
+            for f in sorted(total - sub, key=lambda f: (len(f), f)):
+                if S.difference(f) in dec.poset:
+                    cells.setdefault(len(f) - 1, []).append(f)
+            cx = residue_cochain_complex(dec.system, cells, S.difference)
+            assert_matches_dense(cx, dec, cells, S.difference)
+            return cx.cohomology()
+
+        assert classical_chamber_cohomology(dec.system) == groups(faces_of(S), set())
         for T in dec.poset:
-            sigma = _chamber_face_cells(S, T)
+            sigma = faces_of(S - T)
             for r in range(len(S - T) + 1):
                 for U in map(frozenset, combinations(sorted(S - T), r)):
-                    sigma_U = _mirror_up_faces(sigma, U)
-                    sigma_W = _mirror_up_faces(sigma, S - T - U)
-                    for total, sub in ((sigma, sigma_U), (sigma_U, sigma_U & sigma_W),
-                                       (sigma_U, set())):
-                        cells = {}
-                        for f in sorted(total - sub, key=lambda f: (len(f), f)):
-                            if S.difference(f) in dec.poset:
-                                cells.setdefault(len(f) - 1, []).append(f)
-                        cx = residue_cochain_complex(dec.system, cells, S.difference)
-                        assert_matches_dense(cx, dec, cells, S.difference)
+                    sigma_U = meeting(sigma, U)
+                    sigma_W = meeting(sigma, S - T - U)
+                    expected = [groups(sigma, sigma_U), groups(sigma_U, sigma_U & sigma_W),
+                                groups(sigma_U, set())]
+                    report = sigma_formula_check(dec.system, T, U)
+                    assert [e.direct for e in report.entries] == expected, (T, U)
 
     def test_infinite_type_drops_only_non_spherical_cells(self):
         # a 4-cycle of type s t inf times a1: finite, of infinite type.

@@ -63,7 +63,7 @@ class TestRealize:
         X = MirroredComplex(
             sys.matrix.labels,
             SimplicialComplex.from_maximal([frozenset(["pt"])]),
-            {},
+            (frozenset(),),
         )
         assert realize(sys, X).f_vector() == (6,)
         assert realization_cohomology(sys, X) == GradedGroup({0: AbGroup(6)})
