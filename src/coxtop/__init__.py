@@ -12,7 +12,7 @@ from .coxmatrix import (
     parse_coxeter_matrix,
     spherical_poset,
 )
-from .groups import BallTable, Element, ElementTable, descent_set, enumerate_ball, enumerate_group
+from .groups import BallTable, Element, ElementTable, enumerate_ball, enumerate_group
 from .intlinalg import (
     OMEGA,
     AbGroup,
@@ -46,14 +46,10 @@ from .chambers import (
     projective_plane_building,
     thin_building,
     verify_building,
-    w_distance,
 )
 from .decomposition import (
     BuildingDecomposition,
     DecompositionWitness,
-    classical_chamber_cohomology,
-    coefficient_cochain_complex,
-    coefficient_cohomology,
     filtration_ranks,
     sigma_formula_check,
 )

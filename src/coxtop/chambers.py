@@ -155,16 +155,6 @@ class ChamberSystem:
             lines.append(f"panel {s}: {body}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self):
-        return {
-            "type": self.matrix.to_json(),
-            "chambers": self.size,
-            "panels": {
-                s: [sorted(b) for b in sorted(self.panels[s], key=min)]
-                for s in self.matrix.labels
-            },
-        }
-
 
 def parse_chamber_system(text):
     """Parse the chamber-system format: the type matrix lines, then
@@ -389,24 +379,6 @@ def gallery_distances(system, start):
                 if w == AMBIGUOUS or mult[w][k] != delta[j]:
                     delta[j] = AMBIGUOUS
     return order, dist, delta
-
-
-def w_distance(system, i, j):
-    """The group element delta(i, j) read off minimal galleries.
-
-    Raises ChamberError when different minimal galleries disagree or the
-    gallery length is not the word length (the system is not a building).
-    """
-    table = system.element_table()
-    _, dist, delta = gallery_distances(system, i)
-    if dist[j] is None:
-        raise ChamberError("chambers lie in different connected components")
-    w = delta[j]
-    if w == AMBIGUOUS:
-        raise ChamberError(f"minimal galleries from {i} to {j} realize different elements")
-    if table.elements[w].length != dist[j]:
-        raise ChamberError("minimal gallery type is not a reduced word")
-    return table.elements[w]
 
 
 def _distance_pass(system, table):

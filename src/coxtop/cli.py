@@ -191,7 +191,7 @@ def cmd_spherical_subsets(args):
 
 def cmd_nerve(args):
     mat = _read_matrix(args.matrix)
-    faces = nerve(mat).to_json()
+    faces = nerve(spherical_poset(mat)).to_json()
     human = "\n".join(" ".join(sorted(f, key=mat.index)) for f in faces)
     _emit(args, faces, human or "(empty nerve)")
     return 0
@@ -216,8 +216,8 @@ def cmd_davis_chamber(args):
 def cmd_cohomology(args):
     mat = _read_matrix(args.matrix)
     _check_labels(args, mat.labels)
-    L = nerve(mat) if args.model == "K" else classical_chamber(mat).nerve()
     poset = spherical_poset(mat)
+    L = nerve(poset) if args.model == "K" else classical_chamber(mat).nerve()
     if args.T is not None:
         types = [frozenset(args.T)]
         if types[0] not in poset:
@@ -261,7 +261,7 @@ def _realization_report(system, X):
 
 def cmd_realize(args):
     mat = _read_matrix(args.matrix)
-    system = resolve_building(args, mat)
+    system = resolve_verified_building(args, mat)
     X = model_chamber(system.matrix, args.model)
     # opened once the inputs are read (a chamber file may be the same
     # path) and before any work, so a refused --out leaves stdout empty
@@ -406,7 +406,7 @@ def cmd_growth(args):
     if args.N is None:
         raise InputError("growth needs --N")
     _check_labels(args, mat.labels)
-    series = thin_multiplicity_series(mat, args.T, args.N)
+    [series] = thin_multiplicity_series(spherical_poset(mat), [args.T], args.N)
     _emit(args, series.to_json(), str(list(series.coefficients)))
     return 0
 

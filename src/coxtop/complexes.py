@@ -77,10 +77,6 @@ class SimplicialComplex:
                 faces.update(combinations(ids, k))
         return cls(table, frozenset(faces))
 
-    @classmethod
-    def empty(cls):
-        return cls((), frozenset())
-
     def __post_init__(self):
         n = len(self.vertices)
         for f in self.faces:
@@ -197,10 +193,6 @@ class MirroredComplex:
         """X_s, the cells whose label holds s."""
         return self.complex.sub(lambda f: s in self.face_label(f))
 
-    def mirror_union(self, U):
-        """X^U; the empty union is the empty complex."""
-        return self.complex.sub(lambda f: not self.face_label(f).isdisjoint(U))
-
     def nerve(self):
         """The nerve of the mirror cover: U is a face when some vertex's
         label holds U, so that the mirrors of U meet.
@@ -211,16 +203,6 @@ class MirroredComplex:
         [['s'], ['t']]
         """
         return SimplicialComplex.from_maximal(U for U in self.vertex_labels if U)
-
-
-def simplex_sign(face, subface):
-    """Sign of subface inside face: (-1)^(position of the missing vertex)."""
-    missing = set(face) - set(subface)
-    if len(missing) != 1:
-        raise ValueError("not a codimension-one subface")
-    v = missing.pop()
-    ordered = sorted(face, key=vertex_key)
-    return (-1) ** ordered.index(v)
 
 
 def cochain_complex(cells_by_degree, size=None, restrict=None):
@@ -310,7 +292,8 @@ def local_groups(L, types):
 
     >>> from coxtop.coxmatrix import CoxeterMatrix, spherical_poset
     >>> m = CoxeterMatrix(tuple("abc"), {frozenset(p): 3 for p in ("ab", "bc", "ac")})
-    >>> [(sorted(T), str(h)) for T, h in local_groups(nerve(m), spherical_poset(m)) if h]
+    >>> poset = spherical_poset(m)
+    >>> [(sorted(T), str(h)) for T, h in local_groups(nerve(poset), poset) if h]
     [([], 'H^2 = Z')]
     """
     cells = {k + 1: L.faces_of_dim(k) for k in range(L.dim + 1)}
@@ -325,9 +308,10 @@ def local_groups(L, types):
 # ----------------------------------------------------------- constructions
 
 
-def nerve(mat):
-    """Vertices are the generators; faces are the nonempty spherical subsets."""
-    return SimplicialComplex.from_maximal(T for T in spherical_poset(mat) if T)
+def nerve(poset):
+    """Vertices are the generators; faces are the nonempty spherical
+    subsets, the members of ``poset`` other than the empty set."""
+    return SimplicialComplex.from_maximal(T for T in poset if T)
 
 
 def davis_chamber(mat):

@@ -68,10 +68,6 @@ class CoxeterMatrix:
             if m is not INF and (not isinstance(m, int) or m < 2):
                 raise CoxeterError(f"label m={m} must be an integer >= 2 or infinity")
 
-    @property
-    def rank(self):
-        return len(self.labels)
-
     def m(self, s, t):
         if s == t:
             return 1
@@ -150,16 +146,6 @@ class CoxeterMatrix:
             if m != 2:
                 lines.append(f"{s} {t} {'inf' if m is INF else m}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        return {
-            "gens": list(self.labels),
-            "pairs": [
-                [s, t, "inf" if self.m(s, t) is INF else self.m(s, t)]
-                for s, t in combinations(self.labels, 2)
-                if self.m(s, t) != 2
-            ],
-        }
 
 
 def parse_coxeter_matrix(text):

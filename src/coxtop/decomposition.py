@@ -31,13 +31,13 @@ contains it) and certifies the direct-sum decomposition by a unit
 determinant of the square matrix they form; the dense matrix is built
 only for the report.
 
-Coefficient cochain complexes assign the module A^{S(c)} to each cell c
-of a mirrored complex, with coboundaries combining simplicial signs and
-the inclusions between the modules.  ``residue_cochain_complex`` writes
-them over the residue-indicator bases, one block map per pair of labels;
-it is also the cochain complex of the realization, which keeps the
-cells of non-spherical label that the coefficient complexes drop
-(A^T = 0 there).
+``residue_cochain_complex`` assigns the module A^{S(c)} to each cell c
+of a mirrored complex, written over the residue-indicator bases, with
+coboundaries combining simplicial signs and the inclusions between the
+modules, one block map per pair of labels.  Over every cell of a model
+chamber it is the cochain complex of the realization; the face
+identities pass it only the cells of spherical label, since A^T = 0 for
+a non-spherical T.
 
 For faces of the classical chamber (the simplex with facet mirrors) the
 machinery runs *augmented*: the empty face () participates as a
@@ -246,27 +246,6 @@ def residue_cochain_complex(system, cells_by_degree, label):
     )
 
 
-def coefficient_cochain_complex(X, B, system):
-    """Def-style coefficient complex on a mirrored complex, unaugmented.
-
-    Degree-k module: one copy of A^{S(c)} per k-cell c of X outside B
-    whose label S(c) is spherical.
-    """
-    poset = spherical_poset(system.matrix)
-    bfaces = X.complex.faces_from(B) if B is not None else frozenset()
-    if bfaces is None:
-        raise ValueError("relative subcomplex is not a subcomplex of X")
-    cells_by_degree = {
-        k: [f for f in X.complex.faces_of_dim(k) if f not in bfaces and X.face_label(f) in poset]
-        for k in range(X.complex.dim + 1)
-    }
-    return residue_cochain_complex(system, cells_by_degree, X.face_label)
-
-
-def coefficient_cohomology(X, B, system):
-    return coefficient_cochain_complex(X, B, system).validate().cohomology()
-
-
 # ------------------------------------------- augmented chamber simplex pairs
 
 
@@ -279,18 +258,6 @@ def _augmented_pair_cohomology(dec, X, total_cells, sub_cells):
         if X.face_label(f) in dec.poset:
             by_degree.setdefault(len(f) - 1, []).append(f)
     return residue_cochain_complex(dec.system, by_degree, X.face_label).validate().cohomology()
-
-
-def classical_chamber_cohomology(system):
-    """Augmented coefficient cohomology of the full chamber simplex.
-
-    Concentrated in degree |S| - 1 with top group D^{empty set}; the
-    augmentation removes the copy of the constant functions that a
-    spherical (finite) type would otherwise leave in degree 0.
-    """
-    dec = BuildingDecomposition(system)
-    X = classical_chamber(dec.matrix)
-    return _augmented_pair_cohomology(dec, X, X.complex.faces | {()}, set())
 
 
 # ------------------------------------------------------- the face identities
@@ -453,9 +420,6 @@ class Filtration:
     graded: list  # AbGroup per step p: F_p / F_{p+1}
     expected: list  # direct sum of the D^T with |T| = p
     matches: bool
-
-    def graded_ranks(self):
-        return [g.free for g in self.graded]
 
     def to_json(self):
         return {

@@ -60,10 +60,6 @@ class ElementTable:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def identity(self):
-        return self.elements[0]
-
     def multiply_generator(self, i, s):
         return self.mult[i][self.labels.index(s)]
 
@@ -78,13 +74,6 @@ class ElementTable:
     def inverse(self, i):
         return self.index_of_word(tuple(reversed(self.elements[i].word)))
 
-    def longest_element(self):
-        return max(self.elements, key=lambda e: e.length)
-
-    def descent_count(self, T):
-        T = frozenset(T)
-        return sum(1 for e in self.elements if e.descents == T)
-
 
 @dataclass(frozen=True)
 class BallTable:
@@ -97,17 +86,6 @@ class BallTable:
 
     def __len__(self):
         return len(self.elements)
-
-    def counts_by_length(self):
-        counts = [0] * (self.radius + 1)
-        for e in self.elements:
-            counts[e.length] += 1
-        return tuple(counts)
-
-
-def descent_set(table, i):
-    """In(w) = {s : l(ws) < l(w)} for the i-th table entry."""
-    return table.elements[i].descents
 
 
 class _RootTable:

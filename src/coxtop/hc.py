@@ -18,9 +18,11 @@ and any radius without enumerating group elements.
 
 The H_c report, ``vcd`` and ``duality_check`` all read the local groups
 off ``local_groups`` of the nerve, so no Davis chamber is built; the
-duality check's reduced groups are those groups one degree down.  The
-report and the realization's cross-check assemble the sum of local
-groups tensor multiplicities with one helper, ``formula_terms``.
+duality check's reduced groups are those groups one degree down.  Each
+builds the spherical poset once, and the nerve, the local groups and
+every growth series of a report are read off it.  The report and the
+realization's cross-check assemble the sum of local groups tensor
+multiplicities with one helper, ``formula_terms``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ class GrowthSeries:
         return {"T": list(self.type), "coefficients": list(self.coefficients)}
 
 
-def thin_multiplicity_series(matrix, T, radius):
-    """a_i = #{w : l(w) = i, In(w) = T} for i <= radius, from Steinberg's
-    formula; no group element is enumerated.
+def thin_multiplicity_series(poset, types, radius):
+    """For each T of ``types``, in order, a_i = #{w : l(w) = i, In(w) = T}
+    for i <= radius, from Steinberg's formula over the spherical subsets
+    ``poset``; no group element is enumerated.
 
     Steinberg's identity 1/W(1/t) = sum over spherical U of
     (-1)^|U| / W_U(t), read at 1/t on the subgroup of each V <= S, gives
@@ -63,27 +66,29 @@ def thin_multiplicity_series(matrix, T, radius):
 
     and W = 1/F_S.  Every W_U is the product of [d]_t over the degrees d
     of ``coxeter_degrees`` and has constant term 1, so the series are
-    integer recurrences modulo t^(radius+1).
+    integer recurrences modulo t^(radius+1).  The signed terms and 1/W are
+    computed once and shared by every T.
     """
-    T = frozenset(T)
-    if not is_spherical(matrix, T):
-        raise ValueError(f"{sorted(T)} is not a spherical subset")
+    matrix = poset.matrix
+    types = [frozenset(T) for T in types]
+    for T in types:
+        if not is_spherical(matrix, T):
+            raise ValueError(f"{sorted(T)} is not a spherical subset")
     if radius < 0:
         raise ValueError(f"growth radius must be >= 0, got {radius}")
     n = radius + 1
-    inverse_w = [0] * n  # F_S(t) = 1/W(t)
-    above = [0] * n  # the sum over U >= T
-    for U in spherical_poset(matrix):
-        term = _steinberg_term(coxeter_degrees(matrix, U), n)
+    terms = []  # (U, (-1)^|U| t^N_U / W_U(t))
+    for U in poset:
         sign = (-1) ** len(U)
-        for k, c in enumerate(term):
-            inverse_w[k] += sign * c
-        if T <= U:
-            for k, c in enumerate(term):
-                above[k] += sign * c
-    sign = (-1) ** len(T)
-    counts = _divide([sign * c for c in above], inverse_w)
-    return GrowthSeries(tuple(sorted(T, key=matrix.index)), tuple(counts))
+        terms.append((U, [sign * c for c in _steinberg_term(coxeter_degrees(matrix, U), n)]))
+    inverse_w = [sum(column) for column in zip(*(term for _, term in terms))]  # F_S = 1/W
+    out = []
+    for T in types:
+        sign = (-1) ** len(T)
+        above = [sign * sum(column) for column in zip(*(term for U, term in terms if T <= U))]
+        counts = _divide(above, inverse_w)
+        out.append(GrowthSeries(tuple(sorted(T, key=matrix.index)), tuple(counts)))
+    return out
 
 
 def _steinberg_term(degrees, n):
@@ -170,22 +175,24 @@ class HcReport:
         }
 
 
-def formula_terms(matrix, locals_, multiplicity, growth_radius=None):
+def formula_terms(poset, locals_, multiplicity, growth_radius=None):
     """The right side of the main formula: one ``HcContribution`` per
     (T, H(X, X^{S-T})) of ``locals_``, with ``multiplicity(T)`` the rank of
-    hat(A)^T (or ``OMEGA``), and their direct sum.  A ``growth_radius``
-    attaches to each term its thin descent-class series.
+    hat(A)^T (or ``OMEGA``), and their direct sum.  ``poset`` holds the
+    spherical subsets of the type.  A ``growth_radius`` attaches to each
+    term its thin descent-class series.
 
     The tensor is rank multiplication plus torsion replication, valid
     because every hat(A)^T is free.
     """
+    matrix = poset.matrix
+    series = [None] * len(locals_)
+    if growth_radius is not None:
+        series = thin_multiplicity_series(poset, [T for T, _ in locals_], growth_radius)
     terms = []
     total = GradedGroup({})
-    for T, local in locals_:
-        series = None
-        if growth_radius is not None:
-            series = thin_multiplicity_series(matrix, T, growth_radius)
-        term = HcContribution(tuple(sorted(T, key=matrix.index)), local, multiplicity(T), series)
+    for (T, local), growth in zip(locals_, series):
+        term = HcContribution(tuple(sorted(T, key=matrix.index)), local, multiplicity(T), growth)
         terms.append(term)
         total = total.direct_sum(term.graded())
     return terms, total
@@ -219,7 +226,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         )
     w_finite = is_spherical(matrix, matrix.labels)
     poset = spherical_poset(matrix)
-    locals_ = local_groups(nerve(matrix), poset)
+    locals_ = local_groups(nerve(poset), poset)
 
     if thickness == "thin":
         label = "thin"
@@ -259,7 +266,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
             raise ValueError(type_mismatch(thickness.matrix, matrix))
         multiplicity = BuildingDecomposition(thickness).splitting_rank
 
-    contributions, totals = formula_terms(matrix, locals_, multiplicity, growth_radius)
+    contributions, totals = formula_terms(poset, locals_, multiplicity, growth_radius)
     return HcReport(matrix.labels, label, w_finite, contributions, totals)
 
 
@@ -288,7 +295,8 @@ def vcd(matrix):
         return VcdReport(0, True, [])
     best = 0
     witnesses = []
-    for T, local in local_groups(nerve(matrix), spherical_poset(matrix)):
+    poset = spherical_poset(matrix)
+    for T, local in local_groups(nerve(poset), poset):
         top = local.top_degree()
         if top is None:
             continue
@@ -331,7 +339,8 @@ def duality_check(matrix):
     details = []
     offending = []
     degrees_seen = set()
-    for T, local in local_groups(nerve(matrix), spherical_poset(matrix)):
+    poset = spherical_poset(matrix)
+    for T, local in local_groups(nerve(poset), poset):
         T_sorted = sorted(T, key=matrix.index)
         degs = [k - 1 for k in local.degrees()]
         details.append({"T": T_sorted, "degrees": degs, "empty_complex": T == S})

@@ -7,7 +7,7 @@ residual block, which has no unit entry.  A +-1 alone in its column is
 peeled first, with no row operation (``_peel``); only the rows left over
 are indexed for the elimination.  Cohomology and
 ``quotient_structure`` need only the invariant factors, which
-``elementary_divisors`` finds that way.  Cohomology factors the maps
+``_divisors_and_pivots`` finds that way.  Cohomology factors the maps
 from the top degree down with clearing (Chen and Kerber's twist, over
 Z): if d^k has unit pivots in rows P and columns Q, then d^k[P, Q] is
 unimodular and d^k d^{k-1} = 0, so the rows Q of d^{k-1} lie in the
@@ -29,13 +29,12 @@ lattice in Z^n is a list of generators; either way each is a list of
 (index, entry) pairs, nonzero, no index twice, and the ambient rank n is
 passed alongside.  ``quotient_structure``, ``direct_complement``,
 ``hermite_basis``, ``basis_quotient`` and ``determinant`` refuse an
-index outside [0, n), and they and ``elementary_divisors`` refuse a row
-that names one index twice (``CochainComplex.validate`` checks the
-maps).  Only ``matmul``, ``smith_normal_form`` and the residual blocks
-it factors are dense lists of lists.  Everything is
-arbitrary precision; pivoting is deterministic (smallest nonzero
-absolute value, ties broken in row-major order) so witnesses are
-reproducible byte for byte.
+index outside [0, n), and they refuse a row that names one index twice
+(``CochainComplex.validate`` checks the maps).  Only ``matmul``,
+``smith_normal_form`` and the residual blocks it factors are dense lists
+of lists.  Everything is arbitrary precision; pivoting is deterministic
+(smallest nonzero absolute value, ties broken in row-major order) so
+witnesses are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -191,9 +190,6 @@ class SNFResult:
     def diagonal(self):
         r, c = shape(self.D)
         return [self.D[i][i] for i in range(min(r, c))]
-
-    def rank(self):
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _min_abs_pivot(a, start):
@@ -410,16 +406,6 @@ def _unit_pivots(rows, where):
             if rows[i]:
                 heapq.heappush(heap, (len(rows[i]), i))
     return pivots
-
-
-def elementary_divisors(rows):
-    """Nonzero invariant factors of a sparse integer matrix, d1 | d2 | ...
-
-    >>> elementary_divisors([[(0, 1), (1, 1)], [(1, 2), (2, 2)], []])
-    [1, 2]
-    """
-    _check_distinct(rows)
-    return _divisors_and_pivots(rows)[0]
 
 
 def _divisors_and_pivots(rows, cleared=frozenset()):

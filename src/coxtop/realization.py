@@ -121,6 +121,6 @@ def formula_cross_check(system, X):
     dec = BuildingDecomposition(system)
     realized = realization_cohomology(system, X)
     locals_ = local_groups(X.nerve(), dec.poset)
-    entries, assembled = formula_terms(system.matrix, locals_, dec.splitting_rank)
+    entries, assembled = formula_terms(dec.poset, locals_, dec.splitting_rank)
     euler_ok = realized.euler_characteristic() == assembled.euler_characteristic()
     return CrossCheckReport(realized, assembled, entries, realized == assembled, euler_ok)

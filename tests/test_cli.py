@@ -23,8 +23,10 @@ B3 = "gens a b c\na b 4\nb c 3\n"
 # the triangle group free product with one more involution: nerve = circle + point
 MIXED = "gens a b c d\na b 3\nb c 3\na c 3\na d inf\nb d inf\nc d inf\n"
 A2A1 = "gens s t u\ns t 3\n"
+TRIANGLE236 = "gens a b c\nb c 3\na c 6\n"
+E8 = "gens a b c d e f g h\na b 3\nb c 3\nc d 3\nd e 3\ne f 3\nf g 3\nc h 3\n"
 MATRICES = {"a2": A2, "a3": A3, "b3": B3, "triangle333": TRIANGLE, "freeprod3": FREE3,
-            "mixed": MIXED, "a2a1": A2A1}
+            "mixed": MIXED, "a2a1": A2A1, "triangle236": TRIANGLE236, "e8": E8}
 
 
 @pytest.fixture
@@ -397,7 +399,7 @@ class TestErrors:
         assert line in err and "invalid literal" not in err
 
     @pytest.mark.parametrize(
-        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration"]
+        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration", "realize"]
     )
     def test_chamber_file_that_is_not_a_building(self, capsys, a2_file, tmp_path, verb):
         # a 6-cycle declared with m = 2: its rank-2 residue is a hexagon,
@@ -414,7 +416,7 @@ class TestErrors:
         assert "girth 6, diameter 3" in captured.err
 
     @pytest.mark.parametrize(
-        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration", "hc"]
+        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration", "hc", "realize"]
     )
     def test_chamber_file_of_another_type(self, capsys, a2_file, tmp_path, verb):
         # the Fano building is of type A2; the matrix given is A3
@@ -483,6 +485,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "not a building" in captured.err and failure in captured.err
+
+    @pytest.mark.parametrize("model", ["delta", "K"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_realize_refuses_chamber_file_that_is_not_a_building(
+        self, capsys, tmp_path, model, json_flag
+    ):
+        # the plain report and --json agree: both refuse the file, where
+        # the plain one used to print H^1 = Z and --json to fail on the
+        # cell count of the glued complex
+        cox = tmp_path / "dinf.cox"
+        cox.write_text("gens s t\ns t inf\n")
+        bad = tmp_path / "dinf.bld"
+        bad.write_text("gens s t\ns t inf\nchambers 2\npanel s: {0,1}\npanel t: {0,1}\n")
+        argv = ["realize", str(cox), "--chamber-file", str(bad), "--model", model, *json_flag]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "chamber file is not a building" in captured.err
 
     @pytest.mark.parametrize("verb", ["verify-building", "hc", "decompose"])
     def test_finite_chamber_file_of_infinite_type_is_not_a_building(
@@ -847,6 +867,22 @@ class TestDeterminism:
                  "6eed9c6a87d8f8f2f30bb3cdd6cf62f7eaf73a6de4fc6e427e12ecbf2fe86b8b"),
                 ("realize", "a2", ["--building", "plane(3)", "--model", "delta"],
                  "12bd89054e0718233741ceb82fbd936c14fd8a77b2e4be76cc067ea8f67ffc4d"),
+                ("hc", "freeprod3", ["--N", "8"],
+                 "f203cb4c4447395349d3f58b43316f4dec13a77deb4e9321fc17a43a5a1dfb7a"),
+                ("hc", "triangle333", ["--N", "12"],
+                 "ea2313a224f395d62b1b818c2960e2bec6cf536377e8bf78b7ba492b0b810fba"),
+                ("hc", "triangle236", ["--N", "12"],
+                 "42425e14c3d9901af727d0c2acbbf7e86e82261abe8b368c4bbd7dd71b7bbcee"),
+                ("hc", "e8", ["--N", "4"],
+                 "c829e0a4cdafb2ba42552c897534acede932e9a75be8cbb70700d30c1d04f614"),
+                ("growth", "freeprod3", ["--T", "s", "--N", "8"],
+                 "5773a6e7a80ac3769021739309c63ff8e63e9dd3a16c1c32d3e2a43558252c41"),
+                ("growth", "triangle333", ["--T", "a", "b", "--N", "12"],
+                 "6354f981257190a5f879ed040f73fcee3a71e4ab4140e4a6dcc267c306f28af6"),
+                ("growth", "triangle236", ["--T", "a", "c", "--N", "12"],
+                 "92d5601d21115c7911e568ecbfc4d383a7b2e6394be3df9d9216e0523abc94a0"),
+                ("growth", "e8", ["--T", "a", "c", "--N", "6"],
+                 "7063db722135f41a1f3b6cb7eb83c8bdcf10beae173cd42358081508179081ec"),
             ]
         ],
     )
@@ -854,7 +890,9 @@ class TestDeterminism:
         # recorded from the code that read the duality groups off the
         # reduced cohomology of each K^{S-T}, wrote the coefficient and
         # realization complexes with two block builders and assembled the
-        # cross-check with its own entry class
+        # cross-check with its own entry class; the hc --N and growth
+        # entries from the code that rebuilt the spherical poset and every
+        # Steinberg term once per type
         path = tmp_path / f"{matrix}.cox"
         path.write_text(MATRICES[matrix])
         code, out = run(capsys, [verb, str(path), *extra, "--json"])

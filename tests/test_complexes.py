@@ -17,7 +17,6 @@ from coxtop.complexes import (
     nerve,
     relative_cochain_complex,
     relative_cohomology,
-    simplex_sign,
     vertex_key,
 )
 from coxtop.hc import duality_check
@@ -32,6 +31,26 @@ def mk(labels, pairs):
 TRIANGLE333 = mk("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
 FREE3 = mk("abc", [("a", "b", INF), ("b", "c", INF), ("a", "c", INF)])
 A2 = mk("st", [("s", "t", 3)])
+EMPTY = SimplicialComplex((), frozenset())
+
+
+# References shared with the other test modules: the union of mirrors and
+# the sign of a codimension-one face, each from its definition.
+
+
+def mirror_union(X, U):
+    """X^U, the cells whose label meets U; the empty union is the empty complex."""
+    return X.complex.sub(lambda f: not X.face_label(f).isdisjoint(U))
+
+
+def simplex_sign(face, subface):
+    """Sign of subface inside face: (-1)^(position of the missing vertex)."""
+    missing = set(face) - set(subface)
+    if len(missing) != 1:
+        raise ValueError("not a codimension-one subface")
+    v = missing.pop()
+    ordered = sorted(face, key=vertex_key)
+    return (-1) ** ordered.index(v)
 
 
 class TestFlagComplex:
@@ -53,15 +72,15 @@ class TestFlagComplex:
 
 class TestNerve:
     def test_free_product(self):
-        n = nerve(FREE3)
+        n = nerve(spherical_poset(FREE3))
         assert n.f_vector() == (3,)
 
     def test_triangle(self):
-        n = nerve(TRIANGLE333)
+        n = nerve(spherical_poset(TRIANGLE333))
         assert n.f_vector() == (3, 3)
 
     def test_finite_full_simplex(self):
-        n = nerve(A2)
+        n = nerve(spherical_poset(A2))
         assert n.f_vector() == (2, 1)
 
 
@@ -102,17 +121,17 @@ class TestDavisChamber:
 class TestMirrorOps:
     def test_tripod_union_full(self):
         K = davis_chamber(FREE3)
-        leaves = K.mirror_union("abc")
+        leaves = mirror_union(K, "abc")
         assert leaves.f_vector() == (3,)
 
     def test_empty_union_and_intersection(self):
         K = davis_chamber(FREE3)
-        assert K.mirror_union(()).is_empty()
+        assert mirror_union(K, ()).is_empty()
 
     def test_union_monotone(self):
         K = davis_chamber(TRIANGLE333)
-        small = K.mirror_union("a")
-        big = K.mirror_union("ab")
+        small = mirror_union(K, "a")
+        big = mirror_union(K, "ab")
         assert big.faces_from(small) is not None
 
     def test_intersection_antitone(self):
@@ -126,7 +145,7 @@ class TestMirrorOps:
         # the complex a checked construction gives
         K = davis_chamber(TRIANGLE333)
         checked = {
-            U: SimplicialComplex(K.complex.vertices, K.mirror_union(U).faces)
+            U: SimplicialComplex(K.complex.vertices, mirror_union(K, U).faces)
             for U in ("", "a", "ab", "abc")
         }
 
@@ -135,7 +154,7 @@ class TestMirrorOps:
 
         monkeypatch.setattr(SimplicialComplex, "__post_init__", per_face_check)
         for U, X in checked.items():
-            union = K.mirror_union(U)
+            union = mirror_union(K, U)
             assert union == X and union.dim == X.dim
         assert K.complex.sub(lambda f: 0 not in f).dim == 1
 
@@ -147,7 +166,7 @@ class TestFaceCheck:
             SimplicialComplex(("a", "b"), frozenset({face}))
 
     def test_dim(self):
-        assert SimplicialComplex.empty().dim == -1
+        assert EMPTY.dim == -1
         X = SimplicialComplex.from_maximal([("a", "b", "c"), ("d",)])
         assert X.dim == 2 and X.sub(lambda f: len(f) < 3).dim == 1
 
@@ -203,7 +222,7 @@ class TestRelativeCohomology:
 
     def test_tripod_rel_leaves(self):
         K = davis_chamber(FREE3)
-        leaves = K.mirror_union("abc")
+        leaves = mirror_union(K, "abc")
         h = relative_cohomology(K.complex, leaves)
         assert h == GradedGroup({1: AbGroup(2)})
 
@@ -227,11 +246,11 @@ class TestRelativeCohomology:
             relative_cohomology(X, ac)
 
     def test_empty(self):
-        assert relative_cohomology(SimplicialComplex.empty()) == GradedGroup({})
+        assert relative_cohomology(EMPTY) == GradedGroup({})
 
     def test_euler_identity(self):
         K = davis_chamber(TRIANGLE333)
-        A = K.mirror_union("ab")
+        A = mirror_union(K, "ab")
         h = relative_cohomology(K.complex, A)
         chi_cells = sum(
             (-1) ** k * (len(K.complex.faces_of_dim(k)) - len(A.faces_of_dim(k)))
@@ -274,7 +293,7 @@ def rp2():
 
 def k_of_a3_rel_mirrors():
     K = davis_chamber(mk("abc", [("a", "b", 3), ("b", "c", 3)]))
-    return K.complex, K.mirror_union("ab")
+    return K.complex, mirror_union(K, "ab")
 
 
 def fano_x_a1_realization():
@@ -339,7 +358,7 @@ def punctured_nerve_homology(mat):
     """For each spherical T, the reduced cohomology of K^(S-T)."""
     K = davis_chamber(mat)
     S = set(mat.labels)
-    return {T: reduced_cohomology(K.mirror_union(S - set(T))) for T in spherical_poset(mat)}
+    return {T: reduced_cohomology(mirror_union(K, S - set(T))) for T in spherical_poset(mat)}
 
 
 def reference_duality_check(matrix):
@@ -386,7 +405,7 @@ class TestReduced:
         assert r.groups == GradedGroup({0: AbGroup(2)})
 
     def test_empty_flagged(self):
-        r = reduced_cohomology(SimplicialComplex.empty())
+        r = reduced_cohomology(EMPTY)
         assert r.empty_complex and not r.groups
         assert r.concentrated_degree() == -1
 
@@ -442,7 +461,7 @@ def relative_pairs(X, types):
     ``local_groups`` of X's nerve."""
     S = set(X.labels)
     return [
-        (T, relative_cochain_complex(X.complex, X.mirror_union(S - set(T))).cohomology())
+        (T, relative_cochain_complex(X.complex, mirror_union(X, S - set(T))).cohomology())
         for T in types
     ]
 
@@ -452,7 +471,7 @@ class TestNerveRouteAgainstRelativePairs:
         # K's vertex labels are the spherical subsets; the simplex's are
         # the complements of single generators
         for mat in (FREE3, TRIANGLE333, A2, mk("abcd", [("a", "b", 3), ("c", "d", 5)])):
-            assert davis_chamber(mat).nerve() == nerve(mat)
+            assert davis_chamber(mat).nerve() == nerve(spherical_poset(mat))
             proper = [U for r in range(1, len(mat.labels)) for U in combinations(mat.labels, r)]
             assert classical_chamber(mat).nerve() == SimplicialComplex.from_maximal(proper)
 
@@ -465,7 +484,7 @@ class TestNerveRouteAgainstRelativePairs:
                 mat = random_matrix(rng, rank, (2, 3, 4, 5, 6, 7, INF))
                 poset = spherical_poset(mat)
                 K = davis_chamber(mat)
-                assert K.nerve() == nerve(mat)
+                assert K.nerve() == nerve(poset)
                 for X in (K, classical_chamber(mat)):
                     assert local_groups(X.nerve(), poset) == relative_pairs(X, poset), mat.entries
 

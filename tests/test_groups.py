@@ -11,11 +11,33 @@ from coxtop.coxmatrix import (
     is_spherical,
     spherical_poset,
 )
-from coxtop.groups import descent_set, enumerate_ball, enumerate_group
+from coxtop.groups import enumerate_ball, enumerate_group
 
 
 def mk(labels, pairs):
     return CoxeterMatrix(tuple(labels), {frozenset((s, t)): m for s, t, m in pairs})
+
+
+# References over the enumerated elements, shared with the other test modules.
+
+
+def longest_element(table):
+    """The element of greatest length of a finite group table."""
+    return max(table.elements, key=lambda e: e.length)
+
+
+def descent_count(table, T):
+    """#{w : In(w) = T} over the elements of a table."""
+    T = frozenset(T)
+    return sum(1 for e in table.elements if e.descents == T)
+
+
+def counts_by_length(ball):
+    """The number of elements of each length 0, ..., radius of a ball."""
+    counts = [0] * (ball.radius + 1)
+    for e in ball.elements:
+        counts[e.length] += 1
+    return tuple(counts)
 
 
 A2 = mk("st", [("s", "t", 3)])
@@ -86,7 +108,7 @@ def test_i27_unique_longest():
     full = [e for e in table.elements if e.descents == {"s", "t"}]
     assert len(full) == 1
     assert full[0].length == 7
-    assert table.longest_element().index == full[0].index
+    assert longest_element(table).index == full[0].index
 
 
 def test_identity_and_length_steps():
@@ -111,24 +133,24 @@ def test_descent_partition_counts():
             subtotal = 0
             for k in range(len(T) + 1):
                 for Tp in combinations(T, k):
-                    subtotal += table.descent_count(Tp)
+                    subtotal += descent_count(table, Tp)
             assert subtotal == len(table), T
     full = enumerate_group(mat, "abc")
-    assert full.descent_count(frozenset("abc")) == 1
+    assert descent_count(full, frozenset("abc")) == 1
 
 
 def test_longest_element_descends_everywhere():
     for mat, T, _ in CLASSIFIED_ORDERS:
         table = enumerate_group(mat, T)
-        w0 = table.longest_element()
+        w0 = longest_element(table)
         assert w0.descents == frozenset(table.labels)
 
 
 def test_descent_set_accessor():
     table = enumerate_group(A2, "st")
-    assert descent_set(table, 0) == frozenset()
+    assert table.elements[0].descents == frozenset()
     st = table.index_of_word(("s", "t"))
-    assert descent_set(table, st) == {"t"}
+    assert table.elements[st].descents == {"t"}
 
 
 def test_inverse_roundtrip():
@@ -159,18 +181,18 @@ def test_reducible_with_large_dihedral_factor():
     assert is_spherical(mat, "abc")
     table = enumerate_group(mat, "abc")
     assert len(table) == 28
-    w0 = table.longest_element()
+    w0 = longest_element(table)
     assert w0.length == 8 and w0.descents == frozenset("abc")
 
 
 class TestBalls:
     def test_free_product_counts(self):
         ball = enumerate_ball(FREE3, 3)
-        assert ball.counts_by_length() == (1, 3, 6, 12)
+        assert counts_by_length(ball) == (1, 3, 6, 12)
 
     def test_triangle_counts(self):
         ball = enumerate_ball(TRIANGLE333, 2)
-        assert ball.counts_by_length() == (1, 3, 6)
+        assert counts_by_length(ball) == (1, 3, 6)
 
     def test_radius_zero(self):
         ball = enumerate_ball(TRIANGLE333, 0)
@@ -179,7 +201,7 @@ class TestBalls:
     def test_radius_monotone(self):
         small = enumerate_ball(TRIANGLE333, 2)
         big = enumerate_ball(TRIANGLE333, 4)
-        cs, cb = small.counts_by_length(), big.counts_by_length()
+        cs, cb = counts_by_length(small), counts_by_length(big)
         assert cb[: len(cs)] == cs
 
     def test_prefix_closed(self):
@@ -205,7 +227,7 @@ class TestBalls:
         table = enumerate_group(mat, "st")
         for mask in range(4):
             T = frozenset(l for i, l in enumerate("st") if mask & (1 << i))
-            assert table.descent_count(T) == sum(
+            assert descent_count(table, T) == sum(
                 1 for e in ball.elements if e.descents == T
             )
 
@@ -288,6 +310,6 @@ def test_large_groups_against_degrees(mat):
     table = enumerate_group(mat, mat.labels)
     degrees = coxeter_degrees(mat, mat.labels)
     assert len(table) == prod(degrees)
-    w0 = table.longest_element()
+    w0 = longest_element(table)
     assert w0.length == sum(d - 1 for d in degrees)
     assert w0.descents == frozenset(mat.labels)

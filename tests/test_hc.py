@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from coxtop.chambers import digon_building, fano_building, thin_building
-from coxtop.coxmatrix import INF, CoxeterMatrix, coxeter_degrees, is_spherical
+from coxtop.coxmatrix import INF, CoxeterMatrix, coxeter_degrees, is_spherical, spherical_poset
 from coxtop.groups import enumerate_ball, enumerate_group
 from coxtop.hc import (
     duality_check,
@@ -15,10 +15,17 @@ from coxtop.hc import (
     vcd,
 )
 from coxtop.intlinalg import OMEGA, AbGroup, GradedGroup
+from test_groups import counts_by_length, longest_element
 
 
 def mk(labels, pairs):
     return CoxeterMatrix(tuple(labels), {frozenset((s, t)): m for s, t, m in pairs})
+
+
+def growth(mat, T, radius):
+    """The series of the one type T."""
+    [series] = thin_multiplicity_series(spherical_poset(mat), [T], radius)
+    return series
 
 
 A2 = mk("st", [("s", "t", 3)])
@@ -82,8 +89,9 @@ class TestSolomonMultiplicities:
     @pytest.mark.parametrize("mat", FINITE + [H4, E6, E7], ids=FINITE_NAMES + ["H4", "E6", "E7"])
     def test_closed_form_equals_the_summed_series(self, mat):
         longest = sum(d - 1 for d in coxeter_degrees(mat, mat.labels))
-        for c in hc_standard_realization(mat).contributions:
-            series = thin_multiplicity_series(mat, c.type, longest)
+        terms = hc_standard_realization(mat).contributions
+        every = thin_multiplicity_series(spherical_poset(mat), [c.type for c in terms], longest)
+        for c, series in zip(terms, every, strict=True):
             assert c.multiplicity == sum(series.coefficients), c.type
 
     @pytest.mark.parametrize(
@@ -140,15 +148,15 @@ class TestDuality:
 class TestGrowth:
     def test_empty_type_identity_only(self):
         for mat in (FREE3, TRIANGLE333, DINF):
-            series = thin_multiplicity_series(mat, (), 6)
+            series = growth(mat, (), 6)
             assert series.coefficients == (1, 0, 0, 0, 0, 0, 0)
 
     def test_free_product_powers_of_two(self):
-        series = thin_multiplicity_series(FREE3, ("s",), 8)
+        series = growth(FREE3, ("s",), 8)
         assert series.coefficients == (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
     def test_finite_a2_degenerate(self):
-        series = thin_multiplicity_series(A2, ("s",), 4)
+        series = growth(A2, ("s",), 4)
         assert series.coefficients == (0, 1, 1, 0, 0)
 
     def test_total_matches_ball(self):
@@ -160,16 +168,27 @@ class TestGrowth:
         for r in range(4):
             for T in combinations("stu", r):
                 try:
-                    series = thin_multiplicity_series(FREE3, T, 5)
+                    series = growth(FREE3, T, 5)
                 except ValueError:
                     continue
                 for i, a in enumerate(series.coefficients):
                     total[i] += a
-        assert tuple(total) == ball.counts_by_length()
+        assert tuple(total) == counts_by_length(ball)
 
     def test_nonspherical_rejected(self):
-        with pytest.raises(ValueError):
-            thin_multiplicity_series(FREE3, ("s", "t"), 3)
+        with pytest.raises(ValueError, match="not a spherical subset"):
+            growth(FREE3, ("s", "t"), 3)
+        with pytest.raises(ValueError, match="not a spherical subset"):
+            thin_multiplicity_series(spherical_poset(FREE3), [("s",), ("s", "t")], 3)
+
+    def test_one_call_serves_many_types(self):
+        # in order, repeats kept, each equal to its one-type call
+        poset = spherical_poset(TRIANGLE333)
+        types = [("b",), (), ("a", "c"), ("b",), ("c", "a")]
+        every = thin_multiplicity_series(poset, types, 7)
+        assert [s.type for s in every] == [("b",), (), ("a", "c"), ("b",), ("a", "c")]
+        assert every == [growth(TRIANGLE333, T, 7) for T in types]
+        assert thin_multiplicity_series(poset, [], 7) == []
 
 
 def descent_counts(table, T, radius):
@@ -182,7 +201,7 @@ def descent_counts(table, T, radius):
 
 
 def spherical_types(mat):
-    subsets = (T for r in range(mat.rank + 1) for T in combinations(mat.labels, r))
+    subsets = (T for r in range(len(mat.labels) + 1) for T in combinations(mat.labels, r))
     return [T for T in subsets if is_spherical(mat, T)]
 
 
@@ -210,11 +229,14 @@ class TestGrowthAgainstEnumeration:
         for ms in combinations_with_replacement(sorted(GROWTH_VALUES, key=key), 3):
             mat = mk("abc", [(s, t, m) for (s, t), m in zip(pairs, ms) if m != 2])
             ball = enumerate_ball(mat, 5)
+            types = spherical_types(mat)
             for image in permutations("abc"):
                 perm = dict(zip("abc", image))
                 moved = relabelled(mat, perm)
-                for T in spherical_types(mat):
-                    series = thin_multiplicity_series(moved, [perm[s] for s in T], 5)
+                every = thin_multiplicity_series(
+                    spherical_poset(moved), [[perm[s] for s in T] for T in types], 5
+                )
+                for T, series in zip(types, every, strict=True):
                     assert series.coefficients == descent_counts(ball, T, 5), (ms, image, T)
                     checked += 1
         assert checked == 6 * 372
@@ -222,7 +244,7 @@ class TestGrowthAgainstEnumeration:
         for mat in small + [mk("ab", [])]:
             ball = enumerate_ball(mat, 5)
             for T in spherical_types(mat):
-                series = thin_multiplicity_series(mat, T, 5)
+                series = growth(mat, T, 5)
                 assert series.coefficients == descent_counts(ball, T, 5), (mat.entries, T)
 
     def test_rank_4_sample_against_ball(self):
@@ -232,8 +254,9 @@ class TestGrowthAgainstEnumeration:
             pairs = [(s, t, rng.choice(GROWTH_VALUES)) for s, t in slots]
             mat = mk("abcd", [(s, t, m) for s, t, m in pairs if m != 2])
             ball = enumerate_ball(mat, 4)
-            for T in spherical_types(mat):
-                series = thin_multiplicity_series(mat, T, 4)
+            types = spherical_types(mat)
+            every = thin_multiplicity_series(spherical_poset(mat), types, 4)
+            for T, series in zip(types, every, strict=True):
                 assert series.coefficients == descent_counts(ball, T, 4), (pairs, T)
 
     @pytest.mark.parametrize(
@@ -249,14 +272,37 @@ class TestGrowthAgainstEnumeration:
     )
     def test_finite_types_against_whole_group(self, mat):
         group = enumerate_group(mat, mat.labels)
-        radius = group.longest_element().length + 2
+        radius = longest_element(group).length + 2
         for T in spherical_types(mat):
-            series = thin_multiplicity_series(mat, T, radius)
+            series = growth(mat, T, radius)
             assert series.coefficients == descent_counts(group, T, radius), T
             assert series.coefficients[-2:] == (0, 0)
 
 
 class TestHcReport:
+    def test_growth_report_builds_the_poset_once(self, monkeypatch):
+        # one spherical poset serves the nerve, the local groups and the
+        # series of all 256 types of E8
+        import importlib
+        import pkgutil
+
+        import coxtop
+
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return spherical_poset(mat)
+
+        for info in pkgutil.iter_modules(coxtop.__path__):
+            module = importlib.import_module(f"coxtop.{info.name}")
+            if getattr(module, "spherical_poset", None) is spherical_poset:
+                monkeypatch.setattr(module, "spherical_poset", counted)
+        report = hc_standard_realization(E8, growth_radius=4)
+        assert calls == [E8]
+        assert len(report.contributions) == 256
+        assert all(len(c.series.coefficients) == 5 for c in report.contributions)
+
     def test_free_product_thin(self):
         report = hc_standard_realization(FREE3, "thin", growth_radius=4)
         assert report.totals.degrees() == [1]

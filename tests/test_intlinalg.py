@@ -19,7 +19,6 @@ from coxtop.intlinalg import (
     column_hermite,
     determinant,
     direct_complement,
-    elementary_divisors,
     hermite_basis,
     hermite_coordinates,
     hermite_reduce,
@@ -144,6 +143,12 @@ def heap_divisors(rows):
     return [1] * len(pivots) + [d for d in rest if d]
 
 
+def divisors(rows):
+    """Nonzero invariant factors of sparse rows, peel first: the kernel of
+    cohomology and ``quotient_structure``."""
+    return _divisors_and_pivots(rows)[0]
+
+
 class TestElementaryDivisors:
     @given(sparse_matrices, st.sampled_from([1, 2, 3]))
     @settings(max_examples=300, deadline=None)
@@ -151,7 +156,11 @@ class TestElementaryDivisors:
         # scale 2 and 3 leave no unit entry, so the residual path runs
         a = [[scale * x for x in row] for row in a]
         rows = sparse_rows(a)
-        assert elementary_divisors(rows) == heap_divisors(rows) == nonzero_smith_diagonal(a)
+        diag = nonzero_smith_diagonal(a)
+        assert divisors(rows) == heap_divisors(rows) == diag
+        width = len(a[0]) if a else 0
+        torsion = tuple(d for d in diag if d > 1)
+        assert quotient_structure(width, rows) == AbGroup(width - len(diag), torsion)
 
     @pytest.mark.parametrize(
         "a, expected",
@@ -167,7 +176,7 @@ class TestElementaryDivisors:
     )
     def test_fixed(self, a, expected):
         rows = sparse_rows(a)
-        assert elementary_divisors(rows) == heap_divisors(rows) == expected
+        assert divisors(rows) == heap_divisors(rows) == expected
         assert expected == nonzero_smith_diagonal(a)
 
     def test_only_the_residual_is_factored(self, monkeypatch):
@@ -181,9 +190,9 @@ class TestElementaryDivisors:
             return dense(a)
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
-        assert elementary_divisors([[(0, 1), (1, 1)], [(0, 1), (1, -1)]]) == [1, 2]
+        assert divisors([[(0, 1), (1, 1)], [(0, 1), (1, -1)]]) == [1, 2]
         assert seen == [[[-2]]]
-        assert elementary_divisors(sparse_rows(identity(4))) == [1] * 4
+        assert divisors(sparse_rows(identity(4))) == [1] * 4
         assert len(seen) == 1
 
     @pytest.mark.parametrize(
@@ -196,7 +205,7 @@ class TestElementaryDivisors:
     def test_repeated_index_refused(self, rows, repeated):
         # a dict of the row would keep its last entry: [1, 3] for the first
         with pytest.raises(ValueError, match=repeated):
-            elementary_divisors(rows)
+            quotient_structure(3, rows)
 
 
 def random_peelable(rng):
@@ -274,7 +283,7 @@ class TestPeel:
             lambda rows, where: seen.append([dict(row) for row in rows]) or heap(rows, where),
         )
         rows = [[(0, 1), (1, 1), (2, 1)], [(1, 1), (2, -1)], [(1, 1), (2, 1)], [(3, 1), (2, 2)]]
-        assert elementary_divisors(rows) == [1, 1, 1, 2]
+        assert divisors(rows) == [1, 1, 1, 2]
         assert seen == [[{1: 1, 2: -1}, {1: 1, 2: 1}]]
 
 
@@ -388,7 +397,7 @@ class TestHermite:
         for col in gens_of(a):
             assert hermite_coordinates(basis, col) is not None
         # Hermite columns lie in the original lattice: ranks agree
-        assert len(basis) == smith_normal_form(a).rank()
+        assert len(basis) == len(nonzero_smith_diagonal(a))
 
     def test_reduce_canonical(self):
         basis = column_hermite(gens_of([[2, 0], [0, 3]]))

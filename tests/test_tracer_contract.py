@@ -2,7 +2,9 @@
 
 Renaming or deleting one of the names in ``bench/tracer.py`` ``LAYERS``,
 or changing a format it reads (``CochainComplex.maps``), breaks the traced
-benchmark; these tests make it fail here instead.
+benchmark; these tests make it fail here instead.  So does deleting a
+name that ``bench/workloads.py`` calls, or a change that makes one of its
+job checks fail: one untraced pass of every workload runs here.
 """
 
 import json
@@ -10,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import coxtop
 
@@ -57,3 +61,21 @@ def test_coboundary_metrics_read_the_stored_format():
     assert metrics["complexes.relative_cochain_complex.cells"] == 31
     assert metrics["complexes.relative_cochain_complex.nnz"] == 60
     assert metrics["intlinalg.smith_normal_form.coboundary.calls"] == 1
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_benchmark_job_passes_its_check(workload):
+    # one pass of the workload in a fresh process, as the benchmark runs it
+    # (seed 1), with every job checked against bench/expected.json
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(ROOT), workload, "1", "pass"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    jobs = json.loads(proc.stdout)["jobs"]
+    assert jobs and all(not job["problems"] for job in jobs), jobs
