@@ -415,7 +415,7 @@ def cmd_filtration(args):
     mat = _read_matrix(args.matrix)
     system = resolve_verified_building(args, mat)
     report = filtration_ranks(system)
-    graded = graded_module_report(system.matrix, system)
+    graded = graded_module_report(system)
     payload = {
         "filtration": report.to_json(),
         "graded_modules": graded.to_json(),

@@ -126,10 +126,9 @@ class SimplicialComplex:
         return faces if faces <= self.faces else None
 
     def to_json(self):
+        labels = list(map(_label_json, self.vertices))
         return [
-            [_label_json(self.vertices[i]) for i in f]
-            for k in range(self.dim + 1)
-            for f in self.faces_of_dim(k)
+            [labels[i] for i in f] for k in range(self.dim + 1) for f in self.faces_of_dim(k)
         ]
 
 
@@ -244,20 +243,24 @@ def cochain_complex(cells_by_degree, size=None, restrict=None):
         low = blocks[k]
         rows = []
         for g in blocks[k + 1]:
-            # per face f of g in the complex: (first basis index, sign),
-            # and with ``size`` also restrict(g, f)
+            # per face f of g in the complex: (first basis index, sign), or
+            # with ``size`` the column of those over restrict(g, f)
             row = []
             sign = 1
             for p in range(len(g)):
                 f = g[:p] + g[p + 1 :]
                 j = low.get(f)
                 if j is not None:
-                    row.append((j, sign) if size is None else (j, sign, restrict(g, f)))
+                    row.append(
+                        (j, sign) if size is None else [(j + u, sign) for u in restrict(g, f)]
+                    )
                 sign = -sign
             if size is None:
                 rows.append(row)
-            else:
-                rows.extend([(j + up[i], sign) for j, sign, up in row] for i in range(sizes[g]))
+            elif row:
+                rows.extend(map(list, zip(*row)))
+            else:  # no face of g in the complex: size(g) empty rows
+                rows.extend([] for _ in range(sizes[g]))
         maps[k] = rows
     return CochainComplex(dims, maps)
 

@@ -65,7 +65,7 @@ from .intlinalg import (
     basis_quotient,
     determinant,
     direct_complement,
-    hermite_basis,
+    echelon_basis,
     quotient_structure,
 )
 
@@ -365,8 +365,8 @@ def sigma_formula_check(system, T, U):
 
     # pair (sigma^U, boundary of sigma^U)
     direct_bnd = _augmented_pair_cohomology(dec, X, sigma_U, sigma_U & sigma_W)
-    # one Hermite basis of the span of the A^{T+s}, s in U, for both routes
-    basis_U = hermite_basis(rT, dec.span_in_coordinates(T, [T | {s} for s in U]))
+    # one echelon basis of the span of the A^{T+s}, s in U, for both routes
+    basis_U = echelon_basis(rT, dec.span_in_coordinates(T, [T | {s} for s in U]))
     quo_bnd = AbGroup(len(basis_U))
     sum_bnd = AbGroup(
         sum(
@@ -454,7 +454,7 @@ def filtration_ranks(system):
         dec.span_in_coordinates(frozenset(), [T for T in dec.poset if len(T) >= p])
         for p in range(max_p + 2)
     ]
-    bases = [hermite_basis(system.size, g) for g in steps]
+    bases = [echelon_basis(system.size, g) for g in steps]
     ranks = [len(b) for b in bases]
     graded = [basis_quotient(system.size, bases[p], steps[p + 1]) for p in range(max_p + 1)]
     if graded == expected:

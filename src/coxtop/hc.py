@@ -33,7 +33,7 @@ from math import prod
 from .complexes import local_groups, nerve
 from .coxmatrix import coxeter_degrees, is_spherical, spherical_poset
 from .decomposition import BuildingDecomposition
-from .intlinalg import OMEGA, GradedGroup, lattice_rank
+from .intlinalg import OMEGA, GradedGroup, echelon_basis
 
 
 @dataclass(frozen=True)
@@ -375,17 +375,17 @@ class GradedModuleReport:
         }
 
 
-def graded_module_report(matrix, system):
+def graded_module_report(system):
     """Associated-graded ranks: per p, the sum over |T| = p of
     H(K, K^{S-T}) tensored with D^T; the rows must total the realization
-    cohomology of the standard realization.
+    cohomology of the standard realization of ``system``.
 
-    The rank of D^T is read as rank A^T - rank A^{>T} from the column
-    Hermite form of A^{>T}, an elimination independent of the Smith
+    The rank of D^T is read as rank A^T - rank A^{>T}, the length of an
+    echelon basis of A^{>T}: an elimination independent of the Smith
     complement whose rank ``hc_standard_realization`` multiplies by.
     """
     # raises TorsionObstruction when some D^T has torsion
-    hc = hc_standard_realization(matrix, system)
+    hc = hc_standard_realization(system.matrix, system)
     locals_ = {frozenset(c.type): c.local for c in hc.contributions}
     dec = BuildingDecomposition(system)
     max_p = dec.poset.max_cardinality
@@ -396,7 +396,8 @@ def graded_module_report(matrix, system):
         for T in dec.poset:
             if len(T) != p:
                 continue
-            rank = dec.residue_count(T) - lattice_rank(dec.above_in_coordinates(T))
+            rT = dec.residue_count(T)
+            rank = rT - len(echelon_basis(rT, dec.above_in_coordinates(T)))
             graded = graded.direct_sum(locals_[T].tensor_free(rank))
         rows.append((p, graded))
         totals = totals.direct_sum(graded)

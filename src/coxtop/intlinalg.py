@@ -1,34 +1,36 @@
 """Exact integer linear algebra: Smith and Hermite forms, quotients,
 complements, and cohomology of cochain complexes of free abelian groups.
 
-The cohomology and lattice kernels eliminate +-1 pivots on sparse rows
-and run a dense Smith form (Bareiss, for the determinant) only on the
-residual block, which has no unit entry.  A +-1 alone in its column is
-peeled first, with no row operation (``_peel``); only the rows left over
-are indexed for the elimination.  Cohomology and
-``quotient_structure`` need only the invariant factors, which
-``_divisors_and_pivots`` finds that way.  Cohomology factors the maps
-from the top degree down with clearing (Chen and Kerber's twist, over
-Z): if d^k has unit pivots in rows P and columns Q, then d^k[P, Q] is
-unimodular and d^k d^{k-1} = 0, so the rows Q of d^{k-1} lie in the
-Z-span of its other rows.  Dropping them changes neither the row lattice
-nor the nonzero invariant factors of d^{k-1}, whether or not it has a
-residual block, so each map is factored once, less the rows the map
-above cleared.  ``determinant`` expands along the
-unit pivots; ``direct_complement`` replays the pivot order of the
-transform-carrying ``smith_normal_form`` on sparse rows, so its choice of
-complement is that of the dense form, and it reduces that complement
-against an echelon basis only when the elimination has not already shown
-it canonical.  ``column_hermite`` back-reduces the echelon form that
-``_echelon`` finds on sparse columns bucketed by leading index; the
-Hermite form is unique, so it is the same lattice basis the dense gcd
-algorithm gives.
+The cohomology and lattice kernels share one unit-pivot elimination,
+``_eliminate``: a +-1 alone in its column is peeled with no row operation
+(``_peel``), only the rows left over are indexed for the other +-1
+pivots, and a dense Smith form (Bareiss, for ``determinant``) runs only
+on the residual block, which has no unit entry.  Cohomology and
+``quotient_structure`` read the invariant factors off it
+(``_divisors_and_pivots``); ``determinant`` expands along its pivots.
+Cohomology factors the maps from the top degree down with clearing (Chen
+and Kerber's twist, over Z): if d^k has unit pivots in rows P and
+columns Q, then d^k[P, Q] is unimodular and d^k d^{k-1} = 0, so the rows
+Q of d^{k-1} lie in the Z-span of its other rows.  Dropping them changes
+neither the row lattice nor the nonzero invariant factors of d^{k-1},
+whether or not it has a residual block, so each map is factored once,
+less the rows the map above cleared.
+
+``direct_complement`` replays the pivot order of the transform-carrying
+``smith_normal_form`` on sparse rows, so its choice of complement is that
+of the dense form, and it reduces that complement against an echelon
+basis only when the elimination has not already shown it canonical.
+Every lattice reader takes one basis, ``echelon_basis``, the echelon
+form ``_echelon`` finds on sparse columns bucketed by leading index: its
+length is the rank, and coordinates in it are read by forward
+substitution on its pivots.  ``column_hermite`` back-reduces it to the
+unique Hermite form, which no program path needs.
 
 There is one sparse format.  A coboundary is a list of rows and a module
 lattice in Z^n is a list of generators; either way each is a list of
 (index, entry) pairs, nonzero, no index twice, and the ambient rank n is
 passed alongside.  ``quotient_structure``, ``direct_complement``,
-``hermite_basis``, ``basis_quotient`` and ``determinant`` refuse an
+``echelon_basis``, ``basis_quotient`` and ``determinant`` refuse an
 index outside [0, n), and they refuse a row that names one index twice
 (``CochainComplex.validate`` checks the maps).  Only ``matmul``,
 ``smith_normal_form`` and the residual blocks it factors are dense lists
@@ -111,12 +113,10 @@ def determinant(a, n):
     """Determinant of the n x n integer matrix with the sparse columns a.
 
     The columns are eliminated as the rows of the transpose, which has the
-    same determinant.  Its unit pivots of ``_unit_pivots`` expand it along
+    same determinant.  The unit pivots of ``_eliminate`` expand it along
     their columns; the square block of the rows and columns they leave, in
     their original order, goes to Bareiss.  The sign is that of the
     permutation matching every row to its pivot column or residual column.
-    No ``_peel`` runs first: a renumbered witness has almost no unit alone
-    in its column, so the pass would only add a sweep.
 
     >>> determinant([[(0, 1), (1, 3)], [(0, 2), (1, 4)]], 2)
     -2
@@ -124,25 +124,23 @@ def determinant(a, n):
     if len(a) != n:
         raise ValueError(f"determinant of {len(a)} columns in Z^{n}: not square")
     _check_generators(n, a)
-    rows, where = _indexed(a)
+    pivots, residual = _eliminate(a)
+    if len(pivots) + len(residual) < n:
+        return 0  # a row with no pivot was zero or became zero
     perm = [None] * n
     sign = 1
-    for p, q, u in _unit_pivots(rows, where):
+    for p, q, u in pivots:
         perm[p] = q
         sign *= u
-    left = [i for i in range(n) if perm[i] is None]
-    if any(not rows[i] for i in left):
-        return 0
-    taken = set(perm)
-    cols = [j for j in range(n) if j not in taken]
-    for i, j in zip(left, cols):
+    cols = sorted(set(range(n)).difference(perm))
+    for i, j in zip(residual, cols):
         perm[i] = j
     for i in range(n):  # sort perm by transpositions
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], j
             sign = -sign
-    return sign * _bareiss([[rows[i].get(j, 0) for j in cols] for i in left])
+    return sign * _bareiss([[row.get(j, 0) for j in cols] for row in residual.values()])
 
 
 def _bareiss(a):
@@ -408,24 +406,25 @@ def _unit_pivots(rows, where):
     return pivots
 
 
+def _eliminate(rows, cleared=frozenset()):
+    """Unit-pivot elimination of sparse rows less the rows ``cleared``:
+    ``_peel``, then ``_unit_pivots`` on the dict rows of the core.  Returns
+    the pivots as (row, column, unit) and the residual rows, which have no
+    unit entry, as {row: {column: entry}}, in the caller's row numbers."""
+    peeled, core = _peel(rows, cleared)
+    work, where = _indexed([rows[i] for i in core])
+    pivots = peeled + [(core[p], q, u) for p, q, u in _unit_pivots(work, where)]
+    return pivots, {core[i]: row for i, row in enumerate(work) if row}
+
+
 def _divisors_and_pivots(rows, cleared=frozenset()):
     """Nonzero invariant factors of a sparse integer matrix less the rows
-    ``cleared``, and the columns of its unit pivots.
-
-    A +-1 entry splits the matrix unimodularly as 1 + A'.  The ones alone
-    in their column are peeled first (``_peel``), with no row operation;
-    only the core they leave is copied into dict rows, where the other
-    unit pivots are eliminated (``_unit_pivots``).  The residual block,
-    which has no unit entry, is compacted and factored by
-    ``smith_normal_form``.
-    """
-    peeled, core = _peel(rows, cleared)
-    rows, where = _indexed([rows[i] for i in core])
-    pivots = peeled + _unit_pivots(rows, where)
-    live = [row for row in rows if row]
-    cols = sorted({j for row in live for j in row})
-    residual = [[row.get(j, 0) for j in cols] for row in live]
-    rest = smith_normal_form(residual).diagonal() if residual else []
+    ``cleared``, and the columns of its unit pivots: ``_eliminate``, then
+    ``smith_normal_form`` on the compacted residual block."""
+    pivots, residual = _eliminate(rows, cleared)
+    cols = sorted({j for row in residual.values() for j in row})
+    block = [[row.get(j, 0) for j in cols] for row in residual.values()]
+    rest = smith_normal_form(block).diagonal() if block else []
     return [1] * len(pivots) + [d for d in rest if d], {q for _, q, _ in pivots}
 
 
@@ -498,26 +497,25 @@ def _sub_multiple(c, q, u):
             del c[i]
 
 
-def lattice_rank(gens):
-    """Rank of the lattice the generators span: the length of an echelon
-    basis, which needs no back-reduction."""
-    return len(_echelon(gens))
-
-
-def hermite_coordinates(basis, v):
-    """Sparse coordinates of the sparse vector v in the Hermite basis of
-    ``column_hermite``, or None if v is not in the lattice."""
-    v = dict(v)
-    coords = []
-    for j, col in enumerate(basis):
-        p, pivot = col[0]
-        q, r = divmod(v.get(p, 0), pivot)
-        if r:
-            return None
-        if q:
+def echelon_coordinates(basis, vectors):
+    """Sparse coordinates of each sparse vector in the echelon basis
+    ``basis``, or None for a vector outside its lattice.  A lattice
+    vector's least index is the pivot of its first column with a nonzero
+    coordinate, so each vector is read from its least index up."""
+    column_at = {col[0][0]: j for j, col in enumerate(basis)}
+    out = []
+    for v in vectors:
+        v = dict(v)
+        coords = []
+        while v and (j := column_at.get(min(v))) is not None:
+            p, pivot = basis[j][0]
+            q, r = divmod(v[p], pivot)
+            if r:
+                break
             coords.append((j, q))
-            _sub_multiple(v, q, col)
-    return None if v else coords
+            _sub_multiple(v, q, basis[j])
+        out.append(None if v else coords)
+    return out
 
 
 def hermite_reduce(basis, v):
@@ -526,7 +524,7 @@ def hermite_reduce(basis, v):
     [0, pivot).
 
     ``basis`` may be any echelon basis with positive pivots in increasing
-    order, such as ``_echelon`` or the Hermite basis of ``column_hermite``.
+    order: ``echelon_basis``, or the Hermite basis of ``column_hermite``.
     A later column is zero at every earlier pivot, so one pass in pivot
     order leaves each reduced entry as it is; the pivot entries are those
     of the Hermite form, and a lattice vector with every pivot entry in
@@ -743,24 +741,21 @@ def _complement_tails(n, gens):
     return tail, False
 
 
-def hermite_basis(n, gens):
-    """``column_hermite`` of sparse generators in Z^n, after refusing an
-    index outside [0, n); its length is the rank of the lattice."""
+def echelon_basis(n, gens):
+    """``_echelon`` of sparse generators in Z^n, after refusing an index
+    outside [0, n); its length is the rank of the lattice."""
     _check_generators(n, gens)
-    return column_hermite(gens)
+    return _echelon(gens)
 
 
 def basis_quotient(n, basis, small):
     """Structure of L / span(small), for L the lattice in Z^n with the
-    Hermite basis ``basis`` of ``hermite_basis``; ``small`` must lie in L.
+    echelon basis ``basis`` of ``echelon_basis``; ``small`` must lie in L.
     """
     _check_generators(n, small)
-    coords = []
-    for g in small:
-        c = hermite_coordinates(basis, g)
-        if c is None:
-            raise ValueError("generator of the small module lies outside the big one")
-        coords.append(c)
+    coords = echelon_coordinates(basis, small)
+    if None in coords:
+        raise ValueError("generator of the small module lies outside the big one")
     return quotient_structure(len(basis), coords)
 
 

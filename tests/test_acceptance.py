@@ -259,7 +259,7 @@ def test_criterion_11_filtration_and_graded_modules():
         filt = filtration_ranks(system)
         assert filt.matches, system.size
         assert sum(g.free for g in filt.graded) == system.size
-        graded = graded_module_report(system.matrix, system)
+        graded = graded_module_report(system)
         realized = realization_cohomology(system, davis_chamber(system.matrix))
         assert graded.totals == realized, system.size
         assert graded.matches_hc

@@ -56,6 +56,23 @@ def run(capsys, argv):
     return code, out
 
 
+def renumbered_fano_x_fano(capsys, a2_file, tmp_path):
+    """A chamber file of fano x fano with its chambers renumbered and its
+    panel blocks shuffled by ``random.Random(20)``."""
+    path = tmp_path / "fanoxfano.bld"
+    assert main(["realize", a2_file, "--building", "fanoxfano", "--out", str(path)]) == 0
+    capsys.readouterr()
+    system = parse_chamber_system(path.read_text())
+    rng = random.Random(20)
+    perm = rng.sample(range(system.size), system.size)
+    panels = {
+        s: tuple(frozenset(perm[c] for c in b) for b in rng.sample(blocks, len(blocks)))
+        for s, blocks in system.panels.items()
+    }
+    path.write_text(ChamberSystem(system.matrix, panels, system.size).to_text())
+    return path
+
+
 class TestBasicVerbs:
     def test_vcd_triangle(self, capsys, triangle_file):
         code, out = run(capsys, ["vcd", triangle_file])
@@ -690,22 +707,49 @@ class TestDeterminism:
         # renumbering moves every residue's least chamber, which orders the
         # rank-2 residue checks; the digest was recorded from the code that
         # grouped each residue's chambers off its partition map
-        path = tmp_path / "fanoxfano.bld"
-        assert main(["realize", a2_file, "--building", "fanoxfano", "--out", str(path)]) == 0
-        capsys.readouterr()
-        system = parse_chamber_system(path.read_text())
-        rng = random.Random(20)
-        perm = rng.sample(range(system.size), system.size)
-        panels = {
-            s: tuple(frozenset(perm[c] for c in b) for b in rng.sample(blocks, len(blocks)))
-            for s, blocks in system.panels.items()
-        }
-        path.write_text(ChamberSystem(system.matrix, panels, system.size).to_text())
+        path = renumbered_fano_x_fano(capsys, a2_file, tmp_path)
         code, out = run(capsys, ["verify-building", "--chamber-file", str(path), "--json"])
         assert code == 0 and json.loads(out)["passed"]
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "54aa43126d70c2fbf6a542a9fb57275e0c2a0715f07e51aa889eb645a332401a"
         )
+
+    @pytest.mark.parametrize(
+        "verb, digest",
+        [
+            ("sigma-check", "ca6efaeffd0edb960f4b72fecf8e9da7a82b586157d0be8d6be282c3e6110fc8"),
+            ("filtration", "01b36ee53d87c49a6efa4549f25d5b4364ca759c57ec4f604a02cf41f46e789a"),
+            ("decompose", "1326f3f424330ec157f0d12c37dc5b8ba254f72a62468c527c8b2c20a0696f29"),
+            ("verify-decomposition",
+             "5d14d86295b278ff8bb16cbf606773271c9cad657c853cd24e4342957e0d3f92"),
+        ],
+    )
+    def test_lattice_verbs_on_a_renumbered_product_are_pinned(
+        self, capsys, a2_file, tmp_path, verb, digest
+    ):
+        # the lattice kernels do the most work on a renumbered chamber
+        # file; recorded from the code that read ranks and quotients off
+        # the back-reduced Hermite basis and expanded the witness
+        # determinant with no peel
+        path = renumbered_fano_x_fano(capsys, a2_file, tmp_path)
+        matrix = tmp_path / "a2a2.cox"
+        matrix.write_text("gens s t s1 t1\ns t 3\ns1 t1 3\n")
+        code, out = run(capsys, [verb, str(matrix), "--chamber-file", str(path), "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_no_verb_reaches_the_hermite_form(self, capsys, a2_file, monkeypatch):
+        # every lattice reader takes an echelon basis; column_hermite is
+        # kept as the reference for the unique Hermite form only
+        def refused(gens):
+            raise AssertionError("a verb reached column_hermite")
+
+        for name in list(sys.modules):
+            if name.startswith("coxtop") and hasattr(sys.modules[name], "column_hermite"):
+                monkeypatch.setattr(sys.modules[name], "column_hermite", refused)
+        for verb in ("sigma-check", "filtration", "decompose", "verify-decomposition", "hc"):
+            code, _ = run(capsys, [verb, a2_file, "--building", "fanoxfano", "--json"])
+            assert code == 0, verb
 
     def test_nerve_text_is_seed_independent(self, triangle_file):
         # the plain-text face list must not follow set iteration order

@@ -211,6 +211,27 @@ class TestVertexLabelTable:
             assert X.face_label(()) == frozenset("abc")
 
 
+class TestComplexJson:
+    def test_each_vertex_label_is_converted_once(self, monkeypatch):
+        # the realized vertex labels are (model vertex, residue) pairs; the
+        # face lists index one converted table instead of converting a
+        # label once per face it lies in
+        from coxtop import complexes
+        from coxtop.chambers import fano_building
+        from coxtop.realization import realize
+
+        X = realize(fano_building(), davis_chamber(A2))
+        calls = []
+        convert = complexes._label_json
+        monkeypatch.setattr(complexes, "_label_json", lambda v: calls.append(v) or convert(v))
+        table = [complexes._label_json(v) for v in X.vertices]
+        once = len(calls)
+        faces = X.to_json()
+        assert len(calls) == 2 * once
+        assert faces == [[table[i] for i in f] for k in range(X.dim + 1) for f in X.faces_of_dim(k)]
+        assert len(faces) > len(X.vertices)
+
+
 class TestRelativeCohomology:
     def test_disk_rel_boundary(self):
         disk = SimplicialComplex.from_maximal([frozenset("abc")])

@@ -397,21 +397,21 @@ class TestInvariants:
 class TestGradedModules:
     def test_fano(self):
         sys = fano_building()
-        report = graded_module_report(sys.matrix, sys)
+        report = graded_module_report(sys)
         assert report.matches_hc
         ranks = {p: sum(g[k].free for k in g.degrees()) for p, g in report.rows}
         assert sum(ranks.values()) == sum(report.totals[k].free for k in report.totals.degrees())
 
     def test_thin_a2(self):
         sys = thin_building(A2)
-        report = graded_module_report(sys.matrix, sys)
+        report = graded_module_report(sys)
         assert report.matches_hc
         # p = 0 row: H(K, K^S) = 0 for spherical type, times D^0 rank 1
         p0 = dict(report.rows)[0]
         assert p0 == GradedGroup({})
 
     def test_wrong_multiplicity_is_caught(self, monkeypatch):
-        # the rows read rank D^T from the Hermite form, so a wrong rank
+        # the rows read rank D^T from an echelon basis, so a wrong rank
         # of hat(A)^T in the hc totals must make the check fail
         from coxtop.decomposition import BuildingDecomposition
 
@@ -422,9 +422,9 @@ class TestGradedModules:
             "splitting_rank",
             lambda self, T: right(self, T) + 1,
         )
-        assert not graded_module_report(sys.matrix, sys).matches_hc
+        assert not graded_module_report(sys).matches_hc
 
     def test_zero_row_beyond_max(self):
         sys = thin_building(A2)
-        report = graded_module_report(sys.matrix, sys)
+        report = graded_module_report(sys)
         assert max(p for p, _ in report.rows) == 2

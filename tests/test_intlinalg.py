@@ -19,11 +19,10 @@ from coxtop.intlinalg import (
     column_hermite,
     determinant,
     direct_complement,
-    hermite_basis,
-    hermite_coordinates,
+    echelon_basis,
+    echelon_coordinates,
     hermite_reduce,
     identity,
-    lattice_rank,
     matmul,
     quotient_structure,
     shape,
@@ -388,6 +387,26 @@ class TestSparseLatticeKernels:
         assert all(len(a) < 441 for a in seen["_bareiss"])
 
 
+def column_coordinates(basis, v):
+    """Sparse coordinates of the sparse vector v in an echelon basis, or
+    None if v is not in the lattice: every basis column in turn, each
+    clearing v at its pivot.  The reference for ``echelon_coordinates``."""
+    v = dict(v)
+    coords = []
+    for j, col in enumerate(basis):
+        p, pivot = col[0]
+        q, r = divmod(v.get(p, 0), pivot)
+        if r:
+            return None
+        if q:
+            coords.append((j, q))
+            for i, x in col:
+                v[i] = v.get(i, 0) - q * x
+                if not v[i]:
+                    del v[i]
+    return None if v else coords
+
+
 class TestHermite:
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
@@ -395,7 +414,7 @@ class TestHermite:
         basis = column_hermite(gens_of(a))
         # every original column lies in the Hermite lattice
         for col in gens_of(a):
-            assert hermite_coordinates(basis, col) is not None
+            assert column_coordinates(basis, col) is not None
         # Hermite columns lie in the original lattice: ranks agree
         assert len(basis) == len(nonzero_smith_diagonal(a))
 
@@ -404,12 +423,45 @@ class TestHermite:
         assert hermite_reduce(basis, [(0, 5), (1, 7)]) == [(0, 1), (1, 1)]
 
     def test_rank(self):
-        assert lattice_rank(gens_of([[1, 2], [2, 4]])) == 1
-        # the echelon basis it counts is as long as the Hermite basis
+        assert len(echelon_basis(2, gens_of([[1, 2], [2, 4]]))) == 1
+        # the echelon basis is as long as the Hermite basis
         rng = random.Random(18)
         for _ in range(50):
             a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 5))]
-            assert lattice_rank(gens_of(a)) == len(column_hermite(gens_of(a)))
+            assert len(echelon_basis(len(a), gens_of(a))) == len(column_hermite(gens_of(a)))
+
+
+class TestEchelonCoordinates:
+    """``echelon_coordinates`` reads each vector from its least index up,
+    against ``column_coordinates``, which visits every basis column."""
+
+    def test_random_lattices(self):
+        rng = random.Random(2412)
+        inside = outside = 0
+        for _ in range(400):
+            n, m = rng.randint(1, 7), rng.randint(0, 6)
+            entries = rng.choice([(0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -2, 3), (0, 2, -2, 4)])
+            gens = [[(i, x) for i in range(n) if (x := rng.choice(entries))] for _ in range(m)]
+            vectors = []
+            for _ in range(6):
+                v = {}
+                for g in gens:  # a random combination: inside the lattice
+                    c = rng.randint(-3, 3)
+                    for i, x in g:
+                        v[i] = v.get(i, 0) + c * x
+                if rng.random() < 0.5:  # most often moved outside
+                    i = rng.randrange(n)
+                    v[i] = v.get(i, 0) + rng.choice([1, -1, 2, 3])
+                vectors.append(sorted((i, x) for i, x in v.items() if x))
+            for basis in (echelon_basis(n, gens), column_hermite(gens)):
+                expected = [column_coordinates(basis, v) for v in vectors]
+                assert echelon_coordinates(basis, vectors) == expected
+                inside += sum(c is not None for c in expected)
+                outside += sum(c is None for c in expected)
+        assert inside > 1000 and outside > 1000
+
+    def test_empty_basis(self):
+        assert echelon_coordinates([], [[], [(0, 1)]]) == [[], None]
 
 
 def dense_hermite(a):
@@ -544,9 +596,9 @@ class TestComplement:
 
 def submodule_quotient(n, big, small):
     """span(big) / span(small) by the path ``sigma-check`` and
-    ``filtration`` take: the Hermite basis of the big module, then the
+    ``filtration`` take: the echelon basis of the big module, then the
     quotient by the small one in its coordinates."""
-    return basis_quotient(n, hermite_basis(n, big), small)
+    return basis_quotient(n, echelon_basis(n, big), small)
 
 
 class TestSubmoduleQuotient:
@@ -851,11 +903,11 @@ def test_repeated_index_refused_at_the_lattice_entry_points():
     with pytest.raises(ValueError, match="row 0 names index 0 twice"):
         determinant([[(0, 1), (0, 1)], [(1, 1)]], 2)
     gens = [[(1, 3)], [(2, 1), (0, 2), (2, -1)]]
-    for check in (quotient_structure, direct_complement, hermite_basis):
+    for check in (quotient_structure, direct_complement, echelon_basis):
         with pytest.raises(ValueError, match="row 1 names index 2 twice"):
             check(3, gens)
     with pytest.raises(ValueError, match="row 1 names index 2 twice"):
-        basis_quotient(3, hermite_basis(3, [[(0, 1)], [(1, 1)], [(2, 1)]]), gens)
+        basis_quotient(3, echelon_basis(3, [[(0, 1)], [(1, 1)], [(2, 1)]]), gens)
     with pytest.raises(ValueError, match="map at degree 0, row 1 names index 1 twice"):
         CochainComplex({0: 2, 1: 2}, {0: [[(0, 1)], [(1, 1), (1, -1)]]}).validate()
 
@@ -881,6 +933,37 @@ def test_determinant_with_lone_units_matches_bareiss():
         nonzero += d != 0
         lone += len(_peel(gens_of(a))[0])  # lone units of the transpose
     assert nonzero > 50 and lone > 300
+
+
+class TestDeterminantPeels:
+    """``determinant`` runs ``_eliminate`` like the other unit-pivot
+    kernels, the peel included."""
+
+    @pytest.fixture
+    def peeled(self, monkeypatch):
+        """The pivots of every ``_peel`` call."""
+        calls = []
+        peel = intlinalg._peel
+        monkeypatch.setattr(intlinalg, "_peel", lambda *a: calls.append(peel(*a)[0]) or peel(*a))
+        return calls
+
+    def test_peel_runs_inside_determinant(self, peeled):
+        # the transpose rows (1, 0) and (3, 1): column 1 is lone, then column 0
+        assert det([[1, 3], [0, 1]]) == 1
+        assert peeled == [[(1, 1, 1), (0, 0, 1)]]
+
+    @pytest.mark.parametrize("seed", [None, "thick-decomposition:7"], ids=["plain", "renumbered"])
+    def test_fano_x_fano_witness_matches_bareiss(self, seed, peeled):
+        from coxtop.decomposition import BuildingDecomposition
+
+        system = BUILT_INS["fanoxfano"]()
+        if seed is not None:
+            system = shuffled(system, random.Random(seed))
+        w = BuildingDecomposition(system).witness(frozenset())
+        del peeled[:]  # the splittings' quotients peel too
+        assert w.determinant == determinant(gens_of(w.matrix), len(w.matrix))
+        assert len(peeled) == 1
+        assert w.determinant == _bareiss(w.matrix) in (1, -1)
 
 
 def reference_complement(n, gens):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,7 @@ from coxtop.complexes import (
     relative_cohomology,
 )
 from coxtop.coxmatrix import CoxeterMatrix, spherical_poset
+from coxtop.decomposition import sigma_formula_check
 from coxtop.hc import hc_standard_realization
 from coxtop.intlinalg import AbGroup, GradedGroup
 from coxtop.realization import (
@@ -28,6 +30,7 @@ from coxtop.realization import (
     realization_cohomology,
     realize,
 )
+from test_chambers import BUILT_INS
 from test_complexes import mirror_union
 from test_intlinalg import uncleared_cohomology
 
@@ -171,6 +174,92 @@ class TestResidueBlocksAgainstGluedComplex:
         assert len(system.least_chambers({"s", "t"})) == 2
         assert realization_cochain_complex(system, X).dims == {0: 6, 1: 12, 2: 8}
         assert realization_cohomology(system, X) == SPHERE2
+
+
+def per_cell_block_complex(cells_by_degree, size, restrict):
+    """Dims and maps of ``cochain_complex`` with ``size``, each cell's rows
+    written by one comprehension over the basis elements of its block:
+    row i holds (j + restrict(g, f)[i], sign) over the faces f of g.  The
+    reference for the rows read across from per-face columns."""
+    blocks, sizes, dims = {}, {}, {}
+    for k, cells in cells_by_degree.items():
+        blocks[k], total = {}, 0
+        for c in cells:
+            r = sizes[c] = size(c)
+            if r:
+                blocks[k][c] = total
+                total += r
+        if total:
+            dims[k] = total
+    maps = {}
+    for k in sorted(dims):
+        if k + 1 not in dims:
+            continue
+        rows = []
+        for g in blocks[k + 1]:
+            row, sign = [], 1
+            for p in range(len(g)):
+                f = g[:p] + g[p + 1 :]
+                j = blocks[k].get(f)
+                if j is not None:
+                    row.append((j, sign, restrict(g, f)))
+                sign = -sign
+            rows.extend([(j + up[i], sign) for j, sign, up in row] for i in range(sizes[g]))
+        maps[k] = rows
+    return dims, maps
+
+
+class TestBlockRowsAgainstPerCellRows:
+    """Every residue-block complex against ``per_cell_block_complex``."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Checks each complex that ``residue_cochain_complex`` writes and
+        keeps its maps."""
+        from coxtop import decomposition
+
+        seen = []
+        build = decomposition.cochain_complex
+
+        def checked(cells_by_degree, size, restrict):
+            cx = build(cells_by_degree, size, restrict)
+            assert (cx.dims, cx.maps) == per_cell_block_complex(cells_by_degree, size, restrict)
+            seen.append(cx.maps)
+            return cx
+
+        monkeypatch.setattr(decomposition, "cochain_complex", checked)
+        return seen
+
+    @pytest.mark.parametrize("model", ["delta", "K"])
+    @pytest.mark.parametrize("name", list(dict.fromkeys([*BUILT_INS, *RESIDUE_BLOCK_SYSTEMS])))
+    def test_realized(self, name, model, checked):
+        system = {**BUILT_INS, **RESIDUE_BLOCK_SYSTEMS}[name]()
+        chamber = classical_chamber if model == "delta" else davis_chamber
+        realization_cochain_complex(system, chamber(system.matrix))
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("name", ["fano", "digon(3,3)", "fanoxa1", "thin-A3", "fanoxfano"])
+    def test_sigma_pairs(self, name, checked):
+        system = BUILT_INS[name]()
+        S = system.matrix.labels
+        pairs = 0
+        for T in spherical_poset(system.matrix):
+            free = [s for s in S if s not in T]
+            for r in range(len(free) + 1):
+                for U in combinations(free, r):
+                    sigma_formula_check(system, T, frozenset(U))
+                    pairs += 1
+        assert len(checked) == 3 * pairs and any(checked)
+
+    def test_cell_with_no_face_gets_empty_rows(self):
+        # the edge (1, 2) has no vertex in the complex, but the vertex (0,)
+        # is there, so d^0 exists and holds two empty rows for the edge
+        from coxtop.complexes import cochain_complex
+
+        cells = {0: [(0,)], 1: [(1, 2)]}
+        cx = cochain_complex(cells, lambda c: 2, lambda g, f: (0, 1))
+        assert (cx.dims, cx.maps) == per_cell_block_complex(cells, lambda c: 2, None)
+        assert cx.maps == {0: [[], []]}
 
 
 CLEARING_SYSTEMS = [
