@@ -12,7 +12,7 @@ from .coxmatrix import (
     parse_coxeter_matrix,
     spherical_poset,
 )
-from .groups import BallTable, Element, ElementTable, enumerate_ball, enumerate_group
+from .groups import Element, ElementTable, enumerate_ball, enumerate_group
 from .intlinalg import (
     OMEGA,
     AbGroup,

@@ -20,14 +20,16 @@ the generalized-polygon structure of rank-2 residues (girth 2m, diameter
 m of the panel incidence graph), and consistency of the W-valued
 distance obtained from minimal galleries.
 
-The distance is read off one layered breadth-first pass from every
+The distance is decided by one layered breadth-first pass from every
 chamber at once over a per-system chamber -> (generator index,
 neighbour) table: the sources are the bits of Python ints, and each
 chamber keeps, per group element, the sources whose minimal galleries to
-it realize that element.  ``gallery_distances``, one search from one
-chamber, names the first failing pair.  A finite chamber system of
-infinite type is never a building: an apartment has |W| = infinity
-chambers.
+it realize that element.  A pass that finds every distance defined and
+reduced has shown symmetry too, since reversing a minimal gallery
+inverts its type.  Only a failing pass runs ``gallery_distances``, one
+search from one chamber, to name the first failing pair.  A finite
+chamber system of infinite type is never a building: an apartment has
+|W| = infinity chambers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .coxmatrix import INF, CoxeterError, CoxeterMatrix, is_spherical, parse_coxeter_matrix
+from .coxmatrix import INF, CoxeterMatrix, is_spherical, parse_coxeter_matrix
 from .groups import enumerate_group
 
 
@@ -67,7 +69,8 @@ class ChamberSystem:
                 if not covered.isdisjoint(b):
                     raise ChamberError(f"{s}-panels overlap")
                 covered.update(b)
-            if covered != set(range(self.size)):
+            # every chamber is in range and no two blocks meet
+            if len(covered) != self.size:
                 raise ChamberError(f"{s}-panels do not cover the chambers")
         # type -> (partition map, least chamber of each residue)
         object.__setattr__(self, "_partitions", {})
@@ -158,20 +161,25 @@ class ChamberSystem:
 
 def parse_chamber_system(text):
     """Parse the chamber-system format: the type matrix lines, then
-    ``chambers <n>`` and one ``panel <s>: {i,j,...} ...`` line per generator."""
+    ``chambers <n>`` and one ``panel <s>: {i,j,...} ...`` line per generator.
+    A line whose first word is ``chambers`` or ``panel`` is a body line
+    unless it reads as a matrix line ``<name> <name> <m>``: three words,
+    no colon."""
     head_lines = []
     body = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("chambers") or stripped.startswith("panel"):
-            body.append((lineno, stripped))
+        head, colon, _ = stripped.partition(":")
+        kind = head.split()[:1]
+        if kind in (["chambers"], ["panel"]) and (colon or len(stripped.split()) != 3):
+            body.append((lineno, kind[0], stripped))
             raw = ""  # blanked, so the matrix parser numbers the file's lines
         head_lines.append(raw)
     matrix = parse_coxeter_matrix("\n".join(head_lines))
     size = None
     panels = {}
-    for lineno, line in body:
-        if line.startswith("chambers"):
+    for lineno, kind, line in body:
+        if kind == "chambers":
             if size is not None:
                 raise ChamberError(f"line {lineno}: second 'chambers' line")
             count = line[len("chambers") :].strip()
@@ -188,7 +196,7 @@ def parse_chamber_system(text):
         name, _, blocks_text = rest.partition(":")
         s = name.strip()
         if s not in matrix.labels:
-            raise ChamberError(f"panel for unknown generator {s!r}")
+            raise ChamberError(f"line {lineno}: panel for unknown generator {s!r}")
         if s in panels:
             raise ChamberError(f"line {lineno}: second panel line for generator {s!r}")
         blocks = []
@@ -387,25 +395,19 @@ def _distance_pass(system, table):
     The sources are the bits of Python ints.  At layer d, ``layer[j]``
     maps a group element w to the sources i with gallery distance d to j
     whose minimal galleries to j realize w, and ``reached[j]`` holds the
-    sources within distance d of j.  Returns ``(bad, back)``: the sources
-    whose breadth-first search would meet an ambiguous or non-reduced
-    chamber or miss one, and delta(i, 0) per source i.
+    sources within distance d of j.  Returns ``bad``: the sources whose
+    breadth-first search would meet an ambiguous or non-reduced chamber
+    or miss one.
     """
     mult = table.mult
     length = [e.length for e in table.elements]
     neighbours = system.neighbours()
     layer = [{0: 1 << j} for j in range(system.size)]
     reached = [1 << j for j in range(system.size)]
-    back = [None] * system.size
     everyone = (1 << system.size) - 1
     bad = 0
     d = 0
     while True:
-        for w, bits in layer[0].items():
-            while bits:
-                low = bits & -bits
-                back[low.bit_length() - 1] = w
-                bits ^= low
         d += 1
         nxt = []
         for j, adjacent in enumerate(neighbours):
@@ -430,7 +432,7 @@ def _distance_pass(system, table):
         layer = nxt
     for r in reached:
         bad |= everyone ^ r  # disconnected
-    return bad, back
+    return bad
 
 
 def _first_distance_failure(system, table, i):
@@ -520,12 +522,15 @@ def verify_building(system):
     with finite label m is a generalized m-gon (panel incidence graph has
     girth 2m and diameter m); (c) for finite type, minimal galleries
     define a single-valued distance with delta(x,y) = delta(y,x)^-1 and
-    gallery length equal to word length.  (c) runs one pass from every
+    gallery length equal to word length.  (c) is one pass from every
     chamber at once (``_distance_pass``); when a source fails, one
     ``gallery_distances`` from the lowest failing source names the first
-    failing pair in discovery order.  For infinite type (c) fails
-    outright: the system is finite, and an apartment of a building of
-    infinite type is not.
+    failing pair in discovery order.  Symmetry needs no search of its
+    own: reversed, a minimal gallery of type s1...sk from x to y is one
+    of type sk...s1 from y to x, so once all minimal galleries from every
+    source realize one element, delta(y,x) = delta(x,y)^-1.  For infinite
+    type (c) fails outright: the system is finite, and an apartment of a
+    building of infinite type is not.
     """
     failures = []
     for s in system.matrix.labels:
@@ -568,23 +573,11 @@ def verify_building(system):
     distance_ok = True
     if is_spherical(system.matrix, system.matrix.labels):
         note = "checked"
-        try:
-            table = system.element_table()
-            bad, back = _distance_pass(system, table)
-            if bad:
-                distance_ok = False
-                note = _first_distance_failure(system, table, (bad & -bad).bit_length() - 1)
-            else:
-                # symmetry: delta(0,j) = delta(j,0)^-1 for every chamber j
-                order0, _, delta0 = gallery_distances(system, 0)
-                for j in order0:
-                    if table.inverse(delta0[j]) != back[j]:
-                        distance_ok = False
-                        note = f"distance not inverse-symmetric at {j}"
-                        break
-        except CoxeterError as exc:
+        table = system.element_table()
+        bad = _distance_pass(system, table)
+        if bad:
             distance_ok = False
-            note = str(exc)
+            note = _first_distance_failure(system, table, (bad & -bad).bit_length() - 1)
     else:
         # an apartment of a building of type (W, S) has |W| chambers
         distance_ok = False

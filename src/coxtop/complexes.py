@@ -107,10 +107,7 @@ class SimplicialComplex:
         """The faces that pass ``keep``, on this table; ``keep`` must hold
         on every face of a face it holds on.  They passed the per-face
         check of ``__post_init__`` here, so it is not run again."""
-        out = object.__new__(SimplicialComplex)
-        object.__setattr__(out, "vertices", self.vertices)
-        object.__setattr__(out, "faces", frozenset(filter(keep, self.faces)))
-        return out
+        return _unchecked_complex(self.vertices, frozenset(filter(keep, self.faces)))
 
     def faces_from(self, other):
         """The faces of ``other`` as id tuples of this table, or None when
@@ -126,10 +123,22 @@ class SimplicialComplex:
         return faces if faces <= self.faces else None
 
     def to_json(self):
+        """The faces as label lists, by dimension and then in cell order."""
         labels = list(map(_label_json, self.vertices))
-        return [
-            [labels[i] for i in f] for k in range(self.dim + 1) for f in self.faces_of_dim(k)
-        ]
+        by_dim = [[] for _ in range(self.dim + 1)]
+        for f in self.faces:
+            by_dim[len(f) - 1].append(f)
+        return [[labels[i] for i in f] for faces in by_dim for f in sorted(faces)]
+
+
+def _unchecked_complex(vertices, faces):
+    """A complex on faces that are increasing id tuples below
+    ``len(vertices)`` by construction, without ``__post_init__``'s
+    per-face check."""
+    out = object.__new__(SimplicialComplex)
+    object.__setattr__(out, "vertices", vertices)
+    object.__setattr__(out, "faces", faces)
+    return out
 
 
 def _label_json(v):

@@ -51,38 +51,15 @@ class Element:
 
 @dataclass(frozen=True)
 class ElementTable:
-    """A completely enumerated finite Coxeter group."""
+    """Enumerated elements of a Coxeter group with their right
+    multiplication table: the whole (finite) group when ``radius`` is
+    None, else every element of length <= radius, with table entries
+    None where the product leaves the ball."""
 
     labels: tuple
     elements: tuple  # Element, index order = shortlex BFS order
     mult: tuple  # mult[i][k] = index of elements[i] * labels[k]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def multiply_generator(self, i, s):
-        return self.mult[i][self.labels.index(s)]
-
-    def multiply_word(self, i, word):
-        for s in word:
-            i = self.multiply_generator(i, s)
-        return i
-
-    def index_of_word(self, word):
-        return self.multiply_word(0, word)
-
-    def inverse(self, i):
-        return self.index_of_word(tuple(reversed(self.elements[i].word)))
-
-
-@dataclass(frozen=True)
-class BallTable:
-    """All elements of length <= radius, with table entries None outside."""
-
-    labels: tuple
-    radius: int
-    elements: tuple
-    mult: tuple  # entries may be None when the product leaves the ball
+    radius: int | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -232,4 +209,4 @@ def enumerate_ball(mat, radius):
     elements, mult_table = _bfs_enumerate(
         labels, tuple(range(len(labels))), roots.multiply, radius=radius
     )
-    return BallTable(labels, radius, elements, mult_table)
+    return ElementTable(labels, elements, mult_table, radius)

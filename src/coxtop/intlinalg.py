@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import chain
+from math import gcd
 from operator import itemgetter
 
 
@@ -598,39 +599,21 @@ class AbGroup:
                 raise ValueError("omega multiples of torsion are not representable")
             return AbGroup(free, ())
         free = OMEGA if self.free == OMEGA else self.free * rank
-        return AbGroup(free, _merge_torsion(*([self.torsion] * rank)))
+        # rank copies of a divisibility chain: each factor repeated rank times
+        return AbGroup(free, tuple(d for d in self.torsion for _ in range(rank)))
 
 
-def _merge_torsion(*lists):
-    merged = sorted(d for lst in lists for d in lst)
-    # resort into a divisibility chain via elementary divisors
-    primary = {}
-    for d in merged:
-        f = _factor(d)
-        for p, e in f.items():
-            primary.setdefault(p, []).append(e)
-    chains = []
-    for p, exps in primary.items():
-        exps.sort(reverse=True)
-        for i, e in enumerate(exps):
-            while len(chains) <= i:
-                chains.append(1)
-            chains[i] *= p**e
-    chains.sort()
-    return tuple(chains)
-
-
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _merge_torsion(a, b):
+    """The divisibility chain of Z/a_1 + ... + Z/b_1 + ...: each position
+    is exchanged once with every later one for (gcd, lcm), since
+    Z/x + Z/y = Z/gcd(x, y) + Z/lcm(x, y); afterwards each divides every
+    later one.  The 1s are dropped."""
+    d = [*a, *b]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x > 1)
 
 
 def quotient_structure(n, gens):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, local_groups
+from .complexes import _unchecked_complex, local_groups
 from .decomposition import BuildingDecomposition, residue_cochain_complex
 from .hc import formula_terms
 from .intlinalg import GradedGroup
@@ -41,7 +41,8 @@ def realize(system, X):
     ids run in the ``vertex_key`` order of these labels.  The copy of a
     model face f over its S(f)-residue r has the vertices
     offset(v) + ``system.containing(S(f), S(v))[r]`` for v in f: the
-    S(v)-residues holding r.
+    S(v)-residues holding r.  It is an increasing id tuple by
+    construction, so the complex skips the per-face check.
     """
     model = X.complex
     label = {f: X.face_label(f) for f in model.faces}
@@ -53,10 +54,9 @@ def realize(system, X):
             table.extend((name, r) for r in range(count[(v,)]))
     faces = set()
     for f in model.faces:
-        ups = [(offset[v], system.containing(label[f], label[(v,)])) for v in f]
-        for r in range(count[f]):
-            faces.add(tuple(o + up[r] for o, up in ups))
-    out = SimplicialComplex(tuple(table), frozenset(faces))
+        columns = [[offset[v] + u for u in system.containing(label[f], label[(v,)])] for v in f]
+        faces.update(zip(*columns))  # one row per copy of f
+    out = _unchecked_complex(tuple(table), frozenset(faces))
     # cell-count identity: one glued cell per (model cell, residue)
     expected = [0] * (model.dim + 1)
     for f in model.faces:

@@ -1,9 +1,10 @@
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
-from coxtop.coxmatrix import INF, CoxeterMatrix
+from coxtop.coxmatrix import INF, CoxeterMatrix, is_spherical
 from coxtop.chambers import (
     AMBIGUOUS,
     ChamberError,
@@ -19,6 +20,7 @@ from coxtop.chambers import (
     verify_building,
 )
 from coxtop.decomposition import BuildingDecomposition
+from test_groups import inverse, multiply_word
 
 
 def mk(labels, pairs):
@@ -173,7 +175,7 @@ class TestWDistance:
         table = sys.element_table()
         for i in range(sys.size):
             for j in range(sys.size):
-                expect = table.multiply_word(table.inverse(i), table.elements[j].word)
+                expect = multiply_word(table, inverse(table, i), table.elements[j].word)
                 assert delta(sys, i, j) == expect
 
     def test_symmetry(self):
@@ -181,7 +183,7 @@ class TestWDistance:
         table = sys.element_table()
         for i in range(0, sys.size, 5):
             for j in range(0, sys.size, 5):
-                assert table.inverse(delta(sys, i, j)) == delta(sys, j, i)
+                assert inverse(table, delta(sys, i, j)) == delta(sys, j, i)
 
     def test_fano_point_adjacency(self):
         sys = fano_building()
@@ -224,8 +226,18 @@ class TestVerify:
         assert report.passed and report.distance_note == "checked"
 
     def test_thin_all_pass(self):
-        for mat in (A2, B2, mk("abc", [("a", "b", 3), ("b", "c", 3)])):
+        for mat in (A2, B2):
             assert verify_building(thin_building(mat)).passed
+        # every spherical type on three generators with labels in
+        # {2, ..., 7, 9, inf}: A3, B3, H3 on root tables, and A1 x I2(m)
+        # with m = 7 or 9 on the dihedral model
+        spherical = 0
+        for ms in product((2, 3, 4, 5, 6, 7, 9, INF), repeat=3):
+            mat = mk("abc", [(s, t, m) for (s, t), m in zip(combinations("abc", 2), ms)])
+            if is_spherical(mat, "abc"):
+                spherical += 1
+                assert verify_building(thin_building(mat)).passed, ms
+        assert spherical == 34
 
     def test_hexagon_with_digon_type_fails(self):
         # six chambers in a cycle pretend to have commuting generators;
@@ -320,8 +332,8 @@ class TestDistanceFailures:
 
     def test_bfs_reads_no_panel(self, monkeypatch):
         # the distance check walks the per-system neighbour table, all
-        # sources in one pass, and looks up no panel per edge; one
-        # gallery BFS is left, for the inverse-symmetry scan
+        # sources in one pass, and looks up no panel per edge; a pass
+        # that finds no failure runs no gallery BFS at all
         from coxtop import chambers
 
         def refuse(self, s, i):
@@ -335,7 +347,7 @@ class TestDistanceFailures:
         )
         system = product_building(fano_building(), fano_building(("u", "v")))
         assert verify_building(system).passed
-        assert len(calls) <= 1
+        assert calls == []
 
 
 def reference_distance_check(system):
@@ -358,7 +370,7 @@ def reference_distance_check(system):
                 return False, f"non-reduced gallery between {i} and {j}"
         back.append(delta[0])
     for j in order0:
-        if table.inverse(delta0[j]) != back[j]:
+        if inverse(table, delta0[j]) != back[j]:
             return False, f"distance not inverse-symmetric at {j}"
     return True, "checked"
 
@@ -627,13 +639,37 @@ def test_constructor_panels_are_regular():
 
 class TestTextFormat:
     def test_roundtrip(self):
-        sys = digon_building(2, 3)
-        text = sys.to_text()
-        back = parse_chamber_system(text)
-        assert back.size == sys.size
-        assert back.matrix.labels == sys.matrix.labels
-        for s in sys.matrix.labels:
-            assert sorted(back.panels[s], key=min) == sorted(sys.panels[s], key=min)
+        # generators named like the body lines: the relation line
+        # "panel x 3" or "chambers x 3" belongs to the matrix
+        systems = [digon_building(2, 3)] + [
+            fano_building(labels)
+            for name in ("panel", "chambers")
+            for labels in ((name, "x"), ("x", name))
+        ]
+        for sys in systems:
+            text = sys.to_text()
+            back = parse_chamber_system(text)
+            assert back.size == sys.size
+            assert back.matrix.labels == sys.matrix.labels
+            assert back.matrix.entries == sys.matrix.entries
+            for s in sys.matrix.labels:
+                assert sorted(back.panels[s], key=min) == sorted(sys.panels[s], key=min)
+
+    def test_panel_for_unknown_generator_names_its_line(self):
+        with pytest.raises(ChamberError, match="^line 3: panel for unknown generator 'x'$"):
+            parse_chamber_system("gens s\nchambers 2\npanel x: {0,1}\n")
+
+    def test_cover_check_needs_no_chamber_set(self):
+        # a million chambers and one panel of two: the check counts the
+        # chambers the disjoint, in-range blocks cover
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChamberError, match="s-panels do not cover the chambers"):
+                parse_chamber_system("gens s\nchambers 1000000\npanel s: {0,1}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_fano_roundtrip_verifies(self):
         text = fano_building().to_text()

@@ -252,6 +252,18 @@ class TestBuildingVerbs:
         )
         assert code == 0 and json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("name", ["panel", "chambers"])
+    def test_generator_named_like_a_body_line_roundtrips(self, capsys, tmp_path, name):
+        # the matrix line "panel x 3" or "chambers x 3" is read as a
+        # matrix line, not as a panel or chambers line
+        cox = tmp_path / "m.cox"
+        cox.write_text(f"gens {name} x\n{name} x 3\n")
+        bld = tmp_path / "f.bld"
+        assert main(["realize", str(cox), "--building", "thin", "--out", str(bld)]) == 0
+        capsys.readouterr()
+        code, out = run(capsys, ["verify-building", "--chamber-file", str(bld), "--json"])
+        assert code == 0 and json.loads(out)["passed"]
+
     def test_hc_takes_the_spec_type(self, capsys, a2_file, tmp_path):
         # a1xa1 is of type u u1 whatever the matrix file says, as for the
         # other building verbs

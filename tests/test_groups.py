@@ -26,6 +26,27 @@ def longest_element(table):
     return max(table.elements, key=lambda e: e.length)
 
 
+def multiply_generator(table, i, s):
+    """The index of elements[i] * s."""
+    return table.mult[i][table.labels.index(s)]
+
+
+def multiply_word(table, i, word):
+    """The index of elements[i] times the product of ``word``."""
+    for s in word:
+        i = multiply_generator(table, i, s)
+    return i
+
+
+def index_of_word(table, word):
+    return multiply_word(table, 0, word)
+
+
+def inverse(table, i):
+    """The index of elements[i]^-1: its reduced word, reversed."""
+    return index_of_word(table, tuple(reversed(table.elements[i].word)))
+
+
 def descent_count(table, T):
     """#{w : In(w) = T} over the elements of a table."""
     T = frozenset(T)
@@ -149,15 +170,15 @@ def test_longest_element_descends_everywhere():
 def test_descent_set_accessor():
     table = enumerate_group(A2, "st")
     assert table.elements[0].descents == frozenset()
-    st = table.index_of_word(("s", "t"))
+    st = index_of_word(table, ("s", "t"))
     assert table.elements[st].descents == {"t"}
 
 
 def test_inverse_roundtrip():
     table = enumerate_group(mk("abc", [("a", "b", 3), ("b", "c", 3)]), "abc")
     for e in table.elements:
-        inv = table.inverse(e.index)
-        assert table.multiply_word(e.index, table.elements[inv].word) == 0
+        inv = inverse(table, e.index)
+        assert multiply_word(table, e.index, table.elements[inv].word) == 0
 
 
 def test_word_metric_subadditive():
@@ -165,7 +186,7 @@ def test_word_metric_subadditive():
     import itertools
 
     for e, f in itertools.islice(itertools.product(table.elements, repeat=2), 200):
-        prod = table.multiply_word(e.index, f.word)
+        prod = multiply_word(table, e.index, f.word)
         assert table.elements[prod].length <= e.length + f.length
 
 

@@ -13,6 +13,7 @@ from coxtop.intlinalg import (
     _bareiss,
     _complement_tails,
     _divisors_and_pivots,
+    _merge_torsion,
     _peel,
     basis_quotient,
     _echelon,
@@ -834,6 +835,49 @@ class TestClearing:
         assert seen == [[[2]], [[2], [2]]]
 
 
+def factor(n):
+    """The prime factorization of n by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_merge_torsion(*lists):
+    """The divisibility chain of the direct sum of the cyclic groups in
+    ``lists``, through its elementary divisors: the prime powers of each
+    prime are stacked from the top."""
+    primary = {}
+    for d in sorted(d for lst in lists for d in lst):
+        for p, e in factor(d).items():
+            primary.setdefault(p, []).append(e)
+    chains = []
+    for p, exps in primary.items():
+        exps.sort(reverse=True)
+        for i, e in enumerate(exps):
+            while len(chains) <= i:
+                chains.append(1)
+            chains[i] *= p**e
+    return tuple(sorted(chains))
+
+
+def random_chain(rng):
+    """A random divisibility chain of up to four factors, each a product
+    of small primes times the one before."""
+    chain, d = [], 1
+    for _ in range(rng.randint(0, 4)):
+        d *= rng.choice((1, 2, 2, 3, 4, 5, 6, 7, 9, 12))
+        if d > 1:
+            chain.append(d)
+    return tuple(chain)
+
+
 class TestAbGroup:
     def test_str(self):
         assert str(AbGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
@@ -851,6 +895,21 @@ class TestAbGroup:
         g = AbGroup(1, (2,))
         assert g.tensor_free(3) == AbGroup(3, (2, 2, 2))
         assert g.tensor_free(0) == AbGroup()
+
+    def test_merge_against_elementary_divisors(self):
+        rng = random.Random(28)
+        for _ in range(3000):
+            a, b = random_chain(rng), random_chain(rng)
+            assert _merge_torsion(a, b) == reference_merge_torsion(a, b), (a, b)
+            rank = rng.randint(1, 3)
+            assert AbGroup(0, a).tensor_free(rank).torsion == reference_merge_torsion(*[a] * rank)
+
+    def test_merge_factors_nothing(self):
+        # trial division would take about sqrt(p) steps for each prime
+        p, q = 10**12 + 39, 2**61 - 1
+        assert _merge_torsion((p,), (p,)) == (p, p)
+        assert _merge_torsion((2, q), (q,)) == (q, 2 * q)
+        assert AbGroup(1, (6, 6 * q)).direct_sum(AbGroup(0, (4,))) == AbGroup(1, (2, 6, 12 * q))
 
     def test_omega(self):
         g = AbGroup("omega", ())

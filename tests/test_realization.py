@@ -13,6 +13,7 @@ from coxtop.chambers import (
     thin_building,
 )
 from coxtop.complexes import (
+    SimplicialComplex,
     classical_chamber,
     davis_chamber,
     local_groups,
@@ -149,9 +150,38 @@ RESIDUE_BLOCK_SYSTEMS = {
 }
 
 
+def reference_realize(system, X):
+    """The glued complex one face at a time, each copy written vertex by
+    vertex, through the checking constructor."""
+    model = X.complex
+    label = {f: X.face_label(f) for f in model.faces}
+    count = {f: len(system.least_chambers(T)) for f, T in label.items()}
+    table, offset = [], {}
+    for v, name in enumerate(model.vertices):
+        if (v,) in count:
+            offset[v] = len(table)
+            table.extend((name, r) for r in range(count[(v,)]))
+    faces = set()
+    for f in model.faces:
+        ups = [(offset[v], system.containing(label[f], label[(v,)])) for v in f]
+        for r in range(count[f]):
+            faces.add(tuple(o + up[r] for o, up in ups))
+    return SimplicialComplex(tuple(table), frozenset(faces))
+
+
 class TestResidueBlocksAgainstGluedComplex:
     """The residue-block cochain complex against the glued complex that
     ``realize`` builds, whose simplicial cohomology is the reference."""
+
+    @pytest.mark.parametrize("model", ["delta", "K"])
+    @pytest.mark.parametrize("name", list(RESIDUE_BLOCK_SYSTEMS))
+    def test_glued_faces_match_the_checked_reference(self, name, model):
+        system = RESIDUE_BLOCK_SYSTEMS[name]()
+        chamber = classical_chamber if model == "delta" else davis_chamber
+        X = chamber(system.matrix)
+        glued, expected = realize(system, X), reference_realize(system, X)
+        assert glued.vertices == expected.vertices
+        assert glued.faces == expected.faces
 
     @pytest.mark.parametrize("model", ["delta", "K"])
     @pytest.mark.parametrize("name", list(RESIDUE_BLOCK_SYSTEMS))
