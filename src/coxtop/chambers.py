@@ -202,7 +202,7 @@ def parse_chamber_system(text):
         blocks = []
         for tok in blocks_text.split():
             if not (tok.startswith("{") and tok.endswith("}")):
-                raise ChamberError(f"bad panel block {tok!r}")
+                raise ChamberError(f"line {lineno}: bad panel block {tok!r}")
             try:
                 blocks.append(frozenset(int(x) for x in tok[1:-1].split(",") if x))
             except ValueError:

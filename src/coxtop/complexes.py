@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .coxmatrix import cosine_gram_definite, is_spherical, spherical_poset
+from .coxmatrix import _proposals, cosine_gram_definite, spherical_poset
 from .intlinalg import CochainComplex, GradedGroup
 
 
@@ -45,8 +45,6 @@ def vertex_key(v):
         return (2, tuple(vertex_key(x) for x in v))
     if isinstance(v, str):
         return (1, v)
-    if isinstance(v, bool):
-        return (0, int(v))
     if isinstance(v, int):
         return (0, v)
     raise TypeError(f"unsupported vertex label {v!r}")
@@ -365,12 +363,20 @@ def metric_flag_check(mat):
     cosine Gram matrix (unit diagonal, off-diagonal -cos(pi/m)) is
     positive definite.  With exact arithmetic this always holds; a False
     return indicates an implementation fault.
+
+    The walk that builds the nerve proposes T + s; each that is a clique
+    (s spherical with every t in T) is compared.  By induction on |V| that
+    covers every pairwise-spherical V, with P = V less its last generator:
+    if P is a face, V is compared; if not, P's Gram matrix is not
+    definite, nor is V's (decided through P's minors), and V is no face.
+    A subset whose prefix is no face is never asked about; the acceptance
+    sweep compares both oracles on every subset of rank <= 4.  An
+    unsupported label raises on its first pair in lexicographic order.
     """
-    S = mat.labels
-    for r in range(1, len(S) + 1):
-        for T in combinations(S, r):
-            if not all(is_spherical(mat, (s, t)) for s, t in combinations(T, 2)):
-                continue  # not a clique in the 1-skeleton
-            if is_spherical(mat, T) != cosine_gram_definite(mat, T):
+    poset = spherical_poset(mat)
+    for T, s in _proposals(mat.labels, poset.members):
+        if all(frozenset((s, t)) in poset for t in T):
+            U = T | {s}
+            if (U in poset) != cosine_gram_definite(mat, U):
                 return False
     return True

@@ -28,7 +28,9 @@ meet many fresh matrices, and a per-matrix table of keys raised the peak
 memory of the benchmark's 4,666 rank-4 matrices by 28 % (33.1 MB to
 42.5 MB).  Below three generators the key costs at most one lookup.
 
-The two must agree wherever both apply; the test suite sweeps this.
+The two must agree wherever both apply; the test suite sweeps this.  One
+walk over the spherical subsets (``_proposals``) serves ``spherical_poset``
+and ``complexes.metric_flag_check``, which compares the oracles on it.
 """
 
 from __future__ import annotations
@@ -81,11 +83,6 @@ class CoxeterMatrix:
         return self.labels == other.labels and all(
             self.m(s, t) == other.m(s, t) for s in self.labels for t in self.labels
         )
-
-    def subset_key(self, T):
-        """Canonical sort key for subsets of the generators."""
-        idx = tuple(sorted(self.index(s) for s in T))
-        return (len(idx), idx)
 
     def sorted_subset(self, T):
         return tuple(sorted(T, key=self.index))
@@ -354,7 +351,7 @@ class SphericalPoset:
 
     @property
     def max_cardinality(self):
-        return max(len(T) for T in self.members)
+        return len(self.members[-1])
 
     def supersets(self, T, strict=False):
         T = frozenset(T)
@@ -364,27 +361,30 @@ class SphericalPoset:
         return [sorted(T, key=self.matrix.index) for T in self.members]
 
 
-def spherical_poset(mat):
-    """Enumerate spherical subsets breadth-first from the empty set.
+def _proposals(labels, members):
+    """Each member T of ``members``, in order, extended by each generator
+    s after T's last one, as (T, s).  ``members`` starts as [frozenset()],
+    and the caller appends T | {s} when it is spherical, so the walk goes
+    on through what it finds.  U is proposed only from U less its last
+    generator, so at most once."""
+    position = {s: i for i, s in enumerate(labels)}
+    for T in members:
+        for s in labels[max(map(position.__getitem__, T), default=-1) + 1 :]:
+            yield T, s
 
-    Correct because sphericity is inherited by subsets, so every spherical
-    set is reachable by single-generator extensions of a smaller one.
-    """
-    found = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for T in frontier:
-            for s in mat.labels:
-                if s in T:
-                    continue
-                U = T | {s}
-                if U not in found and is_spherical(mat, U):
-                    found.add(U)
-                    nxt.append(U)
-        frontier = nxt
-    members = tuple(sorted(found, key=mat.subset_key))
-    return SphericalPoset(mat, members)
+
+def spherical_poset(mat):
+    """All spherical subsets, by one walk with one ``is_spherical`` question
+    per proposal.  Nothing is missed: sphericity is inherited by subsets,
+    so a spherical U is reached from U less its last generator.  No sort
+    is needed: the walk proposes the sets of each size in lexicographic
+    order of their generator indices, all before any larger set."""
+    members = [frozenset()]
+    for T, s in _proposals(mat.labels, members):
+        U = T | {s}
+        if is_spherical(mat, U):
+            members.append(U)
+    return SphericalPoset(mat, tuple(members))
 
 
 def cosine_gram_definite(mat, T):

@@ -183,8 +183,6 @@ def enumerate_group(mat, T):
     T = mat.sorted_subset(T)
     if not is_spherical(mat, T):
         raise CoxeterError(f"subset {list(T)} is not spherical")
-    if len(T) == 0:
-        return ElementTable((), (Element(0, (), 0, frozenset()),), ((),))
     comps = mat.components(T)
     backends = [_component_backend(mat, comp) for comp in comps]
     owner = {s: i for i, comp in enumerate(comps) for s in comp}

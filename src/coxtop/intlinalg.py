@@ -829,11 +829,6 @@ class GradedGroup:
     def __getitem__(self, k):
         return self.groups.get(k, AbGroup())
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedGroup):
-            return NotImplemented
-        return self.groups == other.groups
-
     def __bool__(self):
         return bool(self.groups)
 

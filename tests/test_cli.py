@@ -417,6 +417,7 @@ class TestErrors:
             ("gens s\nchambers -1\npanel s:\n", "line 2"),
             # a matrix line is numbered as in the file, past comments and blanks
             ("# c\ngens s t\n\ns t x\nchambers 2\npanel s: {0,1}\npanel t: {0,1}\n", "line 4"),
+            ("gens s\nchambers 2\npanel s: 0,1\n", "line 3"),  # a block without braces
         ],
     )
     def test_non_integer_in_chamber_file(self, capsys, tmp_path, text, line):

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from coxtop.coxmatrix import INF, CoxeterMatrix, spherical_poset
+from coxtop import complexes, coxmatrix
+from coxtop.coxmatrix import INF, CoxeterMatrix, cosine_gram_definite, is_spherical, spherical_poset
 from coxtop.complexes import (
     MirroredComplex,
     SimplicialComplex,
@@ -21,6 +22,7 @@ from coxtop.complexes import (
 )
 from coxtop.hc import duality_check
 from coxtop.intlinalg import AbGroup, GradedGroup
+from test_coxmatrix import shuffled_matrix
 from test_intlinalg import RP2_TRIANGLES
 
 
@@ -537,7 +539,103 @@ class TestLabelTableAgainstMirrors:
                         assert X.face_label(f) == label, (mat.entries, f)
 
 
+def all_subsets_metric_flag(mat):
+    """The reference for ``metric_flag_check``: the two oracles compared
+    on every pairwise-spherical subset of S, by size and then in
+    lexicographic order."""
+    S = mat.labels
+    for r in range(1, len(S) + 1):
+        for T in combinations(S, r):
+            if not all(is_spherical(mat, (s, t)) for s, t in combinations(T, 2)):
+                continue
+            if is_spherical(mat, T) != cosine_gram_definite(mat, T):
+                return False
+    return True
+
+
+def outcome(check, mat):
+    try:
+        return check(mat)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def right_angled(L):
+    """m = 2 on the edges of the flag complex L and infinity off them;
+    generator v<i> is L's vertex i."""
+    labels = [f"v{i}" for i in range(len(L.vertices))]
+    edges = set(L.faces_of_dim(1))
+    return mk(labels, [(labels[i], labels[j], INF) for i, j in combinations(range(len(labels)), 2)
+                       if (i, j) not in edges])
+
+
+def barycentric_subdivision(X):
+    """The flag complex of the faces of X under inclusion."""
+    return flag_complex(frozenset(X.vertices[i] for i in f) for f in X.faces)
+
+
+@pytest.fixture
+def spherical_calls(monkeypatch):
+    """The subsets ``is_spherical`` is asked about, wherever it is bound."""
+    calls = []
+
+    def counted(m, T):
+        calls.append(T)
+        return is_spherical(m, T)
+
+    for module in (coxmatrix, complexes):
+        if getattr(module, "is_spherical", None) is is_spherical:
+            monkeypatch.setattr(module, "is_spherical", counted)
+    return calls
+
+
 class TestMetricFlag:
+    def test_matches_all_subsets(self):
+        rng = random.Random(29)
+        raised = 0
+        for _ in range(2000):
+            mat = shuffled_matrix(rng)
+            want = outcome(all_subsets_metric_flag, mat)
+            assert outcome(metric_flag_check, mat) == want, mat.entries
+            raised += want is not True
+        assert 0 < raised < 2000
+
+    @pytest.mark.parametrize(
+        "mat, flipped",
+        [
+            (mk("abcd", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3)]), "bcd"),  # a face of A4
+            (TRIANGLE333, "abc"),  # a clique that is not a face
+        ],
+        ids=["3-clique", "non-face"],
+    )
+    def test_a_flipped_gram_answer_is_flagged(self, monkeypatch, mat, flipped):
+        asked = []
+
+        def flip(m, T):
+            asked.append(frozenset(T))
+            return cosine_gram_definite(m, T) != (frozenset(T) == frozenset(flipped))
+
+        monkeypatch.setattr(complexes, "cosine_gram_definite", flip)
+        assert not metric_flag_check(mat)
+        assert asked[-1] == frozenset(flipped)
+
+    def test_compares_only_the_walks_proposals(self, spherical_calls):
+        # the right-angled 16-cycle has 33 spherical subsets among 2^16
+        mat = right_angled(SimplicialComplex.from_maximal((i, (i + 1) % 16) for i in range(16)))
+        assert metric_flag_check(mat)
+        assert len(spherical_calls) < 2000
+
+    def test_right_angled_over_sd_rp2(self, spherical_calls):
+        # sd RP^2 has 31 vertices, 90 edges and 60 triangles, and it is
+        # flag, so its faces are exactly the spherical subsets
+        L = barycentric_subdivision(SimplicialComplex.from_maximal(RP2_TRIANGLES))
+        mat = right_angled(L)
+        poset = spherical_poset(mat)
+        assert set(poset) == {frozenset()} | {frozenset(mat.labels[i] for i in f) for f in L.faces}
+        assert [sum(len(T) == k for T in poset) for k in range(4)] == [1, 31, 90, 60]
+        assert len(spherical_calls) <= 1546  # one per proposal; breadth-first asks 5,041 times
+        assert metric_flag_check(mat)
+
     @pytest.mark.parametrize(
         "mat",
         [
@@ -558,3 +656,6 @@ def test_vertex_key_total_order():
     vs = [frozenset("ab"), "x", 3, ("a", 1), frozenset()]
     assert sorted(vs, key=vertex_key) == sorted(vs, key=vertex_key)
     assert vertex_key(frozenset("a")) < vertex_key(frozenset("ab"))
+    # a bool is an int, so True keys as 1
+    assert vertex_key(True) == vertex_key(1)
+    assert sorted([2, True, False, "a"], key=vertex_key) == [False, True, 2, "a"]

@@ -141,7 +141,42 @@ class TestSphericity:
         assert not is_spherical(m9, "abcdefghi")
 
 
+def breadth_first_poset(mat):
+    """The reference for ``spherical_poset``: breadth-first from the empty
+    set, every generator tried on every member, then sorted by size and
+    generator indices."""
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for T in frontier:
+            for s in mat.labels:
+                U = T | {s}
+                if s not in T and U not in found and is_spherical(mat, U):
+                    found.add(U)
+                    nxt.append(U)
+        frontier = nxt
+    return sorted(found, key=lambda T: (len(T), sorted(map(mat.index, T))))
+
+
+def shuffled_matrix(rng):
+    """1 to 7 generators in a shuffled order, each label drawn from
+    {2, ..., 7, 9, infinity}: the labels 7 and 9 are spherical on a pair
+    but outside the Gram oracle's exact arithmetic."""
+    labels = rng.sample("abcdefg", rng.randint(1, 7))
+    values = [2, 3, 4, 5, 6, 7, 9, INF]
+    return mk(labels, [(s, t, rng.choice(values)) for s, t in combinations(labels, 2)])
+
+
 class TestSphericalPoset:
+    def test_walk_matches_breadth_first(self):
+        rng = random.Random(29)
+        for _ in range(2000):
+            mat = shuffled_matrix(rng)
+            poset = spherical_poset(mat)
+            assert list(poset.members) == breadth_first_poset(mat), mat.entries
+            assert poset.max_cardinality == max(map(len, poset.members))
+
     def test_triangle(self):
         p = spherical_poset(TRIANGLE333)
         assert len(p) == 7

@@ -11,7 +11,7 @@ from coxtop.coxmatrix import (
     is_spherical,
     spherical_poset,
 )
-from coxtop.groups import enumerate_ball, enumerate_group
+from coxtop.groups import Element, ElementTable, enumerate_ball, enumerate_group
 
 
 def mk(labels, pairs):
@@ -188,6 +188,12 @@ def test_word_metric_subadditive():
     for e, f in itertools.islice(itertools.product(table.elements, repeat=2), 200):
         prod = multiply_word(table, e.index, f.word)
         assert table.elements[prod].length <= e.length + f.length
+
+
+def test_trivial_group_is_one_identity():
+    # the empty subset takes the general path: no component, one element
+    table = enumerate_group(A2, ())
+    assert table == ElementTable((), (Element(0, (), 0, frozenset()),), ((),))
 
 
 def test_nonspherical_rejected():

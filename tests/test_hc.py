@@ -218,7 +218,6 @@ GROWTH_VALUES = (2, 3, 4, 5, 6, INF)
 class TestGrowthAgainstEnumeration:
     """Steinberg's series against descent counts of enumerated elements."""
 
-    @pytest.mark.slow
     def test_rank_at_most_3_against_ball(self):
         # every rank-3 matrix over GROWTH_VALUES is a relabelling of one with
         # m(a,b) <= m(b,c) <= m(a,c); its ball at radius 5 gives the counts of

@@ -930,6 +930,13 @@ class TestGraded:
         s = g.direct_sum(GradedGroup({2: AbGroup(0, (2,))}))
         assert s[2] == AbGroup(3, (2,))
 
+    def test_equality_ignores_zeros_and_refuses_hashing(self):
+        g = GradedGroup({1: AbGroup(1)})
+        assert g == GradedGroup({0: AbGroup(), 1: AbGroup(1)})
+        assert g != GradedGroup({1: AbGroup(2)}) and g != {1: AbGroup(1)}
+        with pytest.raises(TypeError):
+            hash(g)
+
 
 def test_determinant_bareiss():
     assert det([[1, 2], [3, 4]]) == -2
@@ -1011,6 +1018,7 @@ class TestDeterminantPeels:
         assert det([[1, 3], [0, 1]]) == 1
         assert peeled == [[(1, 1, 1), (0, 0, 1)]]
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("seed", [None, "thick-decomposition:7"], ids=["plain", "renumbered"])
     def test_fano_x_fano_witness_matches_bareiss(self, seed, peeled):
         from coxtop.decomposition import BuildingDecomposition

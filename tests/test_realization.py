@@ -169,6 +169,17 @@ def reference_realize(system, X):
     return SimplicialComplex(tuple(table), frozenset(faces))
 
 
+def over_both_models(names):
+    """(name, model) for each system and model chamber; fano x fano over K
+    takes about a second, so it is marked slow."""
+    return [
+        pytest.param(name, model, marks=pytest.mark.slow)
+        if (name, model) == ("fanoxfano", "K") else (name, model)
+        for name in names
+        for model in ("delta", "K")
+    ]
+
+
 class TestResidueBlocksAgainstGluedComplex:
     """The residue-block cochain complex against the glued complex that
     ``realize`` builds, whose simplicial cohomology is the reference."""
@@ -183,8 +194,7 @@ class TestResidueBlocksAgainstGluedComplex:
         assert glued.vertices == expected.vertices
         assert glued.faces == expected.faces
 
-    @pytest.mark.parametrize("model", ["delta", "K"])
-    @pytest.mark.parametrize("name", list(RESIDUE_BLOCK_SYSTEMS))
+    @pytest.mark.parametrize("name, model", over_both_models(RESIDUE_BLOCK_SYSTEMS))
     def test_same_cells_and_cohomology(self, name, model):
         system = RESIDUE_BLOCK_SYSTEMS[name]()
         chamber = classical_chamber if model == "delta" else davis_chamber
@@ -301,8 +311,7 @@ class TestClearingAgainstUncleared:
     """Top-down clearing in ``CochainComplex.cohomology`` against every
     map factored on its own, on both sides of the main formula."""
 
-    @pytest.mark.parametrize("model", ["delta", "K"])
-    @pytest.mark.parametrize("name", CLEARING_SYSTEMS)
+    @pytest.mark.parametrize("name, model", over_both_models(CLEARING_SYSTEMS))
     def test_realized(self, name, model):
         system = RESIDUE_BLOCK_SYSTEMS[name]()
         chamber = classical_chamber if model == "delta" else davis_chamber
@@ -330,6 +339,7 @@ class TestClearingAgainstUncleared:
             cx = relative_cochain_complex(delta.complex, mirror_union(delta, S - set(T)))
             assert h == cx.cohomology() == uncleared_cohomology(cx), T
 
+    @pytest.mark.slow
     def test_realized_plane3_x_fano_over_k(self):
         # 689,280 coboundary nonzeros, every pivot of which the peel finds
         system = product_building(projective_plane_building(3), fano_building(("u", "v")))
