@@ -456,7 +456,8 @@ def _first_distance_failure(system, table, i):
 def _bipartite_girth_diameter(edges, a, b):
     """Girth and diameter of the bipartite multigraph with left vertices
     0..a-1, right vertices a..a+b-1 and one edge (x, a + y) per pair
-    (x, y) of ``edges``; the diameter is None when it is disconnected."""
+    (x, y) of ``edges``, which is connected: the chambers of a residue
+    over its panels of two types, where adjacent chambers share a panel."""
     simple = dict.fromkeys(edges)
     girth = 2 if len(simple) < len(edges) else None  # a multi-edge
     size = a + b
@@ -466,7 +467,6 @@ def _bipartite_girth_diameter(edges, a, b):
         adjacency[a + y].append(x)
     # girth and eccentricity by one BFS from every vertex on the simple graph
     diameter = 0
-    connected = True
     for src in range(size):
         dist = [-1] * size
         parent = [-1] * size
@@ -486,11 +486,8 @@ def _bipartite_girth_diameter(edges, a, b):
                         if girth is None or cycle < girth:
                             girth = cycle
             frontier = nxt
-        if -1 in dist:
-            connected = False
-        else:
-            diameter = max(diameter, max(dist))
-    return girth, (diameter if connected else None)
+        diameter = max(diameter, max(dist))
+    return girth, diameter
 
 
 @dataclass

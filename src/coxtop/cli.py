@@ -27,7 +27,7 @@ from .chambers import (
     thin_building,
     verify_building,
 )
-from .complexes import classical_chamber, local_groups, metric_flag_check, model_chamber, nerve
+from .complexes import classical_chamber, local_groups, metric_flag_check, nerve
 from .complexes import davis_chamber as davis_chamber_of
 from .coxmatrix import CoxeterError, CoxeterMatrix, parse_coxeter_matrix, spherical_poset
 from .decomposition import (
@@ -262,7 +262,7 @@ def _realization_report(system, X):
 def cmd_realize(args):
     mat = _read_matrix(args.matrix)
     system = resolve_verified_building(args, mat)
-    X = model_chamber(system.matrix, args.model)
+    X = (davis_chamber_of if args.model == "K" else classical_chamber)(system.matrix)
     # opened once the inputs are read (a chamber file may be the same
     # path) and before any work, so a refused --out leaves stdout empty
     with _open_out(args.out) as out:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .coxmatrix import _proposals, cosine_gram_definite, spherical_poset
+from .coxmatrix import _walk, cosine_gram_definite, is_spherical, spherical_poset
 from .intlinalg import CochainComplex, GradedGroup
 
 
@@ -97,9 +97,6 @@ class SimplicialComplex:
         for f in self.faces:
             counts[len(f) - 1] += 1
         return tuple(counts)
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
     def sub(self, keep):
         """The faces that pass ``keep``, on this table; ``keep`` must hold
@@ -348,14 +345,6 @@ def classical_chamber(mat):
     return MirroredComplex(mat.labels, simplex, tuple(S - {v} for v in simplex.vertices))
 
 
-def model_chamber(mat, name):
-    if name == "delta":
-        return classical_chamber(mat)
-    if name == "K":
-        return davis_chamber(mat)
-    raise ValueError(f"unknown model chamber {name!r} (expected 'delta' or 'K')")
-
-
 def metric_flag_check(mat):
     """Consistency of the nerve with the definiteness oracle.
 
@@ -364,19 +353,15 @@ def metric_flag_check(mat):
     positive definite.  With exact arithmetic this always holds; a False
     return indicates an implementation fault.
 
-    The walk that builds the nerve proposes T + s; each that is a clique
-    (s spherical with every t in T) is compared.  By induction on |V| that
-    covers every pairwise-spherical V, with P = V less its last generator:
-    if P is a face, V is compared; if not, P's Gram matrix is not
-    definite, nor is V's (decided through P's minors), and V is no face.
-    A subset whose prefix is no face is never asked about; the acceptance
-    sweep compares both oracles on every subset of rank <= 4.  An
-    unsupported label raises on its first pair in lexicographic order.
+    The walk that lists the nerve runs under both oracles side by side,
+    and the first step where they differ returns False.  While they agree
+    the walks propose the same sets, and that covers every
+    pairwise-spherical V: an unproposed V has a facet F that both rejected
+    or that was not proposed (by induction), and F's Gram matrix, a
+    principal submatrix of V's, is not definite, so V is neither definite
+    nor a face.  The acceptance sweep compares both oracles on every
+    subset of rank <= 4.  Every pair is proposed, so an unsupported label
+    raises on its first pair in lexicographic order.
     """
-    poset = spherical_poset(mat)
-    for T, s in _proposals(mat.labels, poset.members):
-        if all(frozenset((s, t)) in poset for t in T):
-            U = T | {s}
-            if (U in poset) != cosine_gram_definite(mat, U):
-                return False
-    return True
+    walks = zip(_walk(mat, is_spherical), _walk(mat, cosine_gram_definite))
+    return all(face == definite for (_, face), (_, definite) in walks)

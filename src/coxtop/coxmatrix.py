@@ -29,8 +29,8 @@ memory of the benchmark's 4,666 rank-4 matrices by 28 % (33.1 MB to
 42.5 MB).  Below three generators the key costs at most one lookup.
 
 The two must agree wherever both apply; the test suite sweeps this.  One
-walk over the spherical subsets (``_proposals``) serves ``spherical_poset``
-and ``complexes.metric_flag_check``, which compares the oracles on it.
+walk proposes a subset once its facets are accepted: it lists the spherical
+subsets, and ``metric_flag_check`` runs it under both oracles side by side.
 """
 
 from __future__ import annotations
@@ -361,30 +361,40 @@ class SphericalPoset:
         return [sorted(T, key=self.matrix.index) for T in self.members]
 
 
-def _proposals(labels, members):
-    """Each member T of ``members``, in order, extended by each generator
-    s after T's last one, as (T, s).  ``members`` starts as [frozenset()],
-    and the caller appends T | {s} when it is spherical, so the walk goes
-    on through what it finds.  U is proposed only from U less its last
-    generator, so at most once."""
-    position = {s: i for i, s in enumerate(labels)}
-    for T in members:
-        for s in labels[max(map(position.__getitem__, T), default=-1) + 1 :]:
-            yield T, s
+def _walk(mat, oracle):
+    """Each subset U the walk proposes, as ``(U, oracle(mat, U))``, for an
+    oracle inherited by subsets.  U = T + s, for an accepted T (the empty
+    set first) and s after T's last generator, is proposed only when every
+    facet U - {t} was accepted; so s is sought only among the ``later``
+    generators kept with T, those whose union with T less its last
+    generator was accepted (all of S for the empty set).
+
+    Nothing is missed: every facet of an accepted set is accepted, so it is
+    reached from itself less its last generator, and only from there.  The
+    facets are known in time: the sets of size k are decided while the
+    accepted sets of size k - 1 are read.  The order is that of extending
+    each accepted T by every later s, of which these proposals are a
+    subsequence: by size, then lexicographic in the generator indices."""
+    members = [(frozenset(), mat.labels)]
+    accepted = {frozenset()}
+    for T, later in members:
+        found = []
+        for s in later:
+            U = T | {s}
+            if all(U - {t} in accepted for t in T):
+                answer = oracle(mat, U)
+                if answer:
+                    found.append(s)
+                    accepted.add(U)
+                yield U, answer
+        members.extend((T | {s}, found[i + 1 :]) for i, s in enumerate(found))
 
 
 def spherical_poset(mat):
-    """All spherical subsets, by one walk with one ``is_spherical`` question
-    per proposal.  Nothing is missed: sphericity is inherited by subsets,
-    so a spherical U is reached from U less its last generator.  No sort
-    is needed: the walk proposes the sets of each size in lexicographic
-    order of their generator indices, all before any larger set."""
-    members = [frozenset()]
-    for T, s in _proposals(mat.labels, members):
-        U = T | {s}
-        if is_spherical(mat, U):
-            members.append(U)
-    return SphericalPoset(mat, tuple(members))
+    """All spherical subsets: the empty set and what ``_walk`` accepts
+    under ``is_spherical``, in its order, with one question per proposal."""
+    accepted = (U for U, spherical in _walk(mat, is_spherical) if spherical)
+    return SphericalPoset(mat, (frozenset(), *accepted))
 
 
 def cosine_gram_definite(mat, T):

@@ -253,9 +253,13 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
                 "pass a concrete chamber system instead"
             )
         sizes = thickness[1]
-        for s in matrix.labels:
-            if sizes.get(s, 2) < 2:
-                raise ValueError("regular panel sizes must be at least 2")
+        for s in (*sizes, *matrix.labels):
+            if s not in matrix.labels:
+                raise ValueError(f"regular thickness gives q_s for {s!r}, which is not a generator")
+            if s not in sizes:
+                raise ValueError(f"regular thickness gives no q_s for generator {s!r}")
+            if sizes[s] < 2:
+                raise ValueError(f"regular q_s must be at least 2, but q_{s} is {sizes[s]}")
 
         def multiplicity(T):
             return OMEGA

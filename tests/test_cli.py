@@ -102,6 +102,17 @@ class TestBasicVerbs:
         code, out = run(capsys, ["metric-flag", triangle_file])
         assert code == 0 and out.strip() == "true"
 
+    @pytest.mark.parametrize("model", ["K", "delta"])
+    def test_cohomology_of_one_type(self, capsys, triangle_file, model):
+        # each type's --T entry is its entry of the full list
+        argv = ["cohomology", triangle_file, "--model", model, "--json"]
+        code, out = run(capsys, argv)
+        entries = json.loads(out)
+        assert code == 0 and len(entries) == 7
+        for entry in entries:
+            code, out = run(capsys, [*argv, "--T", *entry["T"]])
+            assert code == 0 and json.loads(out) == [entry]
+
     def test_nerve_and_davis(self, capsys, free3_file):
         code, out = run(capsys, ["nerve", free3_file, "--json"])
         assert code == 0 and len(json.loads(out)) == 3
@@ -218,6 +229,19 @@ class TestBuildingVerbs:
         code, out = run(capsys, ["sigma-check", a2_file, "--json"])
         assert code == 0 and json.loads(out)["ok"]
 
+    def test_sigma_check_of_one_type(self, capsys, a2_file):
+        # --T s gives the T=['s'] lines of the full sweep, in its order;
+        # --U narrows them to one mirror set
+        argv = ["sigma-check", a2_file, "--building", "fano"]
+        _, full = run(capsys, argv)
+        lines = [line for line in full.splitlines() if line.startswith("T=['s'] ")]
+        assert len(lines) == 2
+        code, out = run(capsys, [*argv, "--T", "s"])
+        assert code == 0 and out.splitlines() == [*lines, "all: ok"]
+        code, out = run(capsys, [*argv, "--T", "s", "--U", "t"])
+        assert code == 0 and out.splitlines() == [lines[1], "all: ok"]
+        assert lines[1].startswith("T=['s'] U=['t']:")
+
     def test_filtration(self, capsys, a2_file):
         code, out = run(capsys, ["filtration", a2_file, "--json"])
         assert code == 0
@@ -328,6 +352,18 @@ class TestErrors:
 
     def test_growth_needs_args(self, capsys, free3_file):
         assert main(["growth", free3_file]) == 1
+
+    def test_growth_needs_a_radius(self, capsys, free3_file):
+        code = main(["growth", free3_file, "--T", "s"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: growth needs --N\n"
+
+    def test_cohomology_refuses_a_type_that_is_not_spherical(self, capsys, triangle_file):
+        code = main(["cohomology", triangle_file, "--T", "a", "b", "c"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --T ['a', 'b', 'c'] is not a spherical subset\n"
 
     @pytest.mark.parametrize(
         "argv, option",

@@ -20,8 +20,8 @@ from coxtop.complexes import (
     relative_cohomology,
     vertex_key,
 )
-from coxtop.hc import duality_check
-from coxtop.intlinalg import AbGroup, GradedGroup
+from coxtop.hc import duality_check, hc_standard_realization, vcd
+from coxtop.intlinalg import OMEGA, AbGroup, GradedGroup
 from test_coxmatrix import shuffled_matrix
 from test_intlinalg import RP2_TRIANGLES
 
@@ -574,6 +574,15 @@ def barycentric_subdivision(X):
     return flag_complex(frozenset(X.vertices[i] for i in f) for f in X.faces)
 
 
+@pytest.fixture(scope="module")
+def sd_rp2():
+    """The right-angled matrix over sd RP^2, the barycentric subdivision
+    of the 6-vertex RP^2: 31 generators, 90 edges and 60 triangles.  It is
+    flag, so its faces are exactly the nonempty spherical subsets."""
+    L = barycentric_subdivision(SimplicialComplex.from_maximal(RP2_TRIANGLES))
+    return L, right_angled(L)
+
+
 @pytest.fixture
 def spherical_calls(monkeypatch):
     """The subsets ``is_spherical`` is asked about, wherever it is bound."""
@@ -625,15 +634,22 @@ class TestMetricFlag:
         assert metric_flag_check(mat)
         assert len(spherical_calls) < 2000
 
-    def test_right_angled_over_sd_rp2(self, spherical_calls):
-        # sd RP^2 has 31 vertices, 90 edges and 60 triangles, and it is
-        # flag, so its faces are exactly the spherical subsets
-        L = barycentric_subdivision(SimplicialComplex.from_maximal(RP2_TRIANGLES))
-        mat = right_angled(L)
+    def test_walk_asks_nothing_beyond_the_pairs_of_a_cycle(self, spherical_calls):
+        # no triple of the right-angled 16-cycle has all three pairs
+        # spherical, so the walk asks about the 16 generators and the 120
+        # pairs only
+        mat = right_angled(SimplicialComplex.from_maximal((i, (i + 1) % 16) for i in range(16)))
+        assert len(spherical_poset(mat)) == 1 + 16 + 16
+        assert [len(T) for T in spherical_calls] == [1] * 16 + [2] * 120
+
+    def test_right_angled_over_sd_rp2(self, spherical_calls, sd_rp2):
+        L, mat = sd_rp2
         poset = spherical_poset(mat)
         assert set(poset) == {frozenset()} | {frozenset(mat.labels[i] for i in f) for f in L.faces}
         assert [sum(len(T) == k for T in poset) for k in range(4)] == [1, 31, 90, 60]
-        assert len(spherical_calls) <= 1546  # one per proposal; breadth-first asks 5,041 times
+        # one question per generator, per pair and per triangle; proposing
+        # every extension by a later generator asks 1,546 times
+        assert len(spherical_calls) == 31 + 465 + 60
         assert metric_flag_check(mat)
 
     @pytest.mark.parametrize(
@@ -650,6 +666,29 @@ class TestMetricFlag:
     )
     def test_always_true(self, mat):
         assert metric_flag_check(mat)
+
+
+class TestRightAngledOverSdRp2:
+    """The exact checks on the right-angled group over L = sd RP^2.  At
+    T = the empty set the local group is the reduced cohomology of RP^2
+    one degree up, Z/2 in degree 3; at a face T of L it is that of L less
+    T, a Moebius band up to homotopy, Z in degree 2."""
+
+    def test_vcd(self, sd_rp2):
+        assert vcd(sd_rp2[1]).to_json() == {"vcd": 3, "w_finite": False, "witness_types": [[]]}
+
+    def test_not_a_duality_group(self, sd_rp2):
+        report = duality_check(sd_rp2[1])
+        assert not report.is_duality and report.dimension is None
+        assert report.offending[0] == [[], "torsion in the punctured cohomology"]
+        assert len(report.offending) == 182
+        assert [reason for _, reason in report.offending[1:]] == ["degree [1] below the top 2"] * 181
+
+    def test_thin_hc(self, sd_rp2):
+        report = hc_standard_realization(sd_rp2[1])
+        assert report.totals == GradedGroup({2: AbGroup(OMEGA), 3: AbGroup(0, (2,))})
+        [top] = [c for c in report.contributions if not c.local[3].is_zero()]
+        assert (top.type, top.local[3], top.multiplicity) == ((), AbGroup(0, (2,)), 1)
 
 
 def test_vertex_key_total_order():

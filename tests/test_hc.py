@@ -364,6 +364,19 @@ class TestHcReport:
         by_type = {c.type: c for c in report.contributions}
         assert by_type[()].multiplicity == OMEGA  # thick: not quantified
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"s": 2, "t": 2}, "no q_s for generator 'u'"),
+            ({"s": 2, "t": 2, "u": 2, "x": 3}, "q_s for 'x', which is not a generator"),
+            ({"s": 2, "t": 1, "u": 2}, "q_s must be at least 2, but q_t is 1"),
+        ],
+        ids=["missing", "unknown", "thin"],
+    )
+    def test_regular_sizes_name_the_generator(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            hc_standard_realization(FREE3, ("regular", sizes))
+
     def test_regular_needs_infinite(self):
         with pytest.raises(ValueError):
             hc_standard_realization(A2, ("regular", {"s": 2, "t": 2}))
