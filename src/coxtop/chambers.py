@@ -10,7 +10,9 @@ index says which residue holds which: ``ChamberSystem.containing`` maps
 each residue of a type to the residue of a larger type holding it, and
 ``ChamberSystem.covered`` inverts it; every map between residue modules
 (coboundary blocks, lattice generators, witness lifts, glued faces)
-reads it there.
+reads it there.  The spherical poset of the type is cached on the system
+beside these (``ChamberSystem.poset``), as are the splittings of
+``decomposition``, so every reader of one system walks the poset once.
 
 Constructors provided: the thin building (the group itself, panels =
 cosets of the order-2 subgroups), rank-2 generalized digons (complete
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .coxmatrix import INF, CoxeterMatrix, is_spherical, parse_coxeter_matrix
+from .coxmatrix import INF, CoxeterMatrix, is_spherical, parse_coxeter_matrix, spherical_poset
 from .groups import enumerate_group
 
 
@@ -124,6 +126,15 @@ class ChamberSystem:
                 if r == len(least):  # residues are numbered by least chamber
                     least.append(c)
             cached = self._partitions[T] = (pm, least)
+        return cached
+
+    def poset(self):
+        """The spherical subsets of the type (``spherical_poset``); cached
+        per instance."""
+        cached = getattr(self, "_poset", None)
+        if cached is None:
+            cached = spherical_poset(self.matrix)
+            object.__setattr__(self, "_poset", cached)
         return cached
 
     def element_table(self):
@@ -215,6 +226,14 @@ def parse_chamber_system(text):
     return ChamberSystem(matrix, panels, size)
 
 
+def check_type(system, T):
+    """Raise ``ChamberError`` when the type T names a generator that is not
+    one of the system's."""
+    for s in T:
+        if s not in system.matrix.labels:
+            raise ChamberError(f"residue type names unknown generator {s!r}")
+
+
 def residue_partition_map(system, T):
     """chamber index -> residue index, residues numbered by least chamber.
 
@@ -222,10 +241,8 @@ def residue_partition_map(system, T):
     residue, and a search over the T-edges of ``system.neighbours()``
     places the rest of it.
     """
+    check_type(system, T)
     labels = system.matrix.labels
-    for s in T:
-        if s not in labels:
-            raise ChamberError(f"residue type names unknown generator {s!r}")
     kinds = {labels.index(s) for s in T}
     neighbours = system.neighbours()
     out = [None] * system.size

@@ -290,18 +290,17 @@ def cmd_decompose(args):
     for T in dec.poset:
         name = "{" + ",".join(sorted(T, key=system.matrix.index)) + "}"
         d = dec.d_quotient(T)
+        residues = dec.residue_count(T)
+        rank = dec.splitting_rank(T)
         rows.append(
             {
                 "T": sorted(T, key=system.matrix.index),
-                "residues": dec.residue_count(T),
+                "residues": residues,
                 "quotient": d.to_json(),
-                "summand_rank": dec.splitting_rank(T),
+                "summand_rank": rank,
             }
         )
-        lines.append(
-            f"type {name}: residues {dec.residue_count(T)}, quotient {d}, "
-            f"summand rank {dec.splitting_rank(T)}"
-        )
+        lines.append(f"type {name}: residues {residues}, quotient {d}, summand rank {rank}")
     _emit(args, {"chambers": system.size, "types": rows}, "\n".join(lines))
     return 0
 
@@ -328,7 +327,6 @@ def cmd_sigma_check(args):
     mat = _read_matrix(args.matrix)
     system = resolve_verified_building(args, mat)
     _check_labels(args, system.matrix.labels)
-    dec = BuildingDecomposition(system)
     S = set(system.matrix.labels)
     pairs = []
     if args.T is not None:
@@ -340,7 +338,7 @@ def cmd_sigma_check(args):
         ]
         pairs = [(base, U) for U in mirrors]
     else:
-        for T in dec.poset:
+        for T in system.poset():
             free = sorted(S - T)
             for r in range(len(free) + 1):
                 for U in combinations(free, r):

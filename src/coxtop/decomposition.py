@@ -23,8 +23,10 @@ otherwise they are reduced against an echelon basis of A^{>T}.  D^T is read off 
 factorization: free of the rank of hat(A)^T, or the torsion quotient that
 the ``TorsionObstruction`` carries when A^{>T} is not a direct summand.
 The splittings are cached on the ``ChamberSystem`` beside its residue
-partition maps, so every ``BuildingDecomposition`` of one system shares
-them and each is computed once per system.
+partition maps and its spherical poset (``ChamberSystem.poset``), so a
+``BuildingDecomposition`` holds no state of its own: every view of one
+system shares them, each splitting is computed once per system and the
+poset is walked once.
 ``BuildingDecomposition.witness`` lifts the hat(A)^V for V containing T
 to the T-residues (each T-residue reads the entry of the V-residue that
 contains it) and certifies the direct-sum decomposition by a unit
@@ -56,8 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chambers import check_type
 from .complexes import classical_chamber, cochain_complex
-from .coxmatrix import spherical_poset
 from .intlinalg import (
     AbGroup,
     GradedGroup,
@@ -73,14 +75,15 @@ from .intlinalg import (
 class BuildingDecomposition:
     """The residue modules of one chamber system, in residue coordinates.
 
-    A view: the splittings are cached on the system next to its residue
-    partition maps, so every view of one system shares them.
+    A view: the poset and the splittings are cached on the system next
+    to its residue partition maps, so every view of one system shares
+    them and building one is free.
     """
 
     def __init__(self, system):
         self.system = system
         self.matrix = system.matrix
-        self.poset = spherical_poset(system.matrix)
+        self.poset = system.poset()
 
     # -------------------------------------------------------- residue data
 
@@ -132,6 +135,7 @@ class BuildingDecomposition:
         (a violation of the building axioms)."""
         T = frozenset(T)
         if T not in self.poset:
+            check_type(self.system, T)
             return AbGroup()
         try:
             return AbGroup(self.splitting_rank(T))
@@ -147,6 +151,7 @@ class BuildingDecomposition:
         if T in cache:
             return cache[T]
         if T not in self.poset:
+            check_type(self.system, T)
             raise ValueError(f"{sorted(T)} is not spherical")
         result = direct_complement(self.residue_count(T), self.above_in_coordinates(T))
         cache[T] = result
@@ -336,6 +341,7 @@ def sigma_formula_check(system, T, U):
     S = dec.matrix.labels
     T = frozenset(T)
     U = frozenset(U)
+    check_type(system, T | U)
     if T not in dec.poset:
         raise ValueError(f"base type {sorted(T)} is not spherical")
     if not U <= set(S) - T:

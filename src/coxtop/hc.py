@@ -19,10 +19,13 @@ and any radius without enumerating group elements.
 The H_c report, ``vcd`` and ``duality_check`` all read the local groups
 off ``local_groups`` of the nerve, so no Davis chamber is built; the
 duality check's reduced groups are those groups one degree down.  Each
-builds the spherical poset once, and the nerve, the local groups and
-every growth series of a report are read off it.  The report and the
-realization's cross-check assemble the sum of local groups tensor
-multiplicities with one helper, ``formula_terms``.
+reads one spherical poset, and the nerve, the local groups and every
+growth series of a report are read off it.  Over a concrete chamber
+system that poset is the one cached on the system
+(``ChamberSystem.poset``), which its splittings and every other report
+on the system read too; otherwise each report walks the poset once.
+The report and the realization's cross-check assemble the sum of local
+groups tensor multiplicities with one helper, ``formula_terms``.
 """
 
 from __future__ import annotations
@@ -225,11 +228,10 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
             "it does not apply to a concrete or regular thickness"
         )
     w_finite = is_spherical(matrix, matrix.labels)
-    poset = spherical_poset(matrix)
-    locals_ = local_groups(nerve(poset), poset)
 
     if thickness == "thin":
         label = "thin"
+        poset = spherical_poset(matrix)
         if w_finite:
             # Solomon: #{w : In(w) = T} is the sum over U >= T of
             # (-1)^|U-T| |W|/|W_U|, with |W_U| the product of its degrees
@@ -247,6 +249,7 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
 
     elif isinstance(thickness, tuple) and thickness and thickness[0] == "regular":
         label = "regular"
+        poset = spherical_poset(matrix)
         if w_finite:
             raise ValueError(
                 "regular thick reports are symbolic and need an infinite type; "
@@ -268,8 +271,11 @@ def hc_standard_realization(matrix, thickness="thin", growth_radius=None):
         label = "concrete"
         if not thickness.matrix.same_type(matrix):
             raise ValueError(type_mismatch(thickness.matrix, matrix))
+        # the same labels in the same order: the system's poset is the matrix's
+        poset = thickness.poset()
         multiplicity = BuildingDecomposition(thickness).splitting_rank
 
+    locals_ = local_groups(nerve(poset), poset)
     contributions, totals = formula_terms(poset, locals_, multiplicity, growth_radius)
     return HcReport(matrix.labels, label, w_finite, contributions, totals)
 

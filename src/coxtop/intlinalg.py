@@ -810,6 +810,13 @@ class CochainComplex:
             incoming = nonzero.get(k - 1, ())
             torsion = tuple(d for d in incoming if d > 1)
             free = n - rank_out - len(incoming)
+            if free < 0:
+                # d^k d^{k-1} = 0 bounds the two ranks by n: a cheap
+                # check on every complex, short of ``validate``
+                raise ValueError(
+                    f"degree {k} has rank {n} but the maps in and out of it have "
+                    f"rank {len(incoming)} + {rank_out}: not a cochain complex"
+                )
             if free or torsion:
                 out[k] = AbGroup(free, torsion)
         return GradedGroup(out)

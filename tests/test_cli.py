@@ -738,6 +738,12 @@ class TestDeterminism:
                  "87ed28c2599321416c90439a69ce79478652c726cb6cd8e94770dd713dbf9b8a"),
                 ("filtration", "digon(3,3)",
                  "f6bf6071fda3012979aed4b9200404da7b6e056ae2bedfde2113a51225abe62f"),
+                ("hc", "fano",
+                 "e16673b4239fd57e7445daeaa5bff424e091588d8e4d603dbce5f9e1dbfe8f1d"),
+                ("hc", "fanoxa1",
+                 "1d787b84290b6c9d4f292412f0b67e9d83e1cd37639dc3eb096b6f3778af281d"),
+                ("hc", "digon(3,3)",
+                 "342621bce7d777caa8438ee8b488ed4e81f708d69469db29b4bdceefdc2added"),
             ]
         ],
     )
@@ -746,7 +752,9 @@ class TestDeterminism:
         # recorded from the code that lifted each summand to Z^Phi and
         # built A^{>T} from every strict superset, and the decompose,
         # sigma-check and filtration reports from the code that wrote
-        # every module lattice in Z^Phi and factored each A^{>T} anew
+        # every module lattice in Z^Phi and factored each A^{>T} anew;
+        # the hc reports from the code whose H_c report walked its own
+        # spherical poset beside the decomposition's
         argv = [verb, a2_file, "--building", spec, "--json"]
         code, out = run(capsys, argv if T is None else argv + ["--T", *T])
         assert code == 0
@@ -799,6 +807,31 @@ class TestDeterminism:
         for verb in ("sigma-check", "filtration", "decompose", "verify-decomposition", "hc"):
             code, _ = run(capsys, [verb, a2_file, "--building", "fanoxfano", "--json"])
             assert code == 0, verb
+
+    @pytest.mark.parametrize(
+        "verb", ["decompose", "verify-decomposition", "sigma-check", "filtration", "hc"]
+    )
+    def test_each_building_verb_walks_the_poset_once(self, capsys, a2_file, monkeypatch, verb):
+        # the poset is cached on the chamber system, and every report on
+        # the system reads it there
+        import importlib
+        import pkgutil
+
+        from coxtop.coxmatrix import spherical_poset
+
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return spherical_poset(mat)
+
+        for info in pkgutil.iter_modules(coxtop.__path__):
+            module = importlib.import_module(f"coxtop.{info.name}")
+            if getattr(module, "spherical_poset", None) is spherical_poset:
+                monkeypatch.setattr(module, "spherical_poset", counted)
+        code, _ = run(capsys, [verb, a2_file, "--building", "fanoxfano", "--json"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_nerve_text_is_seed_independent(self, triangle_file):
         # the plain-text face list must not follow set iteration order

@@ -1,6 +1,7 @@
 import pytest
 
 from coxtop.chambers import (
+    ChamberError,
     ChamberSystem,
     digon_building,
     fano_building,
@@ -196,8 +197,29 @@ def test_torsion_quotient_read_off_the_splitting():
 def test_splittings_are_shared_per_system():
     system = fano_building()
     first, second = BuildingDecomposition(system), BuildingDecomposition(system)
+    assert first.poset is second.poset is system.poset()
     for T in first.poset:
         assert first.splitting(T) is second.splitting(T), T
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda dec: dec.residue_count(("z",)),
+        lambda dec: dec.witness(("z",)),
+        lambda dec: dec.d_quotient(("z",)),
+        lambda dec: dec.splitting(("z",)),
+        lambda dec: dec.splitting_rank(("s", "z")),
+        lambda dec: sigma_formula_check(dec.system, ("z",), ()),
+        lambda dec: sigma_formula_check(dec.system, (), ("z",)),
+    ],
+    ids=["residue_count", "witness", "d_quotient", "splitting", "splitting_rank",
+         "sigma-T", "sigma-U"],
+)
+def test_unknown_generator_is_named_everywhere(read):
+    dec = BuildingDecomposition(fano_building())
+    with pytest.raises(ChamberError, match="^residue type names unknown generator 'z'$"):
+        read(dec)
 
 
 class TestSplittings:

@@ -643,6 +643,13 @@ class TestCochain:
         with pytest.raises(ValueError):
             cx.validate()
 
+    def test_negative_free_rank_is_refused(self):
+        # d^1 d^0 = 2: unvalidated, the ranks in and out of degree 1
+        # add up past its rank
+        cx = CochainComplex({0: 1, 1: 1, 2: 1}, {0: [[(0, 1)]], 1: [[(0, 2)]]})
+        with pytest.raises(ValueError, match="^degree 1 has rank 1 "):
+            cx.cohomology()
+
     @pytest.mark.parametrize(
         "rows",
         [
